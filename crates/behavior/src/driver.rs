@@ -6,7 +6,7 @@
 //! arriving session. The result is the synthetic equivalent of the
 //! paper's 40-day trace, at a configurable scale.
 
-use crate::arrivals::ArrivalProcess;
+use crate::arrivals::{ArrivalProcess, HourArrivals};
 use crate::hybrid::{HybridShard, ShardOutcome};
 use crate::peer::{ClientPeer, PeerEnv, RelayRates};
 use crate::session::SessionPlanner;
@@ -103,8 +103,7 @@ impl PopulationConfig {
 /// Engine-level statistics of a whole campaign, aggregated across shards.
 ///
 /// `events_popped` sums over shards (total work done); `peak_queue_len`
-/// takes the per-shard maximum (the pressure any one heap actually saw,
-/// which is what informs [`Simulator::with_capacity`] pre-sizing).
+/// takes the per-shard maximum (the pressure any one queue actually saw).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CampaignStats {
     /// Events popped off the simulator queue(s), summed across shards.
@@ -165,11 +164,17 @@ impl CampaignStats {
 const TAG_HOUR: u64 = 1;
 const TAG_ARRIVAL: u64 = 2;
 
-/// The driver actor: schedules arrivals hour by hour and spawns peers.
+/// The driver actor: draws arrivals hour by hour, keeps one arrival timer
+/// pending, and spawns peers.
+///
+/// Its timers are the campaign's only unkeyed events, so they pop in
+/// FIFO order at equal instants. Arrival `i + 1` is armed when arrival
+/// `i` fires, which keeps same-millisecond arrivals in draw order.
 struct PopulationDriver {
     server: NodeId,
     planner: SessionPlanner,
     arrivals: ArrivalProcess,
+    hour: HourArrivals,
     env: PeerEnv,
     seq: SeedSequence,
     end: SimTime,
@@ -179,14 +184,17 @@ struct PopulationDriver {
 
 impl PopulationDriver {
     fn schedule_hour(&mut self, ctx: &mut Context<'_, NetMsg>) {
-        let offs = self.arrivals.arrivals_in_hour(&mut self.rng);
-        for off in offs {
-            if ctx.now() + off < self.end {
-                ctx.set_timer(off, TAG_ARRIVAL);
-            }
-        }
+        self.hour
+            .draw(&self.arrivals, &mut self.rng, ctx.now(), self.end);
+        self.arm_arrival(ctx);
         if ctx.now() + SimDuration::from_hours(1) < self.end {
             ctx.set_timer(SimDuration::from_hours(1), TAG_HOUR);
+        }
+    }
+
+    fn arm_arrival(&mut self, ctx: &mut Context<'_, NetMsg>) {
+        if let Some((_, at)) = self.hour.release() {
+            ctx.set_timer(at - ctx.now(), TAG_ARRIVAL);
         }
     }
 
@@ -218,7 +226,10 @@ impl Actor for PopulationDriver {
     fn on_timer(&mut self, ctx: &mut Context<'_, NetMsg>, tag: u64) {
         match tag {
             TAG_HOUR => self.schedule_hour(ctx),
-            TAG_ARRIVAL => self.spawn_peer(ctx),
+            TAG_ARRIVAL => {
+                self.spawn_peer(ctx);
+                self.arm_arrival(ctx);
+            }
             _ => {}
         }
     }
@@ -312,14 +323,7 @@ fn build_shard(
         transport: cfg.transport,
     };
 
-    // Queue pressure at any instant is one timer batch of arrivals (the
-    // driver schedules an hour of arrivals at once) plus a handful of
-    // pending timers and in-flight frames per live connection.
-    let events_capacity = (sessions_per_day / 24.0) as usize + cfg.max_connections * 8 + 256;
-    let mut sim: Box<Simulator<NetMsg>> = Box::new(Simulator::with_capacity(
-        seq.derive_seed("engine"),
-        events_capacity,
-    ));
+    let mut sim: Box<Simulator<NetMsg>> = Box::new(Simulator::new(seq.derive_seed("engine")));
     let collector_cfg = CollectorConfig {
         max_connections: cfg.max_connections,
         forward_fanout: cfg.forward_fanout,
@@ -337,6 +341,7 @@ fn build_shard(
         server,
         planner,
         arrivals: ArrivalProcess::new(sessions_per_day),
+        hour: HourArrivals::default(),
         env,
         seq: seq.child("population"),
         end,

@@ -30,7 +30,7 @@
 //! the per-message cost, which is what makes `mega`-scale campaigns
 //! (millions of sessions/day) tractable.
 
-use crate::arrivals::ArrivalProcess;
+use crate::arrivals::{ArrivalProcess, HourArrivals};
 use crate::files::SharedFilesModel;
 use crate::peer::RelayRates;
 use crate::session::{SessionPlan, SessionPlanner};
@@ -99,9 +99,9 @@ struct WireMsg {
 }
 
 enum Body {
-    /// Driver hour tick: schedule the next hour of arrivals.
+    /// Driver hour tick: draw the next hour of arrivals.
     DriverHour,
-    /// Driver arrival timer: spawn one session.
+    /// Driver arrival timer: spawn one session, arm the next arrival.
     Arrival,
     /// A session's connect request reaches the collector.
     ConnectArrive(u32),
@@ -196,6 +196,11 @@ pub struct HybridShard {
 
     // Driver state (lane 1).
     arrivals: ArrivalProcess,
+    hour: HourArrivals,
+    /// Schedule key of the current hour's first arrival. Keys are handed
+    /// out at draw time, to the hour's arrivals and then to the hour
+    /// tick, so arrival `i` carries `hour_key + i`.
+    hour_key: u64,
     drng: StdRng,
     pop_seq: SeedSequence,
     spawned: u64,
@@ -255,13 +260,13 @@ impl HybridShard {
         let end = SimTime::from_secs_f64(cfg.days * 86_400.0);
         let collector_defaults = CollectorConfig::default();
         let mut shard = HybridShard {
-            queue: EventQueue::with_capacity(
-                (sessions_per_day / 24.0) as usize + cfg.max_connections * 8 + 256,
-            ),
+            queue: EventQueue::new(),
             stashed: None,
             end,
             horizon: end + SimDuration::from_hours(2),
             arrivals: ArrivalProcess::new(sessions_per_day),
+            hour: HourArrivals::default(),
+            hour_key: 0,
             drng: seq.rng("arrivals"),
             pop_seq: seq.child("population"),
             spawned: 0,
@@ -352,15 +357,15 @@ impl HybridShard {
 
     // ----- driver (lane 1) -------------------------------------------------
 
+    /// Draw the hour's arrivals, hand out keys to them and then to the
+    /// hour tick, and put the first arrival on the queue.
     fn schedule_hour(&mut self, now: SimTime) {
-        let offs = self.arrivals.arrivals_in_hour(&mut self.drng);
-        for off in offs {
-            if now + off < self.end {
-                let key = self.dkey;
-                self.dkey += 1;
-                self.push(now + off, DRIVER_LANE, key, Body::Arrival);
-            }
-        }
+        let kept = self
+            .hour
+            .draw(&self.arrivals, &mut self.drng, now, self.end);
+        self.hour_key = self.dkey;
+        self.dkey += kept as u64;
+        self.arm_arrival();
         if now + SimDuration::from_hours(1) < self.end {
             let key = self.dkey;
             self.dkey += 1;
@@ -370,6 +375,12 @@ impl HybridShard {
                 key,
                 Body::DriverHour,
             );
+        }
+    }
+
+    fn arm_arrival(&mut self) {
+        if let Some((i, at)) = self.hour.release() {
+            self.push(at, DRIVER_LANE, self.hour_key + i as u64, Body::Arrival);
         }
     }
 
@@ -563,6 +574,7 @@ impl HybridShard {
             Body::Arrival => {
                 self.timers_fired += 1;
                 self.spawn_session(at);
+                self.arm_arrival();
             }
             Body::ConnectArrive(node) => {
                 self.delivered += 1;

@@ -29,7 +29,9 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use stats::dist::{Discrete, TwoPieceZipf, Zipf};
+use stats::rank::drifted_hot_set;
 use stats::rng::SeedSequence;
+use std::sync::OnceLock;
 
 /// The seven disjoint geographic query classes of §4.6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -137,7 +139,8 @@ pub struct VocabularyConfig {
     /// Day-to-day drift noise (log-score σ). Larger ⇒ faster hot-set
     /// churn (Figure 10).
     pub drift_sigma: f64,
-    /// Number of simulated days to precompute rankings for.
+    /// Number of distinct daily rankings: day `d` uses ranking
+    /// `d % n_days`, computed the first time a query is drawn from it.
     pub n_days: usize,
     /// Probability that a query from each region falls in each class
     /// (§4.7: "for North American peers, a query is in the set of North
@@ -176,13 +179,13 @@ impl Default for VocabularyConfig {
     }
 }
 
-/// One class's pool and precomputed daily rankings.
+/// One class's pool and its daily rankings, each filled on first use.
 #[derive(Debug, Clone)]
 struct ClassPool {
     /// Pool item texts, interned once at build time.
     ids: Vec<QueryId>,
     /// `rankings[day][rank-1]` = pool index of the day's rank-`rank` item.
-    rankings: Vec<Vec<u32>>,
+    rankings: Vec<OnceLock<Vec<u32>>>,
     law: RankLaw,
     daily_size: usize,
 }
@@ -192,6 +195,7 @@ struct ClassPool {
 pub struct Vocabulary {
     classes: Vec<ClassPool>,
     config: VocabularyConfig,
+    seq: SeedSequence,
 }
 
 /// 16 × 16 syllable lexicon → 256 distinct keywords.
@@ -229,8 +233,9 @@ fn pair_for(global: usize) -> (usize, usize) {
 }
 
 impl Vocabulary {
-    /// Build the vocabulary: allocate pools, assign unique texts, and
-    /// precompute per-day rankings.
+    /// Build the vocabulary: allocate pools and assign unique texts. A
+    /// day's ranking is computed when a query is first drawn from it, so
+    /// a campaign pays only for the days it touches.
     pub fn build(seed: u64, config: VocabularyConfig) -> Vocabulary {
         let words = lexicon();
         let seq = SeedSequence::new(seed).child("vocabulary");
@@ -246,23 +251,6 @@ impl Vocabulary {
                 global += 1;
                 ids.push(QueryId::intern(&format!("{} {}", words[i], words[j])));
             }
-            // Static base weights: Zipf-ish by pool position.
-            let base: Vec<f64> = (0..pool).map(|i| -((i + 1) as f64).ln()).collect();
-            // Daily rankings.
-            let mut rankings = Vec::with_capacity(config.n_days);
-            for day in 0..config.n_days {
-                let mut rng = seq.rng_indexed(class.label(), day as u64);
-                let mut scored: Vec<(f64, u32)> = base
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &b)| {
-                        let z: f64 = gaussian(&mut rng);
-                        (b + config.drift_sigma * z, i as u32)
-                    })
-                    .collect();
-                scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
-                rankings.push(scored.into_iter().take(daily).map(|(_, i)| i).collect());
-            }
             let law = if class == QueryClass::NaEu {
                 let (ab, at, brk) = config.na_eu_two_piece;
                 RankLaw::TwoPiece(
@@ -274,12 +262,35 @@ impl Vocabulary {
             };
             classes.push(ClassPool {
                 ids,
-                rankings,
+                rankings: (0..config.n_days).map(|_| OnceLock::new()).collect(),
                 law,
                 daily_size: daily,
             });
         }
-        Vocabulary { classes, config }
+        Vocabulary {
+            classes,
+            config,
+            seq,
+        }
+    }
+
+    /// The class pool and its ranking for `day` (wrapped to the ranking
+    /// horizon), ranking the day on first use: pool item `i` scores its
+    /// log base weight `−ln(i + 1)` plus drift, from the class's stream
+    /// for that day.
+    fn ranked(&self, class: QueryClass, day: usize) -> (&ClassPool, &[u32]) {
+        let pool = &self.classes[class.index()];
+        let day = day % pool.rankings.len();
+        let ranking = pool.rankings[day].get_or_init(|| {
+            let mut rng = self.seq.rng_indexed(class.label(), day as u64);
+            drifted_hot_set(
+                pool.ids.len(),
+                pool.daily_size,
+                self.config.drift_sigma,
+                &mut rng,
+            )
+        });
+        (pool, ranking)
     }
 
     /// Build with defaults.
@@ -299,9 +310,8 @@ impl Vocabulary {
 
     /// The day's active set (rank order) as text references.
     pub fn day_set(&self, class: QueryClass, day: usize) -> Vec<&'static str> {
-        let pool = &self.classes[class.index()];
-        let day = day % pool.rankings.len();
-        pool.rankings[day]
+        let (pool, ranking) = self.ranked(class, day);
+        ranking
             .iter()
             .map(|&i| pool.ids[i as usize].resolve())
             .collect()
@@ -370,20 +380,11 @@ impl Vocabulary {
 
     /// Draw a query from a specific class on `day`.
     pub fn sample_from_class(&self, class: QueryClass, day: usize, rng: &mut StdRng) -> QueryId {
-        let pool = &self.classes[class.index()];
-        let day = day % pool.rankings.len();
+        let (pool, ranking) = self.ranked(class, day);
         let rank = pool.law.sample(rng) as usize; // 1-based
-        let idx = pool.rankings[day][(rank - 1).min(pool.daily_size - 1)];
+        let idx = ranking[(rank - 1).min(pool.daily_size - 1)];
         pool.ids[idx as usize]
     }
-}
-
-/// One standard normal via Box–Muller (local helper; the stats crate's
-/// distributions sample via quantiles, but here we only need raw normals).
-fn gaussian(rng: &mut StdRng) -> f64 {
-    let u1: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]

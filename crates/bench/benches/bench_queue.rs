@@ -48,7 +48,7 @@ fn delays_mixed() -> Vec<u64> {
 
 /// Push everything up front, then drain to empty.
 fn burst(delays: &[u64]) -> u64 {
-    let mut q = EventQueue::with_capacity(delays.len());
+    let mut q = EventQueue::new();
     for (i, &d) in delays.iter().enumerate() {
         q.push(SimTime::from_millis(d), i);
     }
@@ -62,7 +62,7 @@ fn burst(delays: &[u64]) -> u64 {
 /// Steady state: prefill a window, then pop-one-push-one with delays
 /// relative to the advancing cursor, then drain.
 fn sliding(delays: &[u64], window: usize) -> u64 {
-    let mut q = EventQueue::with_capacity(window + 1);
+    let mut q = EventQueue::new();
     for (i, &d) in delays[..window].iter().enumerate() {
         q.push(SimTime::from_millis(d), i);
     }

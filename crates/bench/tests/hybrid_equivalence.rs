@@ -117,6 +117,26 @@ fn hybrid_trace_is_bit_identical_under_cap_churn() {
     assert_eq!(full.wire_bytes, hybrid.wire_bytes);
 }
 
+/// The flood regime (`Scale::Mega`'s rate and cap): about 2 % of
+/// consecutive arrivals share a millisecond, and their tie order decides
+/// which session takes a freed slot. Both drivers must release arrivals
+/// in the same order.
+#[test]
+fn hybrid_trace_is_bit_identical_at_flood_rate() {
+    let flood = |fidelity| PopulationConfig {
+        days: 0.25 / 24.0,
+        fidelity,
+        ..bench_support::Scale::Mega.population()
+    };
+    let full = run_population(&flood(Fidelity::Full));
+    let hybrid = run_population(&flood(Fidelity::Hybrid));
+    assert_eq!(
+        full, hybrid,
+        "hybrid trace diverged from full simulation at flood rate"
+    );
+    assert_eq!(full.wire_bytes, hybrid.wire_bytes);
+}
+
 #[test]
 fn hybrid_runs_are_deterministic() {
     let cfg = smoke(Fidelity::Hybrid);

@@ -33,8 +33,9 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use simnet::{SimDuration, SimTime};
 use stats::dist::Continuous;
+use stats::rank::drifted_hot_set;
 use stats::rng::SeedSequence;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Generator configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,14 +91,22 @@ impl PartialOrd for Slot {
     }
 }
 
-/// Per-class popularity state (built laws + per-day ranking cache).
+/// Per-class popularity state (built laws + recent day rankings).
 struct ClassState {
     law: RankLaw,
     pool: u64,
     daily: u64,
-    /// day → ranked pool-item ids (top `daily`).
-    rankings: HashMap<u64, Vec<u32>>,
+    /// `(day, ranked pool-item ids)` of the last [`RECENT_DAYS`] days
+    /// ranked, oldest first. Sessions start in time order once the
+    /// initial population is seeded, so older days are not asked for
+    /// again; a day that was dropped is ranked again, identically.
+    recent: Vec<(u64, Vec<u32>)>,
 }
+
+/// Day rankings kept per class: the current day, plus the previous one
+/// for the initial population's warm-up window, which can straddle a
+/// midnight.
+const RECENT_DAYS: usize = 2;
 
 /// The Figure 12 generator.
 pub struct WorkloadGenerator {
@@ -125,7 +134,7 @@ impl WorkloadGenerator {
                 law: c.build_law().expect("model popularity law valid"),
                 pool: (c.daily_size * c.pool_multiplier.max(1)).max(c.daily_size + 1),
                 daily: c.daily_size,
-                rankings: HashMap::new(),
+                recent: Vec::with_capacity(RECENT_DAYS),
             })
             .collect();
         let mut gen = WorkloadGenerator {
@@ -176,24 +185,24 @@ impl WorkloadGenerator {
     /// The day's ranked item list for a class (computed lazily).
     fn ranking(&mut self, class: usize, day: u64) -> &Vec<u32> {
         let state = &mut self.classes[class];
-        let seq = &self.seq;
-        let sigma = self.model.popularity.drift_sigma;
-        state.rankings.entry(day).or_insert_with(|| {
-            let mut rng = seq.rng_indexed("hotset", (class as u64) << 32 | day);
-            let mut scored: Vec<(f64, u32)> = (0..state.pool)
-                .map(|i| {
-                    let base = -((i + 1) as f64).ln();
-                    let z = gaussian(&mut rng);
-                    (base + sigma * z, i as u32)
-                })
-                .collect();
-            scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
-            scored
-                .into_iter()
-                .take(state.daily as usize)
-                .map(|(_, i)| i)
-                .collect()
-        })
+        let i = match state.recent.iter().position(|(d, _)| *d == day) {
+            Some(i) => i,
+            None => {
+                let mut rng = self.seq.rng_indexed("hotset", (class as u64) << 32 | day);
+                let ranked = drifted_hot_set(
+                    state.pool as usize,
+                    state.daily as usize,
+                    self.model.popularity.drift_sigma,
+                    &mut rng,
+                );
+                if state.recent.len() == RECENT_DAYS {
+                    state.recent.remove(0);
+                }
+                state.recent.push((day, ranked));
+                state.recent.len() - 1
+            }
+        };
+        &state.recent[i].1
     }
 
     fn pick_query(&mut self, region: Region, day: u64, rng: &mut StdRng) -> QueryRef {
@@ -335,13 +344,6 @@ impl Iterator for WorkloadGenerator {
         }
         Some(ev)
     }
-}
-
-/// One standard normal via Box–Muller.
-fn gaussian(rng: &mut StdRng) -> f64 {
-    let u1: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]

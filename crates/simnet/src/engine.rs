@@ -78,7 +78,7 @@ pub struct SimStats {
     /// including cancelled ones).
     pub events_popped: u64,
     /// High-water mark of pending events — the queue pressure a run
-    /// actually exerted (informs heap pre-sizing).
+    /// actually exerted.
     pub peak_queue_len: u64,
     /// Pushes that overflowed every hierarchical-wheel level (≳ 37
     /// hours out) into the 4-ary far heap (telemetry: wheel pops vs
@@ -228,17 +228,9 @@ impl<'a, M> Context<'a, M> {
 impl<M: 'static> Simulator<M> {
     /// Create an empty simulation with an engine RNG seed.
     pub fn new(seed: u64) -> Self {
-        Self::with_capacity(seed, 0)
-    }
-
-    /// As [`Simulator::new`], but with `events_capacity` heap slots
-    /// pre-reserved in the event queue. Drivers that know the expected
-    /// workload size (e.g. a population campaign's session count) use this
-    /// to keep heap growth out of the event hot path.
-    pub fn with_capacity(seed: u64, events_capacity: usize) -> Self {
         Simulator {
             nodes: Vec::new(),
-            queue: EventQueue::with_capacity(events_capacity),
+            queue: EventQueue::new(),
             now: SimTime::ZERO,
             cancelled: HashSet::new(),
             rng: StdRng::seed_from_u64(seed),

@@ -13,7 +13,8 @@
 //! Campaign workloads schedule three very different kinds of events:
 //! message deliveries a few tens of milliseconds out, behavioral timers
 //! seconds to minutes out (think times, keepalives, probes), and
-//! hour-scale timers (arrival batches, session ends, diurnal phases).
+//! hour-scale timers (the arrival driver's hour tick, session ends,
+//! diurnal phases).
 //! A single heap is the worst structure for that mix: the pending set is
 //! dominated by far-future timers, so a near-future delivery sifts past
 //! almost all of them to reach the root. A single flat wheel is barely
@@ -286,19 +287,6 @@ impl<E> EventQueue<E> {
     /// Empty queue.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Empty queue with room for `n` pending events pre-reserved, for
-    /// drivers that can estimate peak event pressure up front (same
-    /// reasoning as trace-vector pre-reservation: reallocation in the
-    /// push hot path is what this avoids). The reservation goes to the
-    /// overflow heap, the one level whose steady size tracks workload
-    /// scale rather than bucket fan-out.
-    pub fn with_capacity(n: usize) -> Self {
-        EventQueue {
-            far: Vec::with_capacity(n),
-            ..Self::default()
-        }
     }
 
     /// Schedule `payload` at absolute time `at`; returns the sequence
@@ -667,7 +655,7 @@ mod tests {
 
     #[test]
     fn peak_len_tracks_high_water_mark() {
-        let mut q = EventQueue::with_capacity(16);
+        let mut q = EventQueue::new();
         assert_eq!(q.peak_len(), 0);
         for i in 0..5 {
             q.push(SimTime::from_secs(i), i);

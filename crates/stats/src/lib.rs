@@ -18,6 +18,8 @@
 //!   [`summary::Summary`] (streaming moments).
 //! * **Hypothesis tests and association**: [`ks`] (one- and two-sample
 //!   Kolmogorov–Smirnov) and [`correlation`] (Pearson, Spearman).
+//! * **Ranking** ([`rank`]): top-k selection and the daily hot-set
+//!   ranking with Gaussian score drift.
 //! * **Special functions** ([`special`]): `erf`, inverse normal CDF and
 //!   `ln Γ`, implemented with standard numeric approximations.
 //!
@@ -37,6 +39,7 @@ pub mod error;
 pub mod fit;
 pub mod histogram;
 pub mod ks;
+pub mod rank;
 pub mod regression;
 pub mod rng;
 pub mod series;

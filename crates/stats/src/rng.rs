@@ -11,7 +11,7 @@
 //!    label does not perturb the streams of existing consumers.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Derives independent child RNGs from a root seed and stream labels.
 ///
@@ -77,6 +77,14 @@ impl SeedSequence {
     }
 }
 
+/// One standard normal variate by Box–Muller: two uniform draws, the
+/// first clamped away from zero so its logarithm stays finite.
+pub fn gaussian(rng: &mut StdRng) -> f64 {
+    let u1: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
+    let u2: f64 = rng.gen();
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
 /// FNV-1a hash of a byte string.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -98,7 +106,6 @@ fn splitmix64(state: &mut u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
 
     #[test]
     fn same_label_same_stream() {

@@ -3,6 +3,7 @@
 use proptest::prelude::*;
 use stats::dist::{Continuous, Exponential, Lognormal, Pareto, Truncated, UniformRange, Weibull};
 use stats::histogram::Histogram;
+use stats::rank::top_k;
 use stats::rng::SeedSequence;
 use stats::{Ecdf, Summary};
 
@@ -107,6 +108,30 @@ proptest! {
         let binned: u64 = h.counts().iter().sum();
         prop_assert_eq!(binned + under + over, xs.len() as u64);
         prop_assert_eq!(h.total(), xs.len() as u64);
+    }
+
+    // ---- ranking --------------------------------------------------------
+
+    /// Selection then a sort of the top `k` ranks exactly as a stable full
+    /// sort by descending score does, ties included: the scores come from
+    /// a handful of values, with −0.0 and +0.0 among them.
+    #[test]
+    fn top_k_matches_stable_full_sort(
+        levels in proptest::collection::vec(0u8..6, 0..300),
+        k in 0usize..320,
+    ) {
+        let scores: Vec<f64> = levels
+            .iter()
+            .map(|&l| match l {
+                0 => -0.0,
+                1 => 0.0,
+                l => f64::from(l) * 0.75 - 2.0,
+            })
+            .collect();
+        let mut reference: Vec<u32> = (0..scores.len() as u32).collect();
+        reference.sort_by(|&a, &b| scores[b as usize].partial_cmp(&scores[a as usize]).unwrap());
+        reference.truncate(k);
+        prop_assert_eq!(top_k(&scores, k), reference);
     }
 
     // ---- RNG plumbing ---------------------------------------------------

@@ -18,8 +18,8 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 pub enum Counter {
     /// Events popped off a shard's timing-wheel queue.
     EventsPopped = 0,
-    /// Events that overflowed the 512-slot wheel window into the 4-ary
-    /// far heap at push time.
+    /// Events pushed beyond the timing wheel's L2 horizon (≈ 37 h out)
+    /// into the 4-ary far heap.
     HeapSpills,
     /// Far-heap events migrated back into wheel buckets as the window
     /// advanced.
