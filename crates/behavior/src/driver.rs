@@ -454,6 +454,22 @@ pub fn shard_worker_threads(n_shards: usize, force_threads: bool) -> usize {
 /// overhead negligible against multi-second shard epochs.
 const SHARD_EPOCHS: u64 = 16;
 
+/// Worker `w`'s next shard task: the front of its own deque, else the
+/// back of the first non-empty victim's. Back-stealing takes the work the
+/// owner would reach last, minimizing contention on the deque front.
+///
+/// At most one deque lock is held at a time. Holding the owner's lock
+/// while locking a victim's deadlocks two idle workers that steal from
+/// each other at once.
+fn next_task(deques: &[parking_lot::Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
+    let own = deques[w].lock().pop_front();
+    own.or_else(|| {
+        (0..deques.len())
+            .filter(|&v| v != w)
+            .find_map(|v| deques[v].lock().pop_back())
+    })
+}
+
 /// Run `n_shards` logical shards on a work-stealing worker pool,
 /// delivering each shard's record stream to the matching sink in `sinks`.
 ///
@@ -556,17 +572,7 @@ pub fn run_population_sharded_into(
                     // same so stealing never races a refill.
                     deques[w].lock().extend((w..n_shards).step_by(threads));
                     barrier.wait();
-                    loop {
-                        let task = deques[w].lock().pop_front().or_else(|| {
-                            // Steal from the back of the first non-empty
-                            // victim: back-stealing takes the work the
-                            // owner would reach last, minimizing contention
-                            // on the deque front.
-                            (0..threads)
-                                .filter(|&v| v != w)
-                                .find_map(|v| deques[v].lock().pop_back())
-                        });
-                        let Some(i) = task else { break };
+                    while let Some(i) = next_task(deques, w) {
                         // A shard index lives in exactly one deque per
                         // epoch, so this lock is uncontended.
                         let mut slot = engines[i].lock();
@@ -801,6 +807,45 @@ mod tests {
             single, sharded,
             "n_shards = 1 must reproduce run_population bit for bit"
         );
+    }
+
+    #[test]
+    fn next_task_takes_own_front_then_steals_victim_back() {
+        let deques: Vec<_> = [vec![0, 2], vec![1, 3, 5]]
+            .into_iter()
+            .map(|d| parking_lot::Mutex::new(VecDeque::from(d)))
+            .collect();
+        let taken: Vec<usize> = std::iter::from_fn(|| next_task(&deques, 0)).collect();
+        assert_eq!(taken, [0, 2, 5, 3, 1]);
+    }
+
+    /// Two idle workers stealing from each other, as at the end of every
+    /// epoch, must not deadlock. The test has its own time limit, so a
+    /// deadlock fails it instead of hanging the suite.
+    #[test]
+    fn idle_workers_stealing_from_each_other_never_deadlock() {
+        let deques: Arc<Vec<parking_lot::Mutex<VecDeque<usize>>>> = Arc::new(
+            (0..2)
+                .map(|_| parking_lot::Mutex::new(VecDeque::new()))
+                .collect(),
+        );
+        let (done, finished) = std::sync::mpsc::channel();
+        for w in 0..2 {
+            let deques = Arc::clone(&deques);
+            let done = done.clone();
+            std::thread::spawn(move || {
+                for _ in 0..100_000 {
+                    assert_eq!(next_task(&deques, w), None);
+                }
+                let _ = done.send(());
+            });
+        }
+        drop(done);
+        for _ in 0..2 {
+            finished
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .expect("stealing workers deadlocked or panicked");
+        }
     }
 
     #[test]

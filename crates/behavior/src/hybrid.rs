@@ -98,31 +98,42 @@ struct WireMsg {
     answer_origin: Option<u32>,
 }
 
+/// A session's address: its node id, which is its event lane, and the
+/// session-table slot holding its state. Slots are reused, so a slot
+/// names the session only while the session stored there has the same
+/// node id; an event that outlives its session finds an empty or
+/// recycled slot and falls through.
+#[derive(Clone, Copy)]
+struct Peer {
+    node: u32,
+    slot: u32,
+}
+
 enum Body {
     /// Driver hour tick: draw the next hour of arrivals.
     DriverHour,
     /// Driver arrival timer: spawn one session, arm the next arrival.
     Arrival,
     /// A session's connect request reaches the collector.
-    ConnectArrive(u32),
+    ConnectArrive(Peer),
     /// The collector's accept reply reaches the session.
-    AcceptArrive(u32),
+    AcceptArrive(Peer),
     /// A session's emission timer fires (it sends its pending item).
-    PeerSend(u32),
+    PeerSend(Peer),
     /// A session's message reaches the collector.
     MsgArrive(u32, WireMsg),
     /// A session's TCP disconnect reaches the collector.
     ConnClose(u32),
     /// The collector's disconnect (probe close) reaches the session.
-    PeerGone(u32),
+    PeerGone(Peer),
     /// A forwarded query copy reaches a session that might answer it.
     FwdQuery {
-        target: u32,
+        target: Peer,
         origin: u32,
         guid: Guid,
     },
     /// The collector's probe PING reaches a (live) session.
-    ProbePing(u32),
+    ProbePing(Peer),
     /// The collector's idle-check timer for a connection fires.
     IdleCheck(u32),
 }
@@ -136,6 +147,8 @@ enum Body {
 /// One live session: the same state a [`crate::peer::ClientPeer`] actor
 /// would hold, minus the actor.
 struct Session {
+    /// The node this state belongs to (see [`Peer`]).
+    node: u32,
     rng: StdRng,
     plan: SessionPlan,
     addr: Ipv4Addr,
@@ -215,9 +228,11 @@ pub struct HybridShard {
     relay: RelayRates,
     peer_latency: LatencyModel,
 
-    // Session table, indexed by `node - FIRST_SESSION_NODE`; `None` is a
-    // dead (or rejected) session.
+    // Session table: live sessions (admitted, or with a connect in
+    // flight) in reusable slots. `free` lists the empty slots, so the
+    // table's length is the peak number of live sessions, not of arrivals.
     sessions: Vec<Option<Box<Session>>>,
+    free: Vec<u32>,
 
     // Collector state (lane 0).
     max_connections: usize,
@@ -226,8 +241,9 @@ pub struct HybridShard {
     crng: StdRng,
     ckey: u64,
     next_sid: u64,
-    /// Open connections ordered by node id (monotone, so inserts append).
-    conns: Vec<(u32, SessionId, IdleTracker)>,
+    /// Open connections ordered by node id. Admission order is not node
+    /// order (connect latencies differ), so an insert may land mid-list.
+    conns: Vec<(Peer, SessionId, IdleTracker)>,
     pending_records: Vec<MessageRecord>,
     pending_wire: Vec<u32>,
     sink: SharedSink,
@@ -279,6 +295,7 @@ impl HybridShard {
             relay: cfg.relay,
             peer_latency: LatencyModel::intra_continent(),
             sessions: Vec::new(),
+            free: Vec::new(),
             max_connections: cfg.max_connections,
             forward_fanout: cfg.forward_fanout,
             coll_latency: collector_defaults.latency,
@@ -398,7 +415,8 @@ impl HybridShard {
         self.next_node += 1;
         // The peer's `on_start`: one latency draw, schedule key 0.
         let d = self.peer_latency.sample(&mut rng);
-        let session = Session {
+        let session = Box::new(Session {
+            node,
             rng,
             plan,
             addr,
@@ -410,34 +428,53 @@ impl HybridShard {
             pair_pos: 0,
             pair_budget: 0,
             batching: false,
+        });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.sessions[slot as usize] = Some(session);
+                slot
+            }
+            None => {
+                self.sessions.push(Some(session));
+                (self.sessions.len() - 1) as u32
+            }
         };
-        let idx = (node - FIRST_SESSION_NODE) as usize;
-        debug_assert_eq!(idx, self.sessions.len());
-        self.sessions.push(Some(Box::new(session)));
-        self.push(now + d, node, 0, Body::ConnectArrive(node));
+        self.push(now + d, node, 0, Body::ConnectArrive(Peer { node, slot }));
     }
 
     // ----- session helpers -------------------------------------------------
 
-    fn slot(&mut self, node: u32) -> &mut Option<Box<Session>> {
-        &mut self.sessions[(node - FIRST_SESSION_NODE) as usize]
+    /// The live session `p` names, if any.
+    fn session(&self, p: Peer) -> Option<&Session> {
+        self.sessions[p.slot as usize]
+            .as_deref()
+            .filter(|s| s.node == p.node)
     }
 
-    fn take_session(&mut self, node: u32) -> Option<Box<Session>> {
-        self.slot(node).take()
+    /// Move the live session `p` names out of its slot; return it with
+    /// [`Self::put_session`], or free the slot with [`Self::end_session`].
+    fn take_session(&mut self, p: Peer) -> Option<Box<Session>> {
+        self.session(p)?;
+        self.sessions[p.slot as usize].take()
     }
 
-    fn put_session(&mut self, node: u32, sess: Box<Session>) {
-        *self.slot(node) = Some(sess);
+    fn put_session(&mut self, p: Peer, sess: Box<Session>) {
+        self.sessions[p.slot as usize] = Some(sess);
     }
 
-    fn session_alive(&mut self, node: u32) -> bool {
-        self.slot(node).is_some()
+    /// Drop the session `p` names and free its slot. Returns whether it
+    /// was still live.
+    fn end_session(&mut self, p: Peer) -> bool {
+        let live = self.take_session(p).is_some();
+        if live {
+            self.free.push(p.slot);
+        }
+        live
     }
 
     /// Pull the session's next emission and schedule its send instant
     /// (the peer's single outstanding timer).
-    fn arm_next(&mut self, node: u32, sess: &mut Session) {
+    fn arm_next(&mut self, peer: Peer, sess: &mut Session) {
         let Some(emitter) = sess.emitter.as_mut() else {
             return;
         };
@@ -445,7 +482,7 @@ impl HybridShard {
             sess.pending = Some(kind);
             let key = sess.next_key;
             sess.next_key += 1;
-            self.push(at, node, key, Body::PeerSend(node));
+            self.push(at, peer.node, key, Body::PeerSend(peer));
         }
     }
 
@@ -512,7 +549,7 @@ impl HybridShard {
     }
 
     fn conn_index(&self, node: u32) -> Option<usize> {
-        self.conns.binary_search_by_key(&node, |e| e.0).ok()
+        self.conns.binary_search_by_key(&node, |e| e.0.node).ok()
     }
 
     fn flush(&mut self) {
@@ -576,13 +613,13 @@ impl HybridShard {
                 self.spawn_session(at);
                 self.arm_arrival();
             }
-            Body::ConnectArrive(node) => {
+            Body::ConnectArrive(peer) => {
                 self.delivered += 1;
-                self.on_connect_arrive(node, at);
+                self.on_connect_arrive(peer, at);
             }
-            Body::AcceptArrive(node) => {
+            Body::AcceptArrive(peer) => {
                 self.delivered += 1;
-                if let Some(mut sess) = self.take_session(node) {
+                if let Some(mut sess) = self.take_session(peer) {
                     sess.emitter = Some(SessionEmitter::start(
                         &sess.plan,
                         sess.keepalive,
@@ -605,28 +642,29 @@ impl HybridShard {
                         sess.pair_budget =
                             sess.plan.queries.len() as u64 + sess.plan.duration.as_millis() / ka_ms;
                     }
-                    self.arm_next(node, &mut sess);
-                    self.put_session(node, sess);
+                    self.arm_next(peer, &mut sess);
+                    self.put_session(peer, sess);
                 } else {
                     self.dropped += 1;
                 }
             }
-            Body::PeerSend(node) => {
-                let Some(mut sess) = self.take_session(node) else {
+            Body::PeerSend(peer) => {
+                let Some(mut sess) = self.take_session(peer) else {
                     self.dropped += 1;
                     return;
                 };
                 self.timers_fired += 1;
                 let Some(kind) = sess.pending.take() else {
-                    self.put_session(node, sess);
+                    self.put_session(peer, sess);
                     return;
                 };
-                let ended = self.emit(node, &mut sess, at, kind);
+                let ended = self.emit(peer.node, &mut sess, at, kind);
                 if ended {
-                    drop(sess); // the peer is gone; free its state
+                    // The peer is gone: drop its state, free its slot.
+                    self.free.push(peer.slot);
                 } else {
-                    self.arm_next(node, &mut sess);
-                    self.put_session(node, sess);
+                    self.arm_next(peer, &mut sess);
+                    self.put_session(peer, sess);
                 }
             }
             Body::MsgArrive(node, msg) => {
@@ -638,10 +676,9 @@ impl HybridShard {
                 self.delivered += 1;
                 self.finalize(node, at, false);
             }
-            Body::PeerGone(node) => {
-                if self.session_alive(node) {
+            Body::PeerGone(peer) => {
+                if self.end_session(peer) {
                     self.delivered += 1;
-                    *self.slot(node) = None;
                 } else {
                     self.dropped += 1;
                 }
@@ -670,12 +707,12 @@ impl HybridShard {
                         },
                         answer_origin: Some(origin),
                     };
-                    self.session_send(target, &mut sess, at, msg);
+                    self.session_send(target.node, &mut sess, at, msg);
                 }
                 self.put_session(target, sess);
             }
-            Body::ProbePing(node) => {
-                let Some(mut sess) = self.take_session(node) else {
+            Body::ProbePing(peer) => {
+                let Some(mut sess) = self.take_session(peer) else {
                     self.dropped += 1;
                     return;
                 };
@@ -695,8 +732,8 @@ impl HybridShard {
                     },
                     answer_origin: None,
                 };
-                self.session_send_at(node, &mut sess, at, d, msg);
-                self.put_session(node, sess);
+                self.session_send_at(peer.node, &mut sess, at, d, msg);
+                self.put_session(peer, sess);
             }
             Body::IdleCheck(node) => {
                 self.on_idle_check(node, at);
@@ -704,17 +741,17 @@ impl HybridShard {
         }
     }
 
-    fn on_connect_arrive(&mut self, node: u32, at: SimTime) {
+    fn on_connect_arrive(&mut self, peer: Peer, at: SimTime) {
         if self.conns.len() >= self.max_connections {
             // Busy reply: draw + key for ordering parity, no event — the
             // rejected peer only removes itself.
             let _ = self.coll_latency.sample(&mut self.crng);
             let _ = self.ckey();
             self.elided += 1;
-            *self.slot(node) = None;
+            self.end_session(peer);
             return;
         }
-        let Some(sess) = self.take_session(node) else {
+        let Some(sess) = self.take_session(peer) else {
             return;
         };
         let sid = SessionId(self.next_sid);
@@ -732,13 +769,14 @@ impl HybridShard {
         // differ, so a later-spawned peer can be admitted first. Keep the
         // list sorted by node (the order the full collector's `ConnSet`
         // maintains, which also fixes fanout-target selection).
-        match self.conns.binary_search_by_key(&node, |e| e.0) {
+        let node = peer.node;
+        match self.conns.binary_search_by_key(&node, |e| e.0.node) {
             Ok(_) => unreachable!("node {node} admitted twice"),
-            Err(i) => self.conns.insert(i, (node, sid, IdleTracker::new(at))),
+            Err(i) => self.conns.insert(i, (peer, sid, IdleTracker::new(at))),
         }
         let d = self.coll_latency.sample(&mut self.crng);
         let key = self.ckey();
-        self.push(at + d, COLLECTOR_LANE, key, Body::AcceptArrive(node));
+        self.push(at + d, COLLECTOR_LANE, key, Body::AcceptArrive(peer));
         let key = self.ckey();
         self.push(
             at + IDLE_PROBE_AFTER,
@@ -746,7 +784,7 @@ impl HybridShard {
             key,
             Body::IdleCheck(node),
         );
-        self.put_session(node, sess);
+        self.put_session(peer, sess);
     }
 
     /// Emit one item of the session's merged stream. Returns `true` when
@@ -903,15 +941,14 @@ impl HybridShard {
                     while idx < self.conns.len() && sent < fanout {
                         let target = self.conns[idx].0;
                         idx += 1;
-                        if target == node {
+                        if target.node == node {
                             continue;
                         }
                         let d = self.coll_latency.sample(&mut self.crng);
                         let key = self.ckey();
                         sent += 1;
                         let answers = self
-                            .slot(target)
-                            .as_ref()
+                            .session(target)
                             .is_some_and(|s| s.plan.shared_files > 0);
                         if answers {
                             self.push(
@@ -954,6 +991,7 @@ impl HybridShard {
             return; // connection already gone; the chain dies
         };
         self.timers_fired += 1;
+        let peer = self.conns[i].0;
         let action = self.conns[i].2.check(at);
         match action {
             IdleAction::CheckAt(deadline) => {
@@ -964,8 +1002,8 @@ impl HybridShard {
                 let _ = Guid::random(&mut self.crng);
                 let d = self.coll_latency.sample(&mut self.crng);
                 let key = self.ckey();
-                if self.session_alive(node) {
-                    self.push(at + d, COLLECTOR_LANE, key, Body::ProbePing(node));
+                if self.session(peer).is_some() {
+                    self.push(at + d, COLLECTOR_LANE, key, Body::ProbePing(peer));
                 } else {
                     // Probe toward a vanished peer: it would be dropped.
                     self.elided += 1;
@@ -976,13 +1014,61 @@ impl HybridShard {
             IdleAction::Close => {
                 let d = self.coll_latency.sample(&mut self.crng);
                 let key = self.ckey();
-                if self.session_alive(node) {
-                    self.push(at + d, COLLECTOR_LANE, key, Body::PeerGone(node));
+                if self.session(peer).is_some() {
+                    self.push(at + d, COLLECTOR_LANE, key, Body::PeerGone(peer));
                 } else {
                     self.elided += 1;
                 }
                 self.finalize(node, at, true);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use trace::Fanout;
+
+    /// One shard at the flood rate, 2 M arrivals/day against 200 slots,
+    /// run to its horizon: the session table's length and the arrivals.
+    fn flood_table(hours: f64) -> (usize, u64) {
+        let cfg = PopulationConfig {
+            seed: 1964,
+            days: hours / 24.0,
+            sessions_per_day: 2_000_000.0,
+            max_connections: 200,
+            ..PopulationConfig::smoke()
+        };
+        let seq = SeedSequence::new(cfg.seed);
+        let vocab = Arc::new(Vocabulary::build(
+            seq.derive_seed("vocab"),
+            cfg.vocab.clone(),
+        ));
+        let sink: SharedSink = Arc::new(parking_lot::Mutex::new(Fanout::new()));
+        let registry = Arc::new(Registry::new());
+        let mut shard = HybridShard::new(&cfg, vocab, seq, cfg.sessions_per_day, sink, registry);
+        shard.run_until(shard.horizon());
+        (shard.sessions.len(), shard.spawned)
+    }
+
+    /// The table holds live sessions only: its length stays under a bound
+    /// set by the 200 slots, although nearly every arrival is refused, and
+    /// doubling the window does not raise it by more than the slow creep
+    /// of a stationary maximum.
+    #[test]
+    fn flood_session_table_stays_small() {
+        let (short, _) = flood_table(1.0);
+        let (long, spawned) = flood_table(2.0);
+        let bound = 200 + 100;
+        assert!(spawned > 100 * bound as u64, "only {spawned} arrivals");
+        assert!(
+            long <= bound,
+            "session table length {long} over the bound {bound}"
+        );
+        assert!(
+            long <= short + short / 10,
+            "doubling the window grew the session table from {short} to {long}"
+        );
     }
 }

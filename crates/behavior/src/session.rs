@@ -135,7 +135,7 @@ impl SessionPlanner {
     pub fn plan(&self, day: usize, hour: u32, region: Region, rng: &mut StdRng) -> SessionPlan {
         let peak = self.diurnal.is_peak(region, hour);
         let client_idx = self.clients.pick(region, rng);
-        let client = self.clients.profile(client_idx).clone();
+        let client = self.clients.profile(client_idx);
         let vanish = rng.gen::<f64>() < self.params.vanish_prob;
         let send_bye = !vanish && rng.gen::<f64>() < self.params.bye_prob;
         let ultrapeer = rng.gen::<f64>() < self.params.ultrapeer_prob;
@@ -215,7 +215,7 @@ impl SessionPlanner {
     fn plan_active(
         &self,
         mut plan: SessionPlan,
-        client: crate::clients::ClientProfile,
+        client: &crate::clients::ClientProfile,
         day: usize,
         rng: &mut StdRng,
     ) -> SessionPlan {

@@ -5,7 +5,8 @@
 //! `draw_relay_*` call per recorded relay message plus a
 //! `SessionEmitter` merge per session. These benches measure that per-
 //! draw and per-session cost, which bounds how cheap the far cloud can
-//! ever be relative to the full engine.
+//! ever be relative to the full engine, and the per-arrival cost of
+//! planning a session, which every arrival pays, refused or not.
 
 use std::sync::Arc;
 
@@ -74,6 +75,31 @@ fn bench_relay_draws(c: &mut Criterion) {
     group.finish();
 }
 
+/// Arrival layer unit cost: the region draw and session plan every
+/// arrival makes before its connect is admitted or refused, swept across
+/// the diurnal cycle as the campaign drivers sweep it.
+fn bench_plan(c: &mut Criterion) {
+    const PLANS: usize = 1_000;
+    let vocab = Arc::new(Vocabulary::build(5, VocabularyConfig::default()));
+    let planner = SessionPlanner::paper_default(vocab);
+    let mut group = c.benchmark_group("farcloud");
+    group.throughput(Throughput::Elements(PLANS as u64));
+    group.bench_function("plan", |b| {
+        let mut rng = StdRng::seed_from_u64(31);
+        b.iter(|| {
+            let mut acc = 0u64;
+            for i in 0..PLANS {
+                let hour = (i % 24) as u32;
+                let region = planner.diurnal.sample_region(hour, &mut rng);
+                let plan = planner.plan(0, hour, region, &mut rng);
+                acc = acc.wrapping_add(plan.queries.len() as u64 + plan.duration.as_millis());
+            }
+            black_box(acc)
+        })
+    });
+    group.finish();
+}
+
 /// An ultrapeer plan (the expensive kind: three live relay streams).
 fn ultrapeer_plan(planner: &SessionPlanner, rng: &mut StdRng) -> SessionPlan {
     loop {
@@ -135,5 +161,10 @@ fn bench_session_emitter(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_relay_draws, bench_session_emitter);
+criterion_group!(
+    benches,
+    bench_relay_draws,
+    bench_plan,
+    bench_session_emitter
+);
 criterion_main!(benches);

@@ -12,6 +12,54 @@ use crate::error::StatsError;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+/// Chen–Asau guide table over a cumulative table of `n` entries:
+/// `guide[j]` is the first index with `cum ≥ j/n`, so a draw `u` starts
+/// its search at `guide[⌊u·n⌋]` and is a step or two from its rank.
+fn build_guide(cum: &[f64]) -> Vec<u32> {
+    let n = cum.len();
+    let mut i = 0;
+    (0..n)
+        .map(|j| {
+            let at = j as f64 / n as f64;
+            while i + 1 < n && cum[i] < at {
+                i += 1;
+            }
+            i as u32
+        })
+        .collect()
+}
+
+/// Index of the rank a uniform draw `u` picks: the binary search's first
+/// index with `cum ≥ u` (clamped to the last entry), any matching index
+/// when `u` equals an entry.
+fn search_rank(cum: &[f64], u: f64) -> usize {
+    match cum.binary_search_by(|c| c.partial_cmp(&u).expect("no NaN in draws or tables")) {
+        Ok(i) => i,
+        Err(i) => i.min(cum.len() - 1),
+    }
+}
+
+/// [`search_rank`] in expected O(1) steps through the guide table. Float
+/// rounding in `⌊u·n⌋` can overshoot by a step, so the walk first steps
+/// back. A draw equal to a table entry defers to the binary search, whose
+/// pick within a run of equal entries is the rank these laws have always
+/// drawn.
+fn guided_rank(cum: &[f64], guide: &[u32], u: f64) -> usize {
+    let n = cum.len();
+    let mut i = guide[((u * n as f64) as usize).min(n - 1)] as usize;
+    while i > 0 && cum[i - 1] >= u {
+        i -= 1;
+    }
+    while i + 1 < n && cum[i] < u {
+        i += 1;
+    }
+    if cum[i] == u {
+        search_rank(cum, u)
+    } else {
+        i
+    }
+}
+
 /// Zipf-like distribution over ranks `1..=n` with exponent `alpha ≥ 0`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Zipf {
@@ -21,6 +69,9 @@ pub struct Zipf {
     /// rebuilt on deserialization.
     #[serde(skip)]
     cum: Vec<f64>,
+    /// Guide table over `cum` (see [`build_guide`]), rebuilt with it.
+    #[serde(skip)]
+    guide: Vec<u32>,
 }
 
 impl Zipf {
@@ -44,6 +95,7 @@ impl Zipf {
             alpha,
             n,
             cum: Vec::new(),
+            guide: Vec::new(),
         };
         z.build_table();
         Ok(z)
@@ -59,6 +111,7 @@ impl Zipf {
         for c in &mut cum {
             *c /= total;
         }
+        self.guide = build_guide(&cum);
         self.cum = cum;
     }
 
@@ -112,12 +165,7 @@ impl Discrete for Zipf {
 
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         let u: f64 = rng.gen();
-        let t = self.table();
-        // First index with cum ≥ u.
-        match t.binary_search_by(|c| c.partial_cmp(&u).unwrap()) {
-            Ok(i) => (i + 1) as u64,
-            Err(i) => (i.min(t.len() - 1) + 1) as u64,
-        }
+        (guided_rank(self.table(), &self.guide, u) + 1) as u64
     }
 
     fn mean(&self) -> Option<f64> {
@@ -144,6 +192,8 @@ pub struct TwoPieceZipf {
     n: u64,
     #[serde(skip)]
     cum: Vec<f64>,
+    #[serde(skip)]
+    guide: Vec<u32>,
 }
 
 impl TwoPieceZipf {
@@ -181,6 +231,7 @@ impl TwoPieceZipf {
             break_rank,
             n,
             cum: Vec::new(),
+            guide: Vec::new(),
         };
         z.build_table();
         Ok(z)
@@ -208,6 +259,7 @@ impl TwoPieceZipf {
         for c in &mut cum {
             *c /= total;
         }
+        self.guide = build_guide(&cum);
         self.cum = cum;
     }
 
@@ -266,11 +318,7 @@ impl Discrete for TwoPieceZipf {
 
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         let u: f64 = rng.gen();
-        let t = self.table();
-        match t.binary_search_by(|c| c.partial_cmp(&u).unwrap()) {
-            Ok(i) => (i + 1) as u64,
-            Err(i) => (i.min(t.len() - 1) + 1) as u64,
-        }
+        (guided_rank(self.table(), &self.guide, u) + 1) as u64
     }
 
     fn mean(&self) -> Option<f64> {
@@ -402,5 +450,76 @@ mod tests {
         let z = Zipf::new(1.0, 10).unwrap();
         let m = z.mean().unwrap();
         assert!(m > 1.0 && m < 10.0);
+    }
+
+    /// The guided search picks the binary search's rank for each draw in
+    /// `us`, and for every table entry and its two float neighbours, where
+    /// rounding in `⌊u·n⌋` and runs of equal entries would show.
+    fn assert_guided_is_binary(cum: &[f64], guide: &[u32], us: &[f64]) {
+        let neighbours = cum.iter().flat_map(|&c| [c.next_down(), c, c.next_up()]);
+        for u in us.iter().copied().chain(neighbours) {
+            if (0.0..1.0).contains(&u) {
+                assert_eq!(guided_rank(cum, guide, u), search_rank(cum, u), "u = {u:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn guided_rank_is_binary_on_fixed_tables() {
+        // Runs of equal entries below 1.0, which rounding can make: a draw
+        // equal to one takes the binary search's pick, not the run's head.
+        let cum = [0.1, 0.25, 0.25, 0.25, 0.5, 0.5, 0.75, 1.0];
+        assert_guided_is_binary(&cum, &build_guide(&cum), &[]);
+        // An entry one ulp under 9/10, where `u·n` rounds up to 9: the
+        // walk starts past it and must step back.
+        let cum = [
+            0.1,
+            0.2,
+            0.3,
+            0.4,
+            0.5,
+            0.6,
+            0.7,
+            0.8,
+            0.9f64.next_down(),
+            1.0,
+        ];
+        assert_guided_is_binary(&cum, &build_guide(&cum), &[]);
+        let z = Zipf::new(0.386, 1_931).unwrap();
+        assert_guided_is_binary(&z.cum, &z.guide, &[]);
+        let t = TwoPieceZipf::new(0.453, 4.67, 45, 54).unwrap();
+        assert_guided_is_binary(&t.cum, &t.guide, &[]);
+        // A steeper tail over more ranks saturates into a run of equal
+        // entries at 1.0.
+        let t = TwoPieceZipf::new(0.453, 12.0, 45, 1_931).unwrap();
+        assert!(t.cum.windows(2).any(|w| w[0] == w[1]));
+        assert_guided_is_binary(&t.cum, &t.guide, &[]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn zipf_guided_rank_is_binary(
+            alpha in 0.0f64..6.0,
+            n in 1u64..2_500,
+            us in proptest::collection::vec(0.0f64..1.0, 0..256),
+        ) {
+            let z = Zipf::new(alpha, n).unwrap();
+            assert_guided_is_binary(&z.cum, &z.guide, &us);
+        }
+
+        #[test]
+        fn two_piece_guided_rank_is_binary(
+            alpha_body in 0.0f64..3.0,
+            alpha_tail in 0.0f64..12.0,
+            n in 2u64..2_500,
+            break_at in 0.0f64..1.0,
+            us in proptest::collection::vec(0.0f64..1.0, 0..256),
+        ) {
+            let break_rank = ((break_at * n as f64) as u64).clamp(1, n - 1);
+            let z = TwoPieceZipf::new(alpha_body, alpha_tail, break_rank, n).unwrap();
+            assert_guided_is_binary(&z.cum, &z.guide, &us);
+        }
     }
 }

@@ -89,8 +89,9 @@ struct Conn {
 /// A sorted `Vec` rather than a tree map: the set is small (bounded by
 /// `max_connections`) and hit on every received frame, so binary search
 /// over one contiguous allocation beats pointer-chasing tree nodes. The
-/// engine allocates `NodeId`s monotonically and never reuses them, so
-/// in practice every insert lands at the tail. Iteration order is
+/// engine allocates `NodeId`s monotonically and never reuses them, but
+/// connect latencies differ, so a later-spawned peer can be admitted
+/// first and an insert can land mid-list. Iteration order is
 /// ascending `NodeId` — the same order the previous `BTreeMap` gave the
 /// forward fan-out loop, which keeps traces bit-identical.
 #[derive(Default)]
