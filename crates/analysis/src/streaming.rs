@@ -141,11 +141,9 @@ impl StreamingPipeline {
             self.peak_bytes = now;
             // Streaming mode never seals trace chunks, so without this
             // the `peak_trace_bytes` gauge stays 0 while the pipeline
-            // holds real memory. Gauges merge by max, so the global
-            // value is the largest single-shard peak (the top-level
-            // `peak_bytes` scalar still sums across shards). Feeding it
-            // only on a new local peak keeps the atomic off the
-            // per-batch path.
+            // holds real memory. The gauge keeps the largest peak of any
+            // pipeline in the process. Feeding it only on a new local
+            // peak keeps the atomic off the per-batch path.
             telemetry::global().gauge_max(telemetry::Gauge::PeakTraceBytes, now);
         }
     }
@@ -156,8 +154,8 @@ impl StreamingPipeline {
         self.report.unfinished_sessions += self.live.len() as u64;
         self.refresh_agg_bytes();
         self.note_peak();
-        // Per-shard session ids are assigned in connect order, so sid
-        // order is start order — matching the batch path's session
+        // Session ids are assigned in connect order, so sid order is
+        // start order — matching the batch path's session
         // iteration order.
         self.retained.sort_by_key(|(sid, _)| *sid);
         StreamingResult {
@@ -255,17 +253,16 @@ impl TraceSink for StreamingPipeline {
 }
 
 impl StreamingResult {
-    /// Merge per-shard results into the campaign-wide result.
+    /// Merge the results of pipelines that saw disjoint session streams.
     ///
-    /// Retained sessions are concatenated in shard order and stably
-    /// sorted by start time — the same (start, shard) order the
-    /// retain-mode trace merge produces, so the merged `ft` is
-    /// bit-identical to the batch pipeline's. Aggregates merge by
-    /// summation; `peak_bytes` sums because the shards ran concurrently.
-    pub fn merge(shards: Vec<StreamingResult>) -> StreamingResult {
+    /// Retained sessions are concatenated in input order and stably
+    /// sorted by start time. Aggregates merge by summation, and so does
+    /// `peak_bytes`, as if the pipelines had run at once. One result
+    /// merges to itself.
+    pub fn merge(results: Vec<StreamingResult>) -> StreamingResult {
         telemetry::scope!("merge");
-        let mut it = shards.into_iter();
-        let mut out = it.next().expect("at least one shard result");
+        let mut it = results.into_iter();
+        let mut out = it.next().expect("at least one result");
         for s in it {
             out.ft.sessions.extend(s.ft.sessions);
             out.ft.report.merge(&s.ft.report);
@@ -282,25 +279,8 @@ impl StreamingResult {
     }
 }
 
-/// Build one shared streaming sink per shard (the shapes
-/// [`behavior::run_population_sharded_into`] expects).
-pub fn shard_pipelines(
-    db: &GeoDb,
-    retain_sessions: bool,
-    n_shards: usize,
-) -> Vec<Arc<Mutex<StreamingPipeline>>> {
-    (0..n_shards)
-        .map(|_| {
-            Arc::new(Mutex::new(StreamingPipeline::new(
-                db.clone(),
-                retain_sessions,
-            )))
-        })
-        .collect()
-}
-
-/// Unwrap the per-shard pipelines after the campaign and merge their
-/// results. Panics if a pipeline is still shared.
+/// Unwrap the pipelines after their campaigns and merge their results.
+/// Panics if a pipeline is still shared.
 pub fn finish_shards(sinks: Vec<Arc<Mutex<StreamingPipeline>>>) -> StreamingResult {
     telemetry::scope!("analysis/finish");
     StreamingResult::merge(

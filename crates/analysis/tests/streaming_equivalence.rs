@@ -6,16 +6,17 @@
 //! analysis product is *equal*, not approximately equal: the filtered
 //! trace (sessions and Table 2 report), the per-day popularity
 //! observations and rank tables, the §4.3–§4.5 session histograms, and
-//! the Figure 3 load panels. Checked for an unsharded campaign and a
-//! 4-shard campaign (which exercises the shard merge on both paths).
+//! the Figure 3 load panels.
 
 use analysis::characterize::histograms::SessionHistograms;
 use analysis::filter::apply_filters;
 use analysis::load::query_load_by_time;
 use analysis::popularity::{day_ranking, DailyObservations};
-use analysis::streaming::{finish_shards, shard_pipelines};
-use behavior::{run_population_sharded_into, run_population_sharded_with_stats, PopulationConfig};
+use analysis::streaming::finish_shards;
+use analysis::StreamingPipeline;
+use behavior::{run_population_into, run_population_with_stats, PopulationConfig};
 use geoip::{GeoDb, Region};
+use parking_lot::Mutex;
 use std::sync::Arc;
 use trace::SharedSink;
 
@@ -28,22 +29,22 @@ fn smoke() -> PopulationConfig {
     }
 }
 
-fn check_equivalence(n_shards: usize) {
+#[test]
+fn streaming_equals_retain_unsharded() {
     let cfg = smoke();
     let db = GeoDb::synthetic();
 
     // Retain mode: materialize the columnar trace, analyze in batch.
-    let (trace, retain_stats) = run_population_sharded_with_stats(&cfg, n_shards);
+    let (trace, retain_stats) = run_population_with_stats(&cfg);
     let ft = apply_filters(&trace, &db);
     let obs = DailyObservations::collect(&ft);
     let hist = SessionHistograms::from_filtered(&ft);
 
-    // Streaming mode: same campaign into per-shard pipelines; the trace
-    // is never materialized.
-    let sinks = shard_pipelines(&db, true, n_shards);
-    let shared: Vec<SharedSink> = sinks.iter().map(|s| Arc::clone(s) as SharedSink).collect();
-    let stream_stats = run_population_sharded_into(&cfg, n_shards, shared, false);
-    let r = finish_shards(sinks);
+    // Streaming mode: same campaign into a pipeline; the trace is never
+    // materialized.
+    let sink = Arc::new(Mutex::new(StreamingPipeline::new(db.clone(), true)));
+    let stream_stats = run_population_into(&cfg, Arc::clone(&sink) as SharedSink);
+    let r = finish_shards(vec![sink]);
 
     // The generated campaign itself is identical…
     assert_eq!(retain_stats, stream_stats, "campaign stats diverged");
@@ -91,14 +92,4 @@ fn check_equivalence(n_shards: usize) {
     );
     assert!(obs.n_days() >= 1);
     assert!(r.peak_bytes > 0 && r.peak_bytes < trace.mem_bytes());
-}
-
-#[test]
-fn streaming_equals_retain_unsharded() {
-    check_equivalence(1);
-}
-
-#[test]
-fn streaming_equals_retain_four_shards() {
-    check_equivalence(4);
 }

@@ -79,9 +79,9 @@ fn wire_query(text_len: usize, sha1_len: Option<usize>) -> u32 {
     WIRE_HEADER + 2 + text_len as u32 + 1 + sha1_len.map_or(0, |l| l as u32 + 1)
 }
 
-/// Collector node id within a shard (always spawned first).
+/// Collector node id (always spawned first).
 const COLLECTOR_LANE: u32 = 0;
-/// Driver node id within a shard (spawned second).
+/// Driver node id (spawned second).
 const DRIVER_LANE: u32 = 1;
 /// First session node id.
 const FIRST_SESSION_NODE: u32 = 2;
@@ -175,18 +175,19 @@ struct Session {
     batching: bool,
 }
 
-/// Outcome of one (full- or hybrid-fidelity) shard run.
+/// Outcome of one (full- or hybrid-fidelity) campaign run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ShardOutcome {
-    /// Engine-level statistics (hybrid shards fill the same fields from
-    /// their event loop).
+    /// Engine-level statistics (the hybrid engine fills the same fields
+    /// from its event loop).
     pub sim: SimStats,
     /// Messages whose delivery the hybrid engine elided entirely.
     pub elided_msgs: u64,
     /// Peer→collector messages the hybrid engine modeled as events.
     pub modeled_msgs: u64,
-    /// The shard registry's final counter snapshot (sink-layer counters;
-    /// engine-level quantities are folded in at the campaign merge).
+    /// The campaign registry's final counter snapshot (sink-layer
+    /// counters; engine-level quantities are folded in by
+    /// [`crate::CampaignStats`]).
     pub telemetry: Snapshot,
 }
 
@@ -197,13 +198,11 @@ const RECORD_FLUSH_CHUNK: usize = 8_192;
 /// Pairs drawn per gap-batched RNG refill burst (see [`Session`]).
 const RNG_BATCH: usize = 16;
 
-/// A hybrid-fidelity shard: drop-in replacement for a full-fidelity
-/// `Simulator` campaign shard, producing a bit-identical observed trace.
+/// A hybrid-fidelity campaign: drop-in replacement for the
+/// full-fidelity `Simulator` campaign, producing a bit-identical
+/// observed trace.
 pub struct HybridShard {
     queue: EventQueue<Body>,
-    /// One-event lookahead: popped past a `run_until` bound, replayed
-    /// first on the next call.
-    stashed: Option<(SimTime, Body)>,
     end: SimTime,
     horizon: SimTime,
 
@@ -259,13 +258,12 @@ pub struct HybridShard {
 }
 
 impl HybridShard {
-    /// Build a shard exactly as the full-fidelity `run_shard` would:
-    /// same seed derivations, same environment, same horizon.
+    /// Build a campaign exactly as the full-fidelity driver would: same
+    /// seed derivations, same environment, same horizon.
     pub fn new(
         cfg: &PopulationConfig,
         vocab: Arc<Vocabulary>,
         seq: SeedSequence,
-        sessions_per_day: f64,
         sink: SharedSink,
         registry: Arc<Registry>,
     ) -> HybridShard {
@@ -277,10 +275,9 @@ impl HybridShard {
         let collector_defaults = CollectorConfig::default();
         let mut shard = HybridShard {
             queue: EventQueue::new(),
-            stashed: None,
             end,
             horizon: end + SimDuration::from_hours(2),
-            arrivals: ArrivalProcess::new(sessions_per_day),
+            arrivals: ArrivalProcess::new(cfg.sessions_per_day),
             hour: HourArrivals::default(),
             hour_key: 0,
             drng: seq.rng("arrivals"),
@@ -318,7 +315,7 @@ impl HybridShard {
         shard
     }
 
-    /// The instant the shard stops processing (campaign end plus the
+    /// The instant the campaign stops processing (campaign end plus the
     /// settling grace period).
     pub fn horizon(&self) -> SimTime {
         self.horizon
@@ -328,28 +325,17 @@ impl HybridShard {
         self.queue.push_keyed(at, lane, key, body);
     }
 
-    /// Run the event loop until the earliest pending event is past `until`.
+    /// Run the event loop until the earliest pending event is past
+    /// `until`. Events past `until` are never popped, as in
+    /// [`simnet::Simulator::run_until`].
     pub fn run_until(&mut self, until: SimTime) {
-        if let Some((at, body)) = self.stashed.take() {
-            if at > until {
-                self.stashed = Some((at, body));
-                return;
-            }
-            self.pops += 1;
-            self.process(at, body);
-        }
-        while let Some((at, _, body)) = self.queue.pop() {
-            if at > until {
-                // Popped past the bound: replay it on the next epoch.
-                self.stashed = Some((at, body));
-                break;
-            }
+        while let Some((at, _, body)) = self.queue.pop_at_or_before(until) {
             self.pops += 1;
             self.process(at, body);
         }
     }
 
-    /// Finish the shard: drain buffered records and report statistics.
+    /// Finish the campaign: drain buffered records and report statistics.
     pub fn finish(mut self) -> ShardOutcome {
         self.flush();
         ShardOutcome {
@@ -593,7 +579,7 @@ impl HybridShard {
             let (_, sid, _) = self.conns.remove(i);
             // Drain-then-close through the one accounting point, exactly
             // as the full collector finalizes — the sink sees identical
-            // batch boundaries, so the per-shard sink counters match
+            // batch boundaries, so the sink counters match
             // across fidelities.
             self.flush();
             self.sink.lock().on_close(sid, end, by_probe);
@@ -1030,7 +1016,7 @@ mod tests {
     use super::*;
     use trace::Fanout;
 
-    /// One shard at the flood rate, 2 M arrivals/day against 200 slots,
+    /// One campaign at the flood rate, 2 M arrivals/day against 200 slots,
     /// run to its horizon: the session table's length and the arrivals.
     fn flood_table(hours: f64) -> (usize, u64) {
         let cfg = PopulationConfig {
@@ -1047,7 +1033,7 @@ mod tests {
         ));
         let sink: SharedSink = Arc::new(parking_lot::Mutex::new(Fanout::new()));
         let registry = Arc::new(Registry::new());
-        let mut shard = HybridShard::new(&cfg, vocab, seq, cfg.sessions_per_day, sink, registry);
+        let mut shard = HybridShard::new(&cfg, vocab, seq, sink, registry);
         shard.run_until(shard.horizon());
         (shard.sessions.len(), shard.spawned)
     }

@@ -40,9 +40,8 @@ pub mod vocabulary;
 
 pub use clients::{ClientPopulation, ClientProfile};
 pub use driver::{
-    run_population, run_population_into, run_population_sharded, run_population_sharded_into,
-    run_population_sharded_with_stats, run_population_with_stats, shard_worker_threads,
-    CampaignStats, Fidelity, PopulationConfig,
+    run_population, run_population_into, run_population_with_stats, CampaignStats, Fidelity,
+    PopulationConfig,
 };
 pub use files::SharedFilesModel;
 pub use params::BehaviorParams;

@@ -1,11 +1,8 @@
 //! Telemetry integration: the instrumentation must be provably free
-//! (identical traces with profiling on and off) and the merged counters
-//! must agree with the campaign's own ground truth.
+//! (identical traces with profiling on and off) and the counters must
+//! agree with the campaign's own ground truth.
 
-use behavior::{
-    run_population, run_population_sharded_with_stats, run_population_with_stats, Fidelity,
-    PopulationConfig,
-};
+use behavior::{run_population, run_population_with_stats, Fidelity, PopulationConfig};
 use telemetry::{Counter, Gauge};
 
 /// Serialize the tests that toggle the process-global profiling flag or
@@ -34,7 +31,7 @@ fn stage_tree_covers_campaign() {
     telemetry::profile::set_enabled(true);
     telemetry::profile::reset_stages();
     let cfg = PopulationConfig::smoke();
-    let _ = run_population_sharded_with_stats(&cfg, 2);
+    let _ = run_population_with_stats(&cfg);
     let stages = telemetry::profile::take_stages();
     let tree = telemetry::stage_tree(&stages);
     let coverage = telemetry::profile::root_child_coverage(&tree, "campaign")
@@ -46,17 +43,9 @@ fn stage_tree_covers_campaign() {
 }
 
 #[test]
-fn sharded_telemetry_matches_unsharded_for_one_shard() {
-    let cfg = PopulationConfig::smoke();
-    let (_, unsharded) = run_population_with_stats(&cfg);
-    let (_, sharded) = run_population_sharded_with_stats(&cfg, 1);
-    assert_eq!(unsharded.telemetry, sharded.telemetry);
-}
-
-#[test]
 fn campaign_counters_match_ground_truth() {
     let cfg = PopulationConfig::smoke();
-    let (trace, stats) = run_population_sharded_with_stats(&cfg, 4);
+    let (trace, stats) = run_population_with_stats(&cfg);
     let t = &stats.telemetry;
     assert_eq!(
         t.counter(Counter::SinkRecords),
@@ -117,9 +106,9 @@ const PINNED_MESSAGE_DIGEST: u64 = 15_634_722_281_550_164_242;
 fn full_and_hybrid_sink_counters_agree() {
     let mut cfg = PopulationConfig::smoke();
     cfg.fidelity = Fidelity::Full;
-    let (full_trace, full) = run_population_sharded_with_stats(&cfg, 2);
+    let (full_trace, full) = run_population_with_stats(&cfg);
     cfg.fidelity = Fidelity::Hybrid;
-    let (hybrid_trace, hybrid) = run_population_sharded_with_stats(&cfg, 2);
+    let (hybrid_trace, hybrid) = run_population_with_stats(&cfg);
     assert_eq!(full_trace, hybrid_trace);
     // Sink batch boundaries are part of the observed-trace contract, so
     // the sink-layer counters must match across fidelities too.

@@ -1,7 +1,6 @@
 //! Rendering helpers for experiment reports.
 
 use stats::Series;
-use telemetry::StageNode;
 
 /// Render one CCDF series at a few representative x probes, with an
 /// optional paper-reference line for side-by-side comparison.
@@ -56,44 +55,6 @@ pub fn tod_series(series: &Series, step: usize) -> String {
     out
 }
 
-/// Render the stage-attribution tree as an indented table: inclusive
-/// and exclusive seconds, run count, and each stage's share of the
-/// given root time (the campaign's inclusive total, typically).
-///
-/// On multi-core hosts the `run` subtree holds CPU-seconds summed
-/// across workers, so shares can exceed 100 % — that is attribution
-/// across cores, not an accounting error.
-pub fn stage_table(tree: &[StageNode]) -> String {
-    fn walk(out: &mut String, node: &StageNode, depth: usize, root_ns: u64) {
-        let indent = "  ".repeat(depth);
-        let share = if root_ns > 0 {
-            node.incl_ns as f64 / root_ns as f64 * 100.0
-        } else {
-            0.0
-        };
-        out.push_str(&format!(
-            "  {:<32} {:>9.3}s {:>9.3}s {:>8} {:>6.1}%\n",
-            format!("{indent}{}", node.name),
-            node.incl_ns as f64 / 1e9,
-            node.excl_ns as f64 / 1e9,
-            node.count,
-            share,
-        ));
-        for c in &node.children {
-            walk(out, c, depth + 1, root_ns);
-        }
-    }
-
-    let mut out = format!(
-        "  {:<32} {:>10} {:>10} {:>8} {:>7}\n",
-        "stage", "incl", "excl", "count", "share"
-    );
-    for root in tree {
-        walk(&mut out, root, 0, root.incl_ns);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,32 +67,6 @@ mod tests {
         let row = series_probes(&s, &[1.0, 10.0, 50.0], "min");
         assert!(row.contains("Europe"));
         assert!(row.contains("0.900"));
-    }
-
-    #[test]
-    fn renders_stage_table() {
-        let stages = vec![
-            (
-                "campaign".to_string(),
-                telemetry::StageStat {
-                    incl_ns: 2_000_000_000,
-                    count: 1,
-                },
-            ),
-            (
-                "campaign/run".to_string(),
-                telemetry::StageStat {
-                    incl_ns: 1_500_000_000,
-                    count: 3,
-                },
-            ),
-        ];
-        let tree = telemetry::stage_tree(&stages);
-        let table = stage_table(&tree);
-        assert!(table.contains("campaign"), "{table}");
-        assert!(table.contains("run"), "{table}");
-        assert!(table.contains("75.0%"), "{table}");
-        assert!(table.contains("2.000s"), "{table}");
     }
 
     #[test]

@@ -3,13 +3,15 @@
 //!
 //! This is the contract that makes `Fidelity::Hybrid` safe to use for
 //! every experiment: the far-cloud flow model may skip work, but it may
-//! not change a single recorded byte. Checked for single-shard and
-//! 4-shard campaigns, over both the retained-trace path and the
-//! streaming-aggregation path.
+//! not change a single recorded byte. Checked over both the
+//! retained-trace path and the streaming-aggregation path.
 
-use analysis::streaming::{finish_shards, shard_pipelines};
-use behavior::{run_population, run_population_sharded, Fidelity, PopulationConfig};
+use analysis::streaming::finish_shards;
+use analysis::StreamingPipeline;
+use behavior::{run_population, run_population_into, Fidelity, PopulationConfig};
 use geoip::GeoDb;
+use parking_lot::Mutex;
+use std::sync::Arc;
 use trace::SharedSink;
 
 fn smoke(fidelity: Fidelity) -> PopulationConfig {
@@ -39,58 +41,41 @@ fn hybrid_trace_is_bit_identical_single_shard() {
 }
 
 #[test]
-fn hybrid_trace_is_bit_identical_four_shards() {
-    let full = run_population_sharded(&smoke(Fidelity::Full), 4);
-    let hybrid = run_population_sharded(&smoke(Fidelity::Hybrid), 4);
-    assert_eq!(
-        full, hybrid,
-        "hybrid 4-shard merged trace diverged from full simulation"
-    );
-    assert_eq!(full.wire_bytes, hybrid.wire_bytes);
-}
-
-#[test]
 fn hybrid_streaming_matches_full_streaming() {
     // Drive the streaming pipeline (retaining filtered sessions so the
     // comparison covers per-session outputs, not just scalar aggregates)
-    // from both fidelities, single-shard and 4-shard.
+    // from both fidelities.
     let db = GeoDb::synthetic();
-    for shards in [1usize, 4] {
-        let mut results = Vec::new();
-        for fidelity in [Fidelity::Full, Fidelity::Hybrid] {
-            let cfg = smoke(fidelity);
-            let sinks = shard_pipelines(&db, true, shards);
-            let shared: Vec<SharedSink> = sinks.iter().map(|s| s.clone() as SharedSink).collect();
-            let stats = behavior::run_population_sharded_into(&cfg, shards, shared, false);
-            if fidelity == Fidelity::Hybrid {
-                assert!(
-                    stats.hybrid_elided_msgs > 0,
-                    "hybrid run elided no messages — far cloud not engaged"
-                );
-            } else {
-                assert_eq!(stats.hybrid_elided_msgs, 0);
-            }
-            results.push(finish_shards(sinks));
+    let mut results = Vec::new();
+    for fidelity in [Fidelity::Full, Fidelity::Hybrid] {
+        let cfg = smoke(fidelity);
+        let sink = Arc::new(Mutex::new(StreamingPipeline::new(db.clone(), true)));
+        let stats = run_population_into(&cfg, Arc::clone(&sink) as SharedSink);
+        if fidelity == Fidelity::Hybrid {
+            assert!(
+                stats.hybrid_elided_msgs > 0,
+                "hybrid run elided no messages — far cloud not engaged"
+            );
+        } else {
+            assert_eq!(stats.hybrid_elided_msgs, 0);
         }
-        let (full, hybrid) = (&results[0], &results[1]);
-        assert_eq!(
-            full.messages_seen, hybrid.messages_seen,
-            "streaming message count diverged ({shards} shards)"
-        );
-        assert_eq!(
-            full.wire_bytes, hybrid.wire_bytes,
-            "streaming wire bytes diverged ({shards} shards)"
-        );
-        assert_eq!(full.sessions_seen, hybrid.sessions_seen);
-        assert_eq!(
-            full.ft.report, hybrid.ft.report,
-            "filter report diverged ({shards} shards)"
-        );
-        assert_eq!(
-            full.ft.sessions, hybrid.ft.sessions,
-            "retained filtered sessions diverged ({shards} shards)"
-        );
+        results.push(finish_shards(vec![sink]));
     }
+    let (full, hybrid) = (&results[0], &results[1]);
+    assert_eq!(
+        full.messages_seen, hybrid.messages_seen,
+        "streaming message count diverged"
+    );
+    assert_eq!(
+        full.wire_bytes, hybrid.wire_bytes,
+        "streaming wire bytes diverged"
+    );
+    assert_eq!(full.sessions_seen, hybrid.sessions_seen);
+    assert_eq!(full.ft.report, hybrid.ft.report, "filter report diverged");
+    assert_eq!(
+        full.ft.sessions, hybrid.ft.sessions,
+        "retained filtered sessions diverged"
+    );
 }
 
 /// The cap-saturated regime: arrivals flood a full admission table, so

@@ -33,9 +33,8 @@ pub struct TimerId(u64);
 /// A simulated node.
 ///
 /// Implementations must be `'static` (they are boxed into the node table)
-/// and `Send`: a whole simulator may migrate between worker threads at
-/// epoch boundaries under the work-stealing shard scheduler, carrying its
-/// node table with it.
+/// and `Send`, so a whole simulator can move to another thread with its
+/// node table.
 pub trait Actor: Send {
     /// The message type exchanged in this simulation.
     type Msg;

@@ -2,21 +2,17 @@
 //!
 //! A [`Registry`] is a fixed array of relaxed [`AtomicU64`]s — no
 //! allocation after construction, no locks, no ordering constraints.
-//! Shard-local registries are snapshotted at shard finish and merged
-//! into the campaign totals at the same canonical `(time, shard)` join
-//! that merges traces; [`Snapshot::merge`] is associative and
-//! commutative (sum for counters and histogram buckets, max for
-//! gauges), so the merged totals are independent of shard count and
-//! join order for the quantities each shard produced.
+//! A campaign's registry is snapshotted when the campaign finishes, and
+//! the [`Snapshot`] travels in its statistics.
 
 use serde_json::JsonValue;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-/// Monotone event counters (sum-merged).
+/// Monotone event counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
-    /// Events popped off a shard's timing-wheel queue.
+    /// Events popped off a campaign's timing-wheel queue.
     EventsPopped = 0,
     /// Events pushed beyond the timing wheel's L2 horizon (≈ 37 h out)
     /// into the 4-ary far heap.
@@ -98,14 +94,14 @@ impl Counter {
 /// Number of [`Counter`] ids.
 pub const NUM_COUNTERS: usize = 15;
 
-/// High-water marks (max-merged).
+/// High-water marks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Gauge {
     /// Peak retained trace bytes (sealed chunks resident in memory plus
     /// the flat tail), sampled at seal boundaries.
     PeakTraceBytes = 0,
-    /// Peak pending events in a shard's queue.
+    /// Peak pending events in a campaign's queue.
     PeakQueueLen,
 }
 
@@ -125,7 +121,7 @@ impl Gauge {
 /// Number of [`Gauge`] ids.
 pub const NUM_GAUGES: usize = 2;
 
-/// Log₂-bucketed histograms (buckets sum-merged).
+/// Log₂-bucketed histograms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Hist {
@@ -166,10 +162,9 @@ fn bucket_of(v: u64) -> usize {
 /// A lock-free registry of counters, gauges, and histograms.
 ///
 /// All operations are relaxed atomics: safe from any thread, no
-/// synchronization edges, no effect on execution order. Single-writer
-/// shard-local registries pay an uncontended atomic add — on the hot
-/// paths that matter this is indistinguishable from a plain add (the
-/// perf harness gates the total below 2%).
+/// synchronization edges, no effect on execution order. A campaign's
+/// single-writer registry pays an uncontended atomic add, bumped once
+/// per record batch or chunk seal, never per message.
 pub struct Registry {
     counters: [AtomicU64; NUM_COUNTERS],
     gauges: [AtomicU64; NUM_GAUGES],
@@ -232,22 +227,6 @@ impl Registry {
         }
         s
     }
-
-    /// Reset every value to zero (between perf reps; not atomic as a
-    /// whole — callers quiesce writers first).
-    pub fn clear(&self) {
-        for c in &self.counters {
-            c.store(0, Relaxed);
-        }
-        for g in &self.gauges {
-            g.store(0, Relaxed);
-        }
-        for row in &self.hists {
-            for cell in row {
-                cell.store(0, Relaxed);
-            }
-        }
-    }
 }
 
 impl Default for Registry {
@@ -267,12 +246,12 @@ impl std::fmt::Debug for Registry {
 static GLOBAL: Registry = Registry::new();
 
 /// The process-global registry: components that are not naturally
-/// shard-scoped (the trace store, standalone tools) record here.
+/// campaign-scoped (the trace store, standalone tools) record here.
 pub fn global() -> &'static Registry {
     &GLOBAL
 }
 
-/// A point-in-time copy of a [`Registry`], mergeable across shards.
+/// A point-in-time copy of a [`Registry`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Snapshot {
     /// Counter values, indexed by [`Counter`].
@@ -303,7 +282,7 @@ impl Snapshot {
     }
 
     /// Add `n` to a counter (folding non-atomic sources, e.g. the
-    /// engine's plain queue counters, into a shard snapshot).
+    /// engine's plain queue counters, into a campaign snapshot).
     #[inline]
     pub fn add_counter(&mut self, c: Counter, n: u64) {
         self.counters[c as usize] = self.counters[c as usize].wrapping_add(n);
@@ -314,91 +293,6 @@ impl Snapshot {
     pub fn max_gauge(&mut self, g: Gauge, v: u64) {
         let cell = &mut self.gauges[g as usize];
         *cell = (*cell).max(v);
-    }
-
-    /// Merge another snapshot into this one: counters and histogram
-    /// buckets add (wrapping, so the operation stays associative at the
-    /// u64 boundary), gauges take the max.
-    pub fn merge(&mut self, other: &Snapshot) {
-        for i in 0..NUM_COUNTERS {
-            self.counters[i] = self.counters[i].wrapping_add(other.counters[i]);
-        }
-        for i in 0..NUM_GAUGES {
-            self.gauges[i] = self.gauges[i].max(other.gauges[i]);
-        }
-        for h in 0..NUM_HISTS {
-            for b in 0..HIST_BUCKETS {
-                self.hists[h][b] = self.hists[h][b].wrapping_add(other.hists[h][b]);
-            }
-        }
-    }
-
-    /// Merged copy (`a.merged(&b)` == `b.merged(&a)`).
-    pub fn merged(mut self, other: &Snapshot) -> Snapshot {
-        self.merge(other);
-        self
-    }
-
-    /// Counter-wise difference vs an earlier snapshot (saturating;
-    /// gauges and histograms keep this snapshot's values). Used to
-    /// isolate one rep's global-registry activity.
-    pub fn since(&self, earlier: &Snapshot) -> Snapshot {
-        let mut s = *self;
-        for i in 0..NUM_COUNTERS {
-            s.counters[i] = self.counters[i].saturating_sub(earlier.counters[i]);
-        }
-        for h in 0..NUM_HISTS {
-            for b in 0..HIST_BUCKETS {
-                s.hists[h][b] = self.hists[h][b].saturating_sub(earlier.hists[h][b]);
-            }
-        }
-        s
-    }
-
-    /// Number of atomic registry operations this snapshot's counters
-    /// imply, for the modeled-overhead accounting. Every `+1` counter
-    /// and every histogram observation is one relaxed RMW; value-carrying
-    /// counters (spill bytes, sink record totals) are bumped once per
-    /// batch/seal, so their op count is the corresponding event counter,
-    /// already included.
-    pub fn estimated_atomic_ops(&self) -> u64 {
-        let one_per_bump = [
-            Counter::SinkBatches,
-            Counter::SinkRecords, // one add per batch, alongside SinkBatches
-            Counter::ChunkSeals,
-            Counter::SpillBytesWritten, // one add per seal when spilling
-            Counter::DecodeCacheHits,
-            Counter::DecodeCacheMisses,
-            Counter::SpillDegraded,
-            Counter::SinkFastBatches, // one bump per columnar batch append
-        ];
-        let mut ops = 0u64;
-        // SinkRecords/SpillBytesWritten carry values, not op counts;
-        // their op counts equal SinkBatches/ChunkSeals respectively.
-        for c in one_per_bump {
-            ops = ops.saturating_add(match c {
-                Counter::SinkRecords => self.counter(Counter::SinkBatches),
-                Counter::SpillBytesWritten => self.counter(Counter::ChunkSeals),
-                other => self.counter(other),
-            });
-        }
-        for h in 0..NUM_HISTS {
-            ops = ops.saturating_add(self.hists[h].iter().sum::<u64>());
-        }
-        ops
-    }
-
-    /// Plain (non-atomic) instrumentation increments this snapshot
-    /// implies: the queue's per-event spill/migration/cascade counters
-    /// plus the session RNG batcher's refill accounting (charged per
-    /// batched draw, a deliberate overcount — refills bump the plain
-    /// counter once per burst). (`events_popped` predates telemetry and
-    /// is not charged.)
-    pub fn estimated_plain_ops(&self) -> u64 {
-        self.counter(Counter::HeapSpills)
-            .saturating_add(self.counter(Counter::HeapMigrations))
-            .saturating_add(self.counter(Counter::WheelCascades))
-            .saturating_add(self.counter(Counter::RngBatchedDraws))
     }
 
     /// Fraction of popped events that had to take the far-heap spill
@@ -412,31 +306,8 @@ impl Snapshot {
         }
     }
 
-    /// Fraction of popped events that were re-placed by an L1/L2 bucket
-    /// cascade on the way down the wheel. `None` before any pops.
-    pub fn cascade_frac(&self) -> Option<f64> {
-        let popped = self.counter(Counter::EventsPopped);
-        if popped == 0 {
-            None
-        } else {
-            Some(self.counter(Counter::WheelCascades) as f64 / popped as f64)
-        }
-    }
-
-    /// Decode-cache hit rate, if any random-access reads happened.
-    pub fn decode_cache_hit_rate(&self) -> Option<f64> {
-        let h = self.counter(Counter::DecodeCacheHits);
-        let m = self.counter(Counter::DecodeCacheMisses);
-        if h + m == 0 {
-            None
-        } else {
-            Some(h as f64 / (h + m) as f64)
-        }
-    }
-
-    /// JSON object for `telemetry.json`: `{counters: {...}, gauges:
-    /// {...}, hists: {name: [buckets...]}}`, zero histogram tails
-    /// trimmed.
+    /// JSON object `{counters: {...}, gauges: {...}, hists: {name:
+    /// [buckets...]}}`, zero histogram tails trimmed.
     pub fn to_json(&self) -> JsonValue {
         let counters = Counter::ALL
             .iter()
@@ -526,8 +397,6 @@ mod tests {
         assert_eq!(s.counter(Counter::SinkBatches), 1);
         assert_eq!(s.gauge(Gauge::PeakTraceBytes), 10);
         assert_eq!(s.hist(Hist::SinkBatchSize)[13], 1); // 2^13 = 8192
-        r.clear();
-        assert_eq!(r.snapshot(), Snapshot::default());
     }
 
     #[test]
@@ -538,19 +407,6 @@ mod tests {
         assert_eq!(bucket_of(3), 1);
         assert_eq!(bucket_of(4), 2);
         assert_eq!(bucket_of(u64::MAX), HIST_BUCKETS - 1);
-    }
-
-    #[test]
-    fn merge_sums_counters_and_maxes_gauges() {
-        let mut a = Snapshot::default();
-        a.add_counter(Counter::ChunkSeals, 3);
-        a.max_gauge(Gauge::PeakQueueLen, 100);
-        let mut b = Snapshot::default();
-        b.add_counter(Counter::ChunkSeals, 4);
-        b.max_gauge(Gauge::PeakQueueLen, 60);
-        let m = a.merged(&b);
-        assert_eq!(m.counter(Counter::ChunkSeals), 7);
-        assert_eq!(m.gauge(Gauge::PeakQueueLen), 100);
     }
 
     #[test]

@@ -5,12 +5,11 @@
 //! system observe itself instead, with four small pieces:
 //!
 //! * [`counters`] — a lock-free counter/gauge/histogram registry
-//!   ([`Registry`]) over relaxed atomics. Shard-local registries merge
-//!   at the campaign's canonical `(time, shard)` join via [`Snapshot`]
-//!   (sum for counters, max for gauges — associative and commutative,
-//!   property-tested). A process-global registry ([`global`]) serves
-//!   components that are not naturally per-shard (the trace store's
-//!   chunk seals, decode cache, and spill accounting).
+//!   ([`Registry`]) over relaxed atomics. Each campaign owns one and
+//!   reports its [`Snapshot`] in the campaign statistics. A
+//!   process-global registry ([`global`]) serves components that are not
+//!   naturally per-campaign (the trace store's chunk seals, decode
+//!   cache, and spill accounting).
 //! * [`profile`] — a hierarchical stage-attribution profiler built from
 //!   cheap RAII scopes (`scope!("campaign/run")`). Each scope records
 //!   inclusive wall time against a `/`-separated path (nesting extends
@@ -27,9 +26,9 @@
 //!
 //! Everything is designed to be provably free: instrumentation never
 //! touches an RNG or reorders an event (trace fingerprints are
-//! bit-identical with telemetry on or off, test-enforced in
-//! `crates/bench`), and the perf harness gates the measured and modeled
-//! overhead below 2%.
+//! bit-identical with profiling on or off, test-enforced in
+//! `crates/behavior`), and `crates/bench/tests/campaign_gates.rs` bounds
+//! stage scopes at one per hundred popped events.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

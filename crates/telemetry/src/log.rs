@@ -1,8 +1,8 @@
 //! Tiny leveled stderr logger.
 //!
 //! `P2PQ_LOG=off|warn|info|debug` selects the level (default `info`,
-//! which keeps the pre-existing `[bench]`/`[perf]` status lines
-//! visible). The level is parsed once and cached in an atomic, so a
+//! which keeps the `[bench]` status lines visible). The level is
+//! parsed once and cached in an atomic, so a
 //! disabled [`warn!`](crate::warn)/[`info!`](crate::info)/
 //! [`debug!`](crate::debug) costs one relaxed load and a branch — no
 //! formatting.

@@ -4,13 +4,12 @@
 //! against a `/`-separated stage path. Nested scopes extend the
 //! enclosing scope's path, so `scope!("seal")` inside
 //! `scope!("campaign/run/drain")` lands at `campaign/run/drain/seal`;
-//! a scope opened with an empty per-thread stack (e.g. an epoch task on
-//! a pool worker) uses its name as the full path, which is how worker
-//! threads attribute into the main thread's `campaign` subtree.
+//! a scope opened with an empty per-thread stack uses its name as the
+//! full path, so a `/`-separated name can root a stage anywhere.
 //!
 //! Recording is thread-local (one `Instant::now()` pair plus a map
-//! update per scope — scopes are placed at coarse boundaries: epochs,
-//! 8k-record drains, 64k-row seals, analysis passes) and merges into a
+//! update per scope — scopes are placed at coarse boundaries: campaign
+//! phases, 8k-record drains, 64k-row seals, analysis passes) and merges into a
 //! process-global table whenever a thread's outermost scope closes.
 //! [`take_stages`] drains that table; [`stage_tree`] folds the flat
 //! paths into a tree whose exclusive times are derived as
@@ -19,7 +18,6 @@
 //! wall-clock (they can sum past the root).
 
 use parking_lot::Mutex;
-use serde_json::JsonValue;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
@@ -37,9 +35,9 @@ pub struct StageStat {
 
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Globally enable or disable stage recording (used by the perf
-/// harness's telemetry on/off legs). Disabled scopes cost one relaxed
-/// load and a branch.
+/// Globally enable or disable stage recording (the profiling on/off
+/// fingerprint test uses this). Disabled scopes cost one relaxed load
+/// and a branch.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Relaxed);
 }
@@ -148,9 +146,9 @@ macro_rules! scope {
 }
 
 /// Drain the global stage table (flushing the calling thread first),
-/// returning `(path, stat)` pairs in unspecified order. Worker threads
-/// flush themselves whenever their outermost scope closes, so after a
-/// campaign joins its pool this sees every shard's stages.
+/// returning `(path, stat)` pairs in unspecified order. Other threads
+/// flush themselves whenever their outermost scope closes, so this sees
+/// every finished scope in the process.
 pub fn take_stages() -> Vec<(String, StageStat)> {
     TL.with(|tl| {
         let mut tl = tl.borrow_mut();
@@ -184,22 +182,6 @@ pub struct StageNode {
     pub count: u64,
     /// Child stages, heaviest first.
     pub children: Vec<StageNode>,
-}
-
-impl StageNode {
-    /// JSON encoding for `telemetry.json`.
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("name".to_string(), JsonValue::Str(self.name.clone())),
-            ("incl_ns".to_string(), JsonValue::U64(self.incl_ns)),
-            ("excl_ns".to_string(), JsonValue::U64(self.excl_ns)),
-            ("count".to_string(), JsonValue::U64(self.count)),
-            (
-                "children".to_string(),
-                JsonValue::Array(self.children.iter().map(StageNode::to_json).collect()),
-            ),
-        ])
-    }
 }
 
 /// Fold flat `(path, stat)` pairs into root trees, heaviest-first at
@@ -266,7 +248,7 @@ pub fn stage_tree(stages: &[(String, StageStat)]) -> Vec<StageNode> {
 
 /// Fraction of the named root's inclusive time covered by its direct
 /// children (`None` when the root is absent or zero-time). The
-/// perf harness gates this at ≥0.9 for `campaign`.
+/// `stage_tree_covers_campaign` test gates this at ≥0.9 for `campaign`.
 pub fn root_child_coverage(tree: &[StageNode], root: &str) -> Option<f64> {
     let r = tree.iter().find(|n| n.name == root)?;
     if r.incl_ns == 0 {

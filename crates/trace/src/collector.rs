@@ -188,8 +188,9 @@ pub struct MeasurementPeer {
     /// pure function of its inbound stream — the contract the
     /// hybrid-fidelity engine replays.
     next_key: u64,
-    /// Telemetry registry the drain boundary reports into: the shard's
-    /// registry under a campaign, a private one for standalone use.
+    /// Telemetry registry the drain boundary reports into: the
+    /// campaign's registry under a campaign, a private one for
+    /// standalone use.
     /// Relaxed counter bumps once per ~8k records — never per message.
     registry: Arc<Registry>,
 }
@@ -208,7 +209,7 @@ impl MeasurementPeer {
     }
 
     /// As [`MeasurementPeer::with_sink`], but reporting drain telemetry
-    /// into a caller-owned (e.g. shard-local) registry.
+    /// into a caller-owned (e.g. campaign-wide) registry.
     pub fn with_sink_and_registry(
         cfg: CollectorConfig,
         sink: SharedSink,

@@ -730,7 +730,7 @@ impl MessageColumns {
 
     /// Sequential reader with its own decode scratch: decodes each
     /// sealed chunk exactly once as the position crosses it, no locks.
-    /// The canonical shard-merge and export path.
+    /// The canonical replay and export path.
     pub fn cursor(&self) -> MessageCursor<'_> {
         MessageCursor {
             cols: self,
