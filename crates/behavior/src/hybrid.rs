@@ -343,7 +343,6 @@ impl HybridShard {
                 delivered: self.delivered,
                 dropped: self.dropped,
                 timers_fired: self.timers_fired,
-                timers_cancelled: 0,
                 spawned: 2 + self.spawned,
                 removed: 0,
                 events_popped: self.pops,

@@ -3,8 +3,11 @@
 //!
 //! Three workloads bracket the campaign's real mix:
 //!
-//! - `near_only`: every delay < 512 ms, pure L0 traffic — the message
-//!   hop/latency timers that dominate a campaign.
+//! - `near_only`: every delay < 512 ms, pure L0 traffic, all pushed
+//!   before the first pop. That puts about 128 events in every L0
+//!   bucket, and each pop walks its whole bucket list: the worst case
+//!   for the pop's walk, not the campaign's shape (campaign buckets hold
+//!   1.2–1.5 events at pop on average).
 //! - `far_heavy`: every delay beyond the wheel's ~37 h horizon, so each
 //!   event takes the far-heap round-trip (push, migrate on chunk entry,
 //!   cascade down, pop) — the worst case this queue was rebuilt to make

@@ -48,12 +48,28 @@
 //! global minimum pending timestamp, so only the entered frame's and
 //! chunk's buckets ever need cascading.
 //!
-//! Bucket contents are unordered: the pop side takes the full-key
-//! minimum of the current bucket (buckets hold a handful of events, so
-//! the scan is a few comparisons), which makes append order — direct
-//! push, cascade, or far-heap migration — irrelevant to pop order. That
-//! is what keeps the pop sequence bit-identical to a reference sort on
-//! `(time, lane, key, seq)` no matter which path an event took.
+//! # One node slab
+//!
+//! Every wheel event lives in one node of a single slab (`Vec<Node<E>>`)
+//! holding its ordering key, its payload and the index of the next node
+//! in its bucket. A bucket is just the `u32` index of its first node, so
+//! each level is 512 list heads, and freed nodes form a LIFO free list
+//! threaded through the same `next` field. The slab therefore grows only
+//! when every node is in use: its length is the high-water mark of
+//! wheel-resident events, never more than [`EventQueue::peak_len`], and a
+//! bucket keeps no capacity after it drains. A cascade relinks a node's
+//! index into a lower level's list; key and payload stay where they
+//! are. A far event moves its payload into a node once, on migration.
+//!
+//! Bucket contents are unordered: the pop side walks the cursor
+//! bucket's list for its full-key minimum (campaign buckets hold
+//! 1.2–1.5 events at pop on average, so the walk is a few comparisons),
+//! which makes link order — direct push, cascade, or far-heap migration
+//! — irrelevant to pop order. That is what keeps the pop sequence
+//! bit-identical to a reference sort on `(time, lane, key, seq)` no
+//! matter which path an event took. The price is paid by a bucket
+//! holding many events at once: each pop walks the whole list, node by
+//! node.
 //!
 //! The engine only schedules at or after the current instant, but the
 //! queue still accepts pushes "in the past" (before the last popped
@@ -80,6 +96,10 @@ const CHUNK_MS: u64 = FRAME_MS * WHEEL_SLOTS as u64;
 /// Occupancy bitmap: one bit per bucket of a 512-slot wheel level.
 type Occupancy = [u64; WHEEL_SLOTS / 64];
 
+/// List end: the head of an empty bucket, the `next` of a bucket's last
+/// node, and the head of an empty free list.
+const NIL: u32 = u32::MAX;
+
 /// Lane assigned to events scheduled without an explicit ordering key
 /// ([`EventQueue::push`]): they sort after every keyed event at the same
 /// instant, in FIFO (sequence) order among themselves.
@@ -87,12 +107,6 @@ pub const UNKEYED_LANE: u32 = u32::MAX;
 
 /// The full ordering key of a scheduled event. Derived `Ord` gives the
 /// pop order contract directly: ascending `(at, lane, key, seq)`.
-///
-/// Kept as its own 32-byte `Copy` record so wheel buckets can store
-/// keys densely in one array and payloads in a parallel one: the pop
-/// side's min-scan then walks two keys per cache line instead of
-/// dragging the (much larger) payload through the cache on every
-/// comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct EventKey {
     at: SimTime,
@@ -121,62 +135,13 @@ impl<E> Scheduled<E> {
     }
 }
 
-/// One wheel bucket: ordering keys and payloads in parallel arrays
-/// (structure-of-arrays). `swap_remove` keeps the arrays in lockstep.
+/// One slab node: a wheel event linked into its bucket's list, or a
+/// free node linked into the free list (`payload` is `None` then).
 #[derive(Debug)]
-struct Bucket<E> {
-    keys: Vec<EventKey>,
-    payloads: Vec<E>,
-}
-
-impl<E> Default for Bucket<E> {
-    fn default() -> Self {
-        Bucket {
-            keys: Vec::new(),
-            payloads: Vec::new(),
-        }
-    }
-}
-
-impl<E> Bucket<E> {
-    #[inline]
-    fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    #[inline]
-    fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    #[inline]
-    fn push(&mut self, k: EventKey, payload: E) {
-        self.keys.push(k);
-        self.payloads.push(payload);
-    }
-
-    #[inline]
-    fn swap_remove(&mut self, i: usize) -> (EventKey, E) {
-        (self.keys.swap_remove(i), self.payloads.swap_remove(i))
-    }
-
-    /// Index of the full-key minimum. The bucket must be non-empty.
-    #[inline]
-    fn min_index(&self) -> usize {
-        let mut min = 0;
-        for i in 1..self.keys.len() {
-            if self.keys[i] < self.keys[min] {
-                min = i;
-            }
-        }
-        min
-    }
-
-    /// Earliest timestamp in the bucket, in milliseconds.
-    #[inline]
-    fn min_at_ms(&self) -> Option<u64> {
-        self.keys.iter().map(|k| k.at.as_millis()).min()
-    }
+struct Node<E> {
+    k: EventKey,
+    next: u32,
+    payload: Option<E>,
 }
 
 #[inline]
@@ -218,13 +183,17 @@ fn next_occupied(occ: &Occupancy, from: usize) -> Option<usize> {
 /// overflow-heap design.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// L0: one bucket per millisecond of `[start, start + 512)`;
+    /// Every wheel-resident event, plus the free nodes.
+    slab: Vec<Node<E>>,
+    /// First free slab node (LIFO), or `NIL`.
+    free: u32,
+    /// L0: one list head per millisecond of `[start, start + 512)`;
     /// `l0[cursor]` is the instant `start` (plus any past pushes).
-    l0: Box<[Bucket<E>]>,
-    /// L1: one bucket per 512 ms frame, frames `(start/512, start/512 + 512]`.
-    l1: Box<[Bucket<E>]>,
-    /// L2: one bucket per ≈4.4 min chunk, chunks `(start/512², start/512² + 512]`.
-    l2: Box<[Bucket<E>]>,
+    l0: [u32; WHEEL_SLOTS],
+    /// L1: one list head per 512 ms frame, frames `(start/512, start/512 + 512]`.
+    l1: [u32; WHEEL_SLOTS],
+    /// L2: one list head per ≈4.4 min chunk, chunks `(start/512², start/512² + 512]`.
+    l2: [u32; WHEEL_SLOTS],
     occ0: Occupancy,
     occ1: Occupancy,
     occ2: Occupancy,
@@ -258,9 +227,11 @@ pub struct EventQueue<E> {
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         EventQueue {
-            l0: (0..WHEEL_SLOTS).map(|_| Bucket::default()).collect(),
-            l1: (0..WHEEL_SLOTS).map(|_| Bucket::default()).collect(),
-            l2: (0..WHEEL_SLOTS).map(|_| Bucket::default()).collect(),
+            slab: Vec::new(),
+            free: NIL,
+            l0: [NIL; WHEEL_SLOTS],
+            l1: [NIL; WHEEL_SLOTS],
+            l2: [NIL; WHEEL_SLOTS],
             occ0: [0; WHEEL_SLOTS / 64],
             occ1: [0; WHEEL_SLOTS / 64],
             occ2: [0; WHEEL_SLOTS / 64],
@@ -290,7 +261,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedule `payload` at absolute time `at`; returns the sequence
-    /// number assigned (usable as a timer handle by the engine).
+    /// number assigned, the last tie-break of the pop order.
     ///
     /// Unkeyed events sort after all keyed events at the same instant,
     /// FIFO among themselves.
@@ -308,18 +279,49 @@ impl<E> EventQueue<E> {
     pub fn push_keyed(&mut self, at: SimTime, lane: u32, key: u64, payload: E) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.place(EventKey { at, lane, key, seq }, payload);
+        let k = EventKey { at, lane, key, seq };
+        if at.as_millis() < self.l2_limit {
+            let i = self.alloc(k, payload);
+            self.link(i);
+        } else {
+            heap_push(&mut self.far, Scheduled { k, payload });
+            self.far_pushed += 1;
+        }
         self.peak_len = self.peak_len.max(self.len());
         seq
     }
 
-    /// Insert at the lowest level whose admission window covers the
-    /// event. Also the landing spot for cascades and far migrations:
-    /// both run after the window limits advance, so a replaced event
-    /// always strictly descends.
-    fn place(&mut self, k: EventKey, payload: E) {
-        let ms = k.at.as_millis();
-        if ms < self.l0_limit {
+    /// Store an event in a slab node, reusing the most recently freed
+    /// one if any; returns the node's index, not yet linked anywhere.
+    fn alloc(&mut self, k: EventKey, payload: E) -> u32 {
+        if self.free != NIL {
+            let i = self.free;
+            let node = &mut self.slab[i as usize];
+            self.free = node.next;
+            node.k = k;
+            node.payload = Some(payload);
+            return i;
+        }
+        let i = u32::try_from(self.slab.len())
+            .ok()
+            .filter(|&i| i != NIL)
+            .expect("fewer than u32::MAX wheel events pending");
+        self.slab.push(Node {
+            k,
+            next: NIL,
+            payload: Some(payload),
+        });
+        i
+    }
+
+    /// Link node `i` at the head of its bucket in the lowest level whose
+    /// admission window covers it. Also the landing spot for cascades
+    /// and far migrations: both run after the window limits advance, so
+    /// a relinked event never climbs a level. The node's time must lie
+    /// inside the L2 window.
+    fn link(&mut self, i: u32) {
+        let ms = self.slab[i as usize].k.at.as_millis();
+        let head = if ms < self.l0_limit {
             // `ms <= start` covers pushes at or before the cursor
             // instant; both belong in the cursor bucket.
             let idx = if ms <= self.start {
@@ -327,23 +329,23 @@ impl<E> EventQueue<E> {
             } else {
                 (ms % WHEEL_SLOTS as u64) as usize
             };
-            self.l0[idx].push(k, payload);
             bit_set(&mut self.occ0, idx);
             self.l0_len += 1;
+            &mut self.l0[idx]
         } else if ms < self.l1_limit {
             let idx = ((ms / FRAME_MS) % WHEEL_SLOTS as u64) as usize;
-            self.l1[idx].push(k, payload);
             bit_set(&mut self.occ1, idx);
             self.l1_len += 1;
-        } else if ms < self.l2_limit {
+            &mut self.l1[idx]
+        } else {
+            debug_assert!(ms < self.l2_limit, "linked an event past the L2 horizon");
             let idx = ((ms / CHUNK_MS) % WHEEL_SLOTS as u64) as usize;
-            self.l2[idx].push(k, payload);
             bit_set(&mut self.occ2, idx);
             self.l2_len += 1;
-        } else {
-            heap_push(&mut self.far, Scheduled { k, payload });
-            self.far_pushed += 1;
-        }
+            &mut self.l2[idx]
+        };
+        self.slab[i as usize].next = *head;
+        *head = i;
     }
 
     /// Pop the earliest event, if any.
@@ -352,42 +354,71 @@ impl<E> EventQueue<E> {
     }
 
     /// Pop the earliest event if its time is at or before `limit`;
-    /// leave the queue untouched otherwise. This fuses `peek_time` +
-    /// `pop` so a bounded event loop pays one cursor-bucket scan per
-    /// event instead of two (and one occupancy-bitmap walk instead of
-    /// two on every empty-cursor transition).
+    /// leave the queue untouched otherwise. The limit is checked against
+    /// the minimum the pop finds anyway — the cursor bucket's walk, or
+    /// on an empty cursor bucket the occupancy-bitmap search for the
+    /// next instant, before the wheel advances — so a bounded event loop
+    /// pays one bucket walk per event, and a refused pop moves nothing.
     pub fn pop_at_or_before(&mut self, limit: SimTime) -> Option<(SimTime, u64, E)> {
         if self.is_empty() {
             return None;
         }
-        if self.l0[self.cursor].is_empty() {
+        if self.l0[self.cursor] == NIL {
             let t = self.next_event_ms();
             if t > limit.as_millis() {
                 return None;
             }
             self.advance_to(t);
         }
-        let bucket = &mut self.l0[self.cursor];
-        debug_assert!(!bucket.is_empty(), "advance landed on an empty bucket");
+        let head = self.l0[self.cursor];
+        debug_assert!(head != NIL, "advance landed on an empty bucket");
         // Buckets are unordered with respect to `(lane, key)` (and the
         // cursor bucket can also mix timestamps); take the full-key
-        // minimum. Every pop re-scans for that minimum and the full key
-        // is a strict total order (`seq` is unique), so storage order
-        // within the bucket carries no information — `swap_remove` is
-        // safe and keeps delivery bursts that share a millisecond from
-        // paying a shifting `remove` per pop. The scan touches only the
-        // dense key array; the payload moves once, on the removal.
-        let min = bucket.min_index();
-        if bucket.keys[min].at > limit {
+        // minimum, remembering its predecessor for the unlink. The full
+        // key is a strict total order (`seq` is unique), so link order
+        // within the bucket carries no information.
+        let first = &self.slab[head as usize];
+        let (mut min, mut min_prev, mut min_k) = (head, NIL, first.k);
+        let (mut prev, mut i) = (head, first.next);
+        while i != NIL {
+            let node = &self.slab[i as usize];
+            if node.k < min_k {
+                (min, min_prev, min_k) = (i, prev, node.k);
+            }
+            prev = i;
+            i = node.next;
+        }
+        if min_k.at > limit {
             return None;
         }
-        let (k, payload) = bucket.swap_remove(min);
-        if bucket.is_empty() {
-            bit_clear(&mut self.occ0, self.cursor);
+        let node = &mut self.slab[min as usize];
+        let next = node.next;
+        let payload = node.payload.take().expect("a linked node holds a payload");
+        node.next = self.free;
+        self.free = min;
+        if min_prev == NIL {
+            self.l0[self.cursor] = next;
+            if next == NIL {
+                bit_clear(&mut self.occ0, self.cursor);
+            }
+        } else {
+            self.slab[min_prev as usize].next = next;
         }
         self.l0_len -= 1;
         self.popped += 1;
-        Some((k.at, k.seq, payload))
+        Some((min_k.at, min_k.seq, payload))
+    }
+
+    /// Earliest timestamp in the bucket list that starts at node `i`, in
+    /// milliseconds (`u64::MAX` for an empty list).
+    fn min_at_ms(&self, mut i: u32) -> u64 {
+        let mut best = u64::MAX;
+        while i != NIL {
+            let node = &self.slab[i as usize];
+            best = best.min(node.k.at.as_millis());
+            i = node.next;
+        }
+        best
     }
 
     /// Earliest pending timestamp in milliseconds. Requires at least one
@@ -416,8 +447,7 @@ impl<E> EventQueue<E> {
                 if frame.saturating_mul(FRAME_MS) < best {
                     // Frames are disjoint ascending spans, so the first
                     // occupied frame contains the level's minimum.
-                    let lo = self.l1[pos].min_at_ms();
-                    best = best.min(lo.expect("occupied L1 bucket"));
+                    best = best.min(self.min_at_ms(self.l1[pos]));
                 }
             }
         }
@@ -429,8 +459,7 @@ impl<E> EventQueue<E> {
                 let steps = (pos + WHEEL_SLOTS - from) % WHEEL_SLOTS;
                 let chunk = chunk0 + steps as u64;
                 if chunk.saturating_mul(CHUNK_MS) < best {
-                    let lo = self.l2[pos].min_at_ms();
-                    best = best.min(lo.expect("occupied L2 bucket"));
+                    best = best.min(self.min_at_ms(self.l2[pos]));
                 }
             }
         }
@@ -470,52 +499,36 @@ impl<E> EventQueue<E> {
             {
                 let s = heap_pop(&mut self.far);
                 self.migrated += 1;
-                self.place(s.k, s.payload);
+                let i = self.alloc(s.k, s.payload);
+                self.link(i);
             }
             let b = (new_chunk % WHEEL_SLOTS as u64) as usize;
-            if !self.l2[b].is_empty() {
-                let mut drained = std::mem::take(&mut self.l2[b]);
-                bit_clear(&mut self.occ2, b);
-                self.l2_len -= drained.len();
-                self.cascades += drained.len() as u64;
-                for (k, payload) in drained.keys.drain(..).zip(drained.payloads.drain(..)) {
-                    self.place(k, payload);
-                }
-                if self.l2[b].is_empty() {
-                    // Hand the allocations back to the slot.
-                    self.l2[b] = drained;
-                }
-            }
+            let head = std::mem::replace(&mut self.l2[b], NIL);
+            bit_clear(&mut self.occ2, b);
+            self.l2_len -= self.cascade(head);
         }
         if new_frame != old_frame {
             let b = (new_frame % WHEEL_SLOTS as u64) as usize;
-            if !self.l1[b].is_empty() {
-                let mut drained = std::mem::take(&mut self.l1[b]);
-                bit_clear(&mut self.occ1, b);
-                self.l1_len -= drained.len();
-                self.cascades += drained.len() as u64;
-                for (k, payload) in drained.keys.drain(..).zip(drained.payloads.drain(..)) {
-                    self.place(k, payload);
-                }
-                if self.l1[b].is_empty() {
-                    self.l1[b] = drained;
-                }
-            }
+            let head = std::mem::replace(&mut self.l1[b], NIL);
+            bit_clear(&mut self.occ1, b);
+            self.l1_len -= self.cascade(head);
         }
     }
 
-    /// Time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        if self.is_empty() {
-            return None;
+    /// Relink every node of the detached bucket list `head`; returns how
+    /// many moved. An event of the span 512 slots on (which a far
+    /// migration or an L2 cascade can link into the slot before it
+    /// drains) lands back in the drained slot.
+    fn cascade(&mut self, mut i: u32) -> usize {
+        let mut moved = 0;
+        while i != NIL {
+            let next = self.slab[i as usize].next;
+            self.link(i);
+            moved += 1;
+            i = next;
         }
-        let bucket = &self.l0[self.cursor];
-        if !bucket.is_empty() {
-            // The cursor bucket may mix timestamps (past pushes); its
-            // minimum is at or before `start`, hence globally earliest.
-            return bucket.min_at_ms().map(SimTime::from_millis);
-        }
-        Some(SimTime::from_millis(self.next_event_ms()))
+        self.cascades += moved as u64;
+        moved
     }
 
     /// Number of pending events.
@@ -642,15 +655,21 @@ mod tests {
         assert_eq!(q.popped(), 4);
     }
 
+    /// The earliest instant, observed through bounded pops: one limit
+    /// short of it pops nothing and leaves the length alone.
     #[test]
     fn peek_and_len() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.pop_at_or_before(SimTime::from_millis(u64::MAX)), None);
         q.push(SimTime::from_secs(4), ());
         q.push(SimTime::from_secs(2), ());
         assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
+        assert_eq!(q.pop_at_or_before(SimTime::from_millis(1_999)), None);
+        assert_eq!(q.len(), 2);
+        let (at, _, ()) = q.pop_at_or_before(SimTime::from_secs(2)).unwrap();
+        assert_eq!(at, SimTime::from_secs(2));
+        assert_eq!(q.len(), 1);
     }
 
     #[test]
@@ -879,11 +898,50 @@ mod tests {
         // The L1 resident needs a wheel advance; the limit check happens
         // before the advance, so a refused pop leaves the cursor alone.
         assert_eq!(q.pop_at_or_before(SimTime::from_millis(500_000)), None);
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(700_000)));
+        assert_eq!(q.pop_at_or_before(SimTime::from_millis(699_999)), None);
+        assert_eq!(q.len(), 1);
         let (at, _, p) = q.pop_at_or_before(SimTime::from_millis(u64::MAX)).unwrap();
         assert_eq!((at, p), (SimTime::from_millis(700_000), "l1"));
         assert!(q.is_empty());
         assert_eq!(q.pop_at_or_before(SimTime::from_millis(u64::MAX)), None);
+    }
+
+    /// Queue memory follows pending events, not pushes: 120 000 events
+    /// churn through every wheel level and the far heap with at most
+    /// 1 000 pending, and the node slab never grows past the high-water
+    /// mark of pending events, because freed nodes are reused.
+    #[test]
+    fn slab_stays_within_peak_len_under_churn() {
+        const PENDING: usize = 1_000;
+        let mut rng = StdRng::seed_from_u64(0x51ab);
+        let mut q = EventQueue::new();
+        let delay = |rng: &mut StdRng| match rng.gen_range(0..4) {
+            0 => rng.gen_range(0..512),                   // L0
+            1 => rng.gen_range(512..262_144),             // L1
+            2 => rng.gen_range(262_144..134_479_872),     // L2
+            _ => rng.gen_range(134_479_872..500_000_000), // far
+        };
+        for i in 0..PENDING as u64 {
+            q.push(SimTime::from_millis(delay(&mut rng)), i);
+        }
+        let mut saw_l2 = false;
+        for i in PENDING as u64..120_000 {
+            let (at, _, _) = q.pop().expect("the queue holds PENDING events");
+            q.push(SimTime::from_millis(at.as_millis() + delay(&mut rng)), i);
+            saw_l2 |= q.l2_len > 0;
+            assert!(q.len() <= PENDING);
+            assert!(q.slab.len() <= q.peak_len(), "slab outgrew peak_len");
+        }
+        while q.pop().is_some() {
+            assert!(q.slab.len() <= q.peak_len(), "slab outgrew peak_len");
+        }
+        assert_eq!(q.peak_len(), PENDING);
+        assert!(saw_l2, "workload never held an L2 event");
+        assert!(
+            q.far_pushed() > 0 && q.migrated() > 0,
+            "workload never used the far heap"
+        );
+        assert!(q.cascades() > 0, "workload never cascaded");
     }
 
     #[test]

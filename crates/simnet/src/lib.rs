@@ -4,9 +4,10 @@
 //! measurement peer run. Design goals, in the spirit of event-driven
 //! network stacks like smoltcp:
 //!
-//! * **Determinism** — a binary-heap event queue with a monotone sequence
-//!   tie-break: events scheduled for the same instant fire in the order
-//!   they were scheduled; combined with seeded RNG streams
+//! * **Determinism** — a timing-wheel event queue with a total
+//!   `(time, lane, key, seq)` pop order: unkeyed events scheduled for the
+//!   same instant fire in the order they were scheduled; combined with
+//!   seeded RNG streams
 //!   ([`stats::rng::SeedSequence`]), a simulation run is a pure function of
 //!   its seed.
 //! * **No global time** — the clock is [`SimTime`], milliseconds since the
@@ -27,7 +28,7 @@ pub mod event;
 pub mod latency;
 pub mod time;
 
-pub use engine::{Actor, Context, NodeId, SimStats, Simulator, TimerId};
+pub use engine::{Actor, Context, NodeId, SimStats, Simulator};
 pub use event::EventQueue;
 pub use latency::LatencyModel;
 pub use time::{SimDuration, SimTime};
