@@ -329,7 +329,7 @@ impl HybridShard {
     /// `until`. Events past `until` are never popped, as in
     /// [`simnet::Simulator::run_until`].
     pub fn run_until(&mut self, until: SimTime) {
-        while let Some((at, _, body)) = self.queue.pop_at_or_before(until) {
+        while let Some((at, body)) = self.queue.pop_at_or_before(until) {
             self.pops += 1;
             self.process(at, body);
         }

@@ -1,5 +1,11 @@
 //! Generator throughput: events/second of the Figure 12 algorithm, plus
 //! the interned-vocabulary hot path (query sampling and symbol resolution).
+//!
+//! `generator/events/*` builds a generator at a fixed hour in every
+//! iteration, so it includes set-up; `generator/events_warm_rolling/500`
+//! is the perfbench `generate` shape (500 peers on the rolling clock)
+//! with the generator built before timing, so its ns per event is the
+//! unit cost behind that workload's `core.generate_s`.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use p2pq::{GeneratorConfig, WorkloadGenerator, WorkloadModel};
@@ -34,6 +40,24 @@ fn bench_generator(c: &mut Criterion) {
             },
         );
     }
+    group.bench_function("events_warm_rolling/500", |b| {
+        let mut gen = WorkloadGenerator::new(
+            &model,
+            GeneratorConfig {
+                n_peers: 500,
+                seed: 7,
+                fixed_hour: None,
+                ..GeneratorConfig::default()
+            },
+        );
+        b.iter(|| {
+            let mut count = 0u64;
+            for ev in gen.by_ref().take(10_000) {
+                count += u64::from(matches!(ev, p2pq::WorkloadEvent::Query { .. }));
+            }
+            black_box(count)
+        })
+    });
     group.finish();
 
     // Model materialization cost (cold start).

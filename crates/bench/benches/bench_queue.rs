@@ -71,7 +71,7 @@ fn sliding(delays: &[u64], window: usize) -> u64 {
     }
     let mut count = 0u64;
     for (i, &d) in delays[window..].iter().enumerate() {
-        let (at, _, _) = q.pop().expect("window keeps the queue non-empty");
+        let (at, _) = q.pop().expect("window keeps the queue non-empty");
         count += 1;
         let now = at.as_millis();
         q.push(SimTime::from_millis(now + d), window + i);

@@ -25,9 +25,17 @@
 //! The generator is an `Iterator<Item = WorkloadEvent>` emitting events in
 //! global time order, and is infinite — bound it with `take`,
 //! `take_while` on the timestamp, or [`WorkloadGenerator::events_until`].
+//!
+//! Construction builds the model's laws once ([`WorkloadModel::laws`]
+//! for Tables A.1–A.5, one rank sampler per query class), so an invalid
+//! model panics there, naming the cell. A session then only samples
+//! from those laws. The peers' next events wait in a binary min-heap
+//! keyed by `(time, schedule sequence)`, a strict total order, and each
+//! event overwrites the heap's top slot with the same peer's next event:
+//! one sift per event.
 
 use crate::events::{PeerId, QueryRef, WorkloadEvent};
-use crate::model::{RankLaw, WorkloadModel};
+use crate::model::{ModelLaws, RankLaw, WorkloadModel};
 use geoip::Region;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -111,6 +119,7 @@ const RECENT_DAYS: usize = 2;
 /// The Figure 12 generator.
 pub struct WorkloadGenerator {
     model: WorkloadModel,
+    laws: ModelLaws,
     cfg: GeneratorConfig,
     seq: SeedSequence,
     heap: BinaryHeap<Slot>,
@@ -123,8 +132,16 @@ pub struct WorkloadGenerator {
 
 impl WorkloadGenerator {
     /// Create a generator over `model`.
+    ///
+    /// # Panics
+    ///
+    /// On an empty population, or when a law of `model` cannot be built
+    /// (the message names the cell and the parameter error).
     pub fn new(model: &WorkloadModel, cfg: GeneratorConfig) -> WorkloadGenerator {
         assert!(cfg.n_peers > 0, "population must be non-empty");
+        let laws = model
+            .laws()
+            .unwrap_or_else(|e| panic!("invalid workload model: {e}"));
         let seq = SeedSequence::new(cfg.seed).child("p2pq-generator");
         let classes = model
             .popularity
@@ -139,6 +156,7 @@ impl WorkloadGenerator {
             .collect();
         let mut gen = WorkloadGenerator {
             model: model.clone(),
+            laws,
             cfg,
             seq,
             heap: BinaryHeap::new(),
@@ -157,7 +175,9 @@ impl WorkloadGenerator {
                 SimDuration::from_millis(warm_rng.gen_range(0..=cfg.warmup.as_millis()))
             };
             gen.pending.push(VecDeque::new());
-            gen.start_session(i, cfg.start + offset);
+            let at = gen.start_session(i, cfg.start + offset);
+            let slot = gen.slot(at, i);
+            gen.heap.push(slot);
         }
         gen
     }
@@ -227,9 +247,17 @@ impl WorkloadGenerator {
         QueryRef { class, rank, item }
     }
 
-    /// Generate one full session for slot `idx` starting at `t0` and queue
-    /// its events.
-    fn start_session(&mut self, idx: usize, t0: SimTime) {
+    /// Heap entry for slot `idx`'s next event at `at`, numbered in
+    /// schedule order to break time ties.
+    fn slot(&mut self, at: SimTime, idx: usize) -> Slot {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        Slot { at, seq, idx }
+    }
+
+    /// Generate one full session for slot `idx` starting at `t0`, queue
+    /// its events, and return the time of its first.
+    fn start_session(&mut self, idx: usize, t0: SimTime) -> SimTime {
         let mut rng = self.seq.rng_indexed("session", self.sessions_started);
         self.sessions_started += 1;
         let peer = PeerId(self.next_peer);
@@ -256,9 +284,8 @@ impl WorkloadGenerator {
             // Step 3: connected session length.
             // §4.4: observed passive sessions top out at 17–50 hours.
             let d = self
-                .model
-                .passive_duration_dist(region, peak)
-                .expect("model valid")
+                .laws
+                .passive_duration(region, peak)
                 .sample(&mut rng)
                 .min(50.0 * 3_600.0);
             q.push_back(WorkloadEvent::SessionEnd {
@@ -267,24 +294,15 @@ impl WorkloadGenerator {
             });
         } else {
             // Step 4(a): number of queries.
-            let n = (self
-                .model
-                .queries_dist(region)
-                .expect("model valid")
-                .sample(&mut rng)
-                .ceil() as u32)
+            let n = (self.laws.queries(region).sample(&mut rng).ceil() as u32)
                 .clamp(1, self.model.max_queries);
             // Step 4(b): time until first query.
             let mut t = self
-                .model
-                .first_query_dist(region, peak, n)
-                .expect("model valid")
+                .laws
+                .first_query(region, peak, n)
                 .sample(&mut rng)
                 .min(100_000.0);
-            let ia = self
-                .model
-                .interarrival_dist(region, peak, n)
-                .expect("model valid");
+            let ia = *self.laws.interarrival(region, peak, n);
             let mut events = Vec::with_capacity(n as usize + 1);
             for k in 0..n {
                 if k > 0 {
@@ -297,9 +315,8 @@ impl WorkloadGenerator {
             }
             // Step 4(d): time after the last query.
             let after = self
-                .model
-                .time_after_last_dist(region, peak, n)
-                .expect("model valid")
+                .laws
+                .time_after_last(region, peak, n)
                 .sample(&mut rng)
                 .min(100_000.0);
             let end = t0 + SimDuration::from_secs_f64(t + after);
@@ -310,10 +327,7 @@ impl WorkloadGenerator {
             q.push_back(WorkloadEvent::SessionEnd { peer, at: end });
         }
 
-        let at = self.pending[idx].front().expect("session has events").at();
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Slot { at, seq, idx });
+        self.pending[idx].front().expect("session has events").at()
     }
 }
 
@@ -321,27 +335,28 @@ impl Iterator for WorkloadGenerator {
     type Item = WorkloadEvent;
 
     fn next(&mut self) -> Option<WorkloadEvent> {
-        let slot = self.heap.pop()?;
-        let ev = self.pending[slot.idx]
+        let top = self.heap.peek()?;
+        let idx = top.idx;
+        let ev = self.pending[idx]
             .pop_front()
             .expect("heap entry implies pending event");
-        debug_assert_eq!(ev.at(), slot.at);
-        if let WorkloadEvent::SessionEnd { at, .. } = ev {
+        debug_assert_eq!(ev.at(), top.at);
+        let at = if let WorkloadEvent::SessionEnd { at, .. } = ev {
             // Steady state: the departed peer is replaced immediately.
-            self.start_session(slot.idx, at);
+            self.start_session(idx, at)
         } else {
-            let at = self.pending[slot.idx]
+            self.pending[idx]
                 .front()
                 .expect("session continues after non-end event")
-                .at();
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.heap.push(Slot {
-                at,
-                seq,
-                idx: slot.idx,
-            });
-        }
+                .at()
+        };
+        // The slot's next event replaces it at the top: one sift down
+        // when the guard drops, where pop + push would sift twice.
+        let slot = self.slot(at, idx);
+        *self
+            .heap
+            .peek_mut()
+            .expect("the slot read above is still the top") = slot;
         Some(ev)
     }
 }
@@ -545,5 +560,110 @@ mod tests {
                 ..small_cfg(1)
             },
         );
+    }
+
+    /// Events up to `until`, sessions started, and an FNV-1a digest of
+    /// every field of every event.
+    fn stream_digest(gen: &mut WorkloadGenerator, until: SimTime) -> (u64, u64, u64) {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut fnv = |v: u64| {
+            for b in v.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x100_0000_01b3);
+            }
+        };
+        let events = gen.events_until(until);
+        for ev in &events {
+            match *ev {
+                WorkloadEvent::SessionStart {
+                    peer,
+                    region,
+                    at,
+                    passive,
+                } => {
+                    fnv(0);
+                    fnv(peer.0);
+                    fnv(region.index() as u64);
+                    fnv(at.as_millis());
+                    fnv(u64::from(passive));
+                }
+                WorkloadEvent::Query { peer, at, query } => {
+                    fnv(1);
+                    fnv(peer.0);
+                    fnv(at.as_millis());
+                    fnv(query.class.index() as u64);
+                    fnv(query.rank);
+                    fnv(query.item);
+                }
+                WorkloadEvent::SessionEnd { peer, at } => {
+                    fnv(2);
+                    fnv(peer.0);
+                    fnv(at.as_millis());
+                }
+            }
+        }
+        (events.len() as u64, gen.sessions_started(), h)
+    }
+
+    /// Fixed-seed regression of the whole event stream, in two shapes.
+    /// At hour 20 every peer joins at t = 0, so the start order is
+    /// decided by the heap's tie-break alone. The rolling clock runs
+    /// 3.5 virtual days, so each day's hot set is ranked and the oldest
+    /// ranking evicted. Re-pin only for an intended change of the
+    /// stream, never for a refactor or a speedup.
+    #[test]
+    fn event_stream_pinned() {
+        let model = WorkloadModel::paper_default();
+        let mut fixed = WorkloadGenerator::new(
+            &model,
+            GeneratorConfig {
+                n_peers: 200,
+                seed: 12,
+                fixed_hour: Some(20),
+                start: SimTime::ZERO,
+                warmup: SimDuration::ZERO,
+            },
+        );
+        let fixed = stream_digest(&mut fixed, SimTime::from_secs(86_400));
+        let mut rolling = WorkloadGenerator::new(
+            &model,
+            GeneratorConfig {
+                n_peers: 500,
+                seed: 13,
+                fixed_hour: None,
+                ..GeneratorConfig::default()
+            },
+        );
+        let until = SimTime::from_secs(3 * 86_400 + 43_200);
+        let rolled = stream_digest(&mut rolling, until);
+        let ranked: Vec<u64> = rolling.classes[QueryClass::NaOnly.index()]
+            .recent
+            .iter()
+            .map(|(day, _)| *day)
+            .collect();
+        assert_eq!(ranked, [2, 3], "days 0 and 1 were ranked, then evicted");
+        assert_eq!(
+            (fixed, rolled),
+            (
+                (14_706, 5_938, 1_909_410_956_276_047_149),
+                (73_233, 28_941, 2_653_261_160_807_947_428),
+            ),
+            "generated event stream changed"
+        );
+    }
+
+    /// The laws are built when the generator is: a bad North America
+    /// non-peak passive law fails at construction, although at hour 20
+    /// (NA peak) no session would ever sample it.
+    #[test]
+    #[should_panic(
+        expected = "passive_duration[North America][non-peak]: parameter `sigma` = -1 invalid"
+    )]
+    fn invalid_law_fails_at_construction() {
+        let mut model = WorkloadModel::paper_default();
+        model.passive_duration[Region::NorthAmerica.index()][1]
+            .tail
+            .sigma = -1.0;
+        let _ = WorkloadGenerator::new(&model, small_cfg(1));
     }
 }

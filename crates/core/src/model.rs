@@ -3,14 +3,16 @@
 //! [`WorkloadModel`] is a plain, serializable parameter set; call
 //! [`WorkloadModel::paper_default`] for the appendix-table values, load
 //! one from JSON, or derive one from a trace with [`crate::calibrate()`].
-//! Distribution objects are materialized on demand through the accessor
-//! methods (cheaply, except the popularity rank tables which the
-//! generator caches).
+//! [`WorkloadModel::laws`] builds every Table A.1–A.5 law once, one per
+//! region × period × query-count-class cell, and is where a model's
+//! session laws are validated; the popularity rank laws are built by
+//! [`ClassPopularity::build_law`].
 
 use geoip::{DiurnalModel, Region};
 use serde::{Deserialize, Serialize};
 use stats::dist::{BodyTail, Lognormal, Pareto, Truncated, TwoPieceZipf, Weibull, Zipf};
 use stats::StatsError;
+use std::fmt;
 
 /// Lognormal parameters (σ, µ — appendix order).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -94,6 +96,19 @@ pub fn last_query_class(n_queries: u32) -> usize {
         0 | 1 => 0,
         2..=7 => 1,
         _ => 2,
+    }
+}
+
+/// Labels of the [`first_query_class`] and [`last_query_class`] indices.
+const FIRST_CLASS_LABELS: [&str; FIRST_QUERY_CLASSES] = ["n < 3", "n = 3", "n > 3"];
+const LAST_CLASS_LABELS: [&str; LAST_QUERY_CLASSES] = ["n = 1", "n 2–7", "n > 7"];
+
+/// Index of the `[peak, non-peak]` axis of the law tables.
+fn period_index(peak: bool) -> usize {
+    if peak {
+        0
+    } else {
+        1
     }
 }
 
@@ -528,72 +543,47 @@ impl WorkloadModel {
         }
     }
 
-    // --- Distribution accessors -------------------------------------------
-
-    fn period_index(peak: bool) -> usize {
-        if peak {
-            0
-        } else {
-            1
-        }
-    }
-
-    /// Passive session duration distribution (seconds), body additionally
-    /// truncated at [`WorkloadModel::min_session_secs`].
-    pub fn passive_duration_dist(
-        &self,
-        region: Region,
-        peak: bool,
-    ) -> Result<BodyTail<Truncated<Lognormal>, Lognormal>, StatsError> {
-        let p = &self.passive_duration[region.index()][Self::period_index(peak)];
-        let body = Truncated::new(p.body.dist()?, self.min_session_secs, p.split)?;
-        BodyTail::new(body, p.tail.dist()?, p.split, p.body_weight)
-    }
-
-    /// Queries-per-active-session distribution (continuous; round up).
-    pub fn queries_dist(&self, region: Region) -> Result<Lognormal, StatsError> {
-        self.queries_per_session[region.index()].dist()
-    }
-
-    /// Time-until-first-query distribution (seconds).
-    pub fn first_query_dist(
-        &self,
-        region: Region,
-        peak: bool,
-        n_queries: u32,
-    ) -> Result<BodyTail<Weibull, Lognormal>, StatsError> {
-        let p = &self.first_query[region.index()][Self::period_index(peak)]
-            [first_query_class(n_queries)];
-        BodyTail::new(p.body.dist()?, p.tail.dist()?, p.split, p.body_weight)
-    }
-
-    /// Query-interarrival distribution (seconds).
-    pub fn interarrival_dist(
-        &self,
-        region: Region,
-        peak: bool,
-        n_queries: u32,
-    ) -> Result<BodyTail<Lognormal, Pareto>, StatsError> {
+    /// Build every Table A.1–A.5 law once: one per region × period ×
+    /// query-count-class cell. Fails on the first cell whose parameters
+    /// are invalid, naming it.
+    pub fn laws(&self) -> Result<ModelLaws, LawError> {
+        let passive = |r: usize, p: usize| {
+            let c = &self.passive_duration[r][p];
+            let body = Truncated::new(c.body.dist()?, self.min_session_secs, c.split)?;
+            BodyTail::new(body, c.tail.dist()?, c.split, c.body_weight)
+        };
+        let first = |r: usize, p: usize, c: usize| {
+            let f = &self.first_query[r][p][c];
+            BodyTail::new(f.body.dist()?, f.tail.dist()?, f.split, f.body_weight)
+        };
         let ia = &self.interarrival;
-        let pi = Self::period_index(peak);
-        let mut mu = ia.body[pi].mu + ia.mu_shift[region.index()];
-        if region == Region::Europe {
-            mu += ia.eu_count_shift[first_query_class(n_queries)];
-        }
-        let body = Lognormal::new(mu, ia.body[pi].sigma)?;
-        let tail = ia.tail[pi].dist()?;
-        BodyTail::new(body, tail, ia.split, ia.body_weight[region.index()])
-    }
-
-    /// Time-after-last-query distribution (seconds).
-    pub fn time_after_last_dist(
-        &self,
-        region: Region,
-        peak: bool,
-        n_queries: u32,
-    ) -> Result<Lognormal, StatsError> {
-        self.time_after_last[region.index()][Self::period_index(peak)][last_query_class(n_queries)]
-            .dist()
+        // Europe's count shift is indexed by the Table A.3 classes; the
+        // other regions' three cells hold the same law.
+        let interarrival = |r: usize, p: usize, c: usize| {
+            let mut mu = ia.body[p].mu + ia.mu_shift[r];
+            if REGIONS[r] == Region::Europe {
+                mu += ia.eu_count_shift[c];
+            }
+            let body = Lognormal::new(mu, ia.body[p].sigma)?;
+            BodyTail::new(body, ia.tail[p].dist()?, ia.split, ia.body_weight[r])
+        };
+        Ok(ModelLaws {
+            passive_duration: cells(|r| {
+                cells(|p| {
+                    passive(r, p).map_err(|e| LawError::at("passive_duration", r, Some(p), None, e))
+                })
+            })?,
+            queries: cells(|r| {
+                self.queries_per_session[r]
+                    .dist()
+                    .map_err(|e| LawError::at("queries_per_session", r, None, None, e))
+            })?,
+            first_query: grid("first_query", FIRST_CLASS_LABELS, first)?,
+            interarrival: grid("interarrival", FIRST_CLASS_LABELS, interarrival)?,
+            time_after_last: grid("time_after_last", LAST_CLASS_LABELS, |r, p, c| {
+                self.time_after_last[r][p][c].dist()
+            })?,
+        })
     }
 
     /// Serialize to pretty JSON.
@@ -607,46 +597,181 @@ impl WorkloadModel {
     }
 }
 
+/// Every Table A.1–A.5 law of a [`WorkloadModel`], built once by
+/// [`WorkloadModel::laws`] and looked up by `(region, peak, n_queries)`.
+#[derive(Debug, Clone)]
+pub struct ModelLaws {
+    passive_duration: [[BodyTail<Truncated<Lognormal>, Lognormal>; 2]; 4],
+    queries: [Lognormal; 4],
+    first_query: [[[BodyTail<Weibull, Lognormal>; FIRST_QUERY_CLASSES]; 2]; 4],
+    /// Indexed by [`first_query_class`], the classes of Europe's count
+    /// shift.
+    interarrival: [[[BodyTail<Lognormal, Pareto>; FIRST_QUERY_CLASSES]; 2]; 4],
+    time_after_last: [[[Lognormal; LAST_QUERY_CLASSES]; 2]; 4],
+}
+
+impl ModelLaws {
+    /// Passive session duration (seconds, Table A.1), body additionally
+    /// truncated at [`WorkloadModel::min_session_secs`].
+    pub fn passive_duration(
+        &self,
+        region: Region,
+        peak: bool,
+    ) -> &BodyTail<Truncated<Lognormal>, Lognormal> {
+        &self.passive_duration[region.index()][period_index(peak)]
+    }
+
+    /// Queries per active session (Table A.2; continuous, round up).
+    pub fn queries(&self, region: Region) -> &Lognormal {
+        &self.queries[region.index()]
+    }
+
+    /// Time until the first query (seconds, Table A.3).
+    pub fn first_query(
+        &self,
+        region: Region,
+        peak: bool,
+        n_queries: u32,
+    ) -> &BodyTail<Weibull, Lognormal> {
+        &self.first_query[region.index()][period_index(peak)][first_query_class(n_queries)]
+    }
+
+    /// Query interarrival time (seconds, Table A.4 with the Figure 8
+    /// conditioning).
+    pub fn interarrival(
+        &self,
+        region: Region,
+        peak: bool,
+        n_queries: u32,
+    ) -> &BodyTail<Lognormal, Pareto> {
+        &self.interarrival[region.index()][period_index(peak)][first_query_class(n_queries)]
+    }
+
+    /// Time after the last query (seconds, Table A.5).
+    pub fn time_after_last(&self, region: Region, peak: bool, n_queries: u32) -> &Lognormal {
+        &self.time_after_last[region.index()][period_index(peak)][last_query_class(n_queries)]
+    }
+}
+
+/// `[f(0), …, f(N − 1)]`, or the first error.
+fn cells<T, const N: usize>(
+    mut f: impl FnMut(usize) -> Result<T, LawError>,
+) -> Result<[T; N], LawError> {
+    let mut out = Vec::with_capacity(N);
+    for i in 0..N {
+        out.push(f(i)?);
+    }
+    Ok(out
+        .try_into()
+        .unwrap_or_else(|_| unreachable!("one value per index")))
+}
+
+/// A `[region][period][count class]` law table, naming the first cell
+/// `build` fails on.
+fn grid<T, const C: usize>(
+    table: &str,
+    labels: [&str; C],
+    build: impl Fn(usize, usize, usize) -> Result<T, StatsError>,
+) -> Result<[[[T; C]; 2]; 4], LawError> {
+    cells(|r| {
+        cells(|p| {
+            cells(|c| {
+                build(r, p, c).map_err(|e| LawError::at(table, r, Some(p), Some(labels[c]), e))
+            })
+        })
+    })
+}
+
+/// A [`WorkloadModel`] law that cannot be built.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LawError {
+    /// The table cell, e.g. `passive_duration[North America][non-peak]`.
+    pub cell: String,
+    /// Why its parameters are invalid.
+    pub source: StatsError,
+}
+
+impl LawError {
+    /// The error of cell `[r][period][class]` of `table`; a table without
+    /// a period or count-class axis passes `None`.
+    fn at(
+        table: &str,
+        r: usize,
+        period: Option<usize>,
+        class: Option<&str>,
+        source: StatsError,
+    ) -> LawError {
+        let mut cell = format!("{table}[{}]", REGIONS[r]);
+        if let Some(p) = period {
+            cell += ["[peak]", "[non-peak]"][p];
+        }
+        if let Some(class) = class {
+            cell += &format!("[{class}]");
+        }
+        LawError { cell, source }
+    }
+}
+
+impl fmt::Display for LawError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}: {}", self.cell, self.source)
+    }
+}
+
+impl std::error::Error for LawError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        Some(&self.source)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use stats::dist::Continuous;
 
+    /// Every cell of every table builds: all of them at once in
+    /// `laws()`, and each rank law.
     #[test]
     fn default_model_materializes_all_distributions() {
         let m = WorkloadModel::paper_default();
-        for region in Region::ALL {
-            for peak in [true, false] {
-                assert!(m.passive_duration_dist(region, peak).is_ok());
-                for n in [1, 3, 10] {
-                    assert!(m.first_query_dist(region, peak, n).is_ok());
-                    assert!(m.interarrival_dist(region, peak, n).is_ok());
-                    assert!(m.time_after_last_dist(region, peak, n).is_ok());
-                }
-            }
-            assert!(m.queries_dist(region).is_ok());
-        }
+        assert!(m.laws().is_ok());
         for c in &m.popularity.classes {
             assert!(c.build_law().is_ok());
         }
     }
 
     #[test]
+    fn invalid_cell_is_named() {
+        let mut m = WorkloadModel::paper_default();
+        m.first_query[Region::Asia.index()][1][2].tail.sigma = -1.0;
+        let e = m.laws().unwrap_err();
+        assert_eq!(e.cell, "first_query[Asia][non-peak][n > 3]");
+        assert!(matches!(
+            e.source,
+            StatsError::BadParameter { name: "sigma", .. }
+        ));
+        assert!(e
+            .to_string()
+            .starts_with("first_query[Asia][non-peak][n > 3]: "));
+    }
+
+    #[test]
     fn figure_anchors_hold() {
         let m = WorkloadModel::paper_default();
+        let laws = m.laws().unwrap();
         // Figure 5(a): P(passive duration < 2 min), peak.
-        let at2 = |r| m.passive_duration_dist(r, true).unwrap().cdf(120.0);
+        let at2 = |r| laws.passive_duration(r, true).cdf(120.0);
         assert!((at2(Region::Asia) - 0.85).abs() < 1e-9);
         assert!((at2(Region::NorthAmerica) - 0.75).abs() < 1e-9);
         assert!((at2(Region::Europe) - 0.55).abs() < 1e-9);
         // Figure 8(a): P(interarrival < 103 s).
-        let ia = |r| m.interarrival_dist(r, true, 5).unwrap().cdf(103.0);
+        let ia = |r| laws.interarrival(r, true, 5).cdf(103.0);
         assert!((ia(Region::Europe) - 0.90).abs() < 1e-9);
         assert!((ia(Region::NorthAmerica) - 0.70).abs() < 1e-9);
         // Figure 6(a): Europe issues more queries.
         assert!(
-            m.queries_dist(Region::Europe).unwrap().mean().unwrap()
-                > m.queries_dist(Region::Asia).unwrap().mean().unwrap()
+            laws.queries(Region::Europe).mean().unwrap()
+                > laws.queries(Region::Asia).mean().unwrap()
         );
     }
 
@@ -677,12 +802,12 @@ mod tests {
 
     #[test]
     fn eu_interarrival_conditioning_na_flat() {
-        let m = WorkloadModel::paper_default();
-        let eu_few = m.interarrival_dist(Region::Europe, true, 2).unwrap();
-        let eu_many = m.interarrival_dist(Region::Europe, true, 20).unwrap();
+        let laws = WorkloadModel::paper_default().laws().unwrap();
+        let eu_few = laws.interarrival(Region::Europe, true, 2);
+        let eu_many = laws.interarrival(Region::Europe, true, 20);
         assert!(eu_few.quantile(0.5) > eu_many.quantile(0.5));
-        let na_few = m.interarrival_dist(Region::NorthAmerica, true, 2).unwrap();
-        let na_many = m.interarrival_dist(Region::NorthAmerica, true, 20).unwrap();
+        let na_few = laws.interarrival(Region::NorthAmerica, true, 2);
+        let na_many = laws.interarrival(Region::NorthAmerica, true, 20);
         assert_eq!(na_few.quantile(0.5), na_many.quantile(0.5));
     }
 

@@ -344,7 +344,7 @@ impl<M: 'static> Simulator<M> {
 
     /// Process a single event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some((at, _, ev)) = self.queue.pop() else {
+        let Some((at, ev)) = self.queue.pop() else {
             return false;
         };
         self.dispatch_event(at, ev);
@@ -358,7 +358,7 @@ impl<M: 'static> Simulator<M> {
     /// `until` against the minimum its cursor-bucket walk finds anyway,
     /// so events past `until` are never popped.
     pub fn run_until(&mut self, until: SimTime) {
-        while let Some((at, _, ev)) = self.queue.pop_at_or_before(until) {
+        while let Some((at, ev)) = self.queue.pop_at_or_before(until) {
             self.dispatch_event(at, ev);
         }
         if self.now < until {

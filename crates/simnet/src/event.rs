@@ -260,12 +260,11 @@ impl<E> EventQueue<E> {
         Self::default()
     }
 
-    /// Schedule `payload` at absolute time `at`; returns the sequence
-    /// number assigned, the last tie-break of the pop order.
+    /// Schedule `payload` at absolute time `at`.
     ///
     /// Unkeyed events sort after all keyed events at the same instant,
     /// FIFO among themselves.
-    pub fn push(&mut self, at: SimTime, payload: E) -> u64 {
+    pub fn push(&mut self, at: SimTime, payload: E) {
         self.push_keyed(at, UNKEYED_LANE, u64::MAX, payload)
     }
 
@@ -276,7 +275,7 @@ impl<E> EventQueue<E> {
     /// — independent of how many *other* events were scheduled in
     /// between, which is what lets an elided-fidelity execution replay
     /// the exact tie order of the full one.
-    pub fn push_keyed(&mut self, at: SimTime, lane: u32, key: u64, payload: E) -> u64 {
+    pub fn push_keyed(&mut self, at: SimTime, lane: u32, key: u64, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
         let k = EventKey { at, lane, key, seq };
@@ -288,7 +287,6 @@ impl<E> EventQueue<E> {
             self.far_pushed += 1;
         }
         self.peak_len = self.peak_len.max(self.len());
-        seq
     }
 
     /// Store an event in a slab node, reusing the most recently freed
@@ -349,7 +347,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Pop the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(SimTime, u64, E)> {
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.pop_at_or_before(SimTime::from_millis(u64::MAX))
     }
 
@@ -359,7 +357,7 @@ impl<E> EventQueue<E> {
     /// on an empty cursor bucket the occupancy-bitmap search for the
     /// next instant, before the wheel advances — so a bounded event loop
     /// pays one bucket walk per event, and a refused pop moves nothing.
-    pub fn pop_at_or_before(&mut self, limit: SimTime) -> Option<(SimTime, u64, E)> {
+    pub fn pop_at_or_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
         if self.is_empty() {
             return None;
         }
@@ -406,7 +404,7 @@ impl<E> EventQueue<E> {
         }
         self.l0_len -= 1;
         self.popped += 1;
-        Some((min_k.at, min_k.seq, payload))
+        Some((min_k.at, payload))
     }
 
     /// Earliest timestamp in the bucket list that starts at node `i`, in
@@ -625,7 +623,7 @@ mod tests {
         q.push(SimTime::from_secs(5), "c");
         q.push(SimTime::from_secs(1), "a");
         q.push(SimTime::from_secs(3), "b");
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, _, p)| p)).collect();
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
         assert_eq!(order, ["a", "b", "c"]);
     }
 
@@ -636,7 +634,7 @@ mod tests {
         for i in 0..100 {
             q.push(t, i);
         }
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, _, p)| p)).collect();
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
@@ -645,12 +643,12 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(SimTime::from_secs(10), 10);
         q.push(SimTime::from_secs(2), 2);
-        assert_eq!(q.pop().unwrap().2, 2);
+        assert_eq!(q.pop().unwrap().1, 2);
         q.push(SimTime::from_secs(5), 5);
         q.push(SimTime::from_secs(1), 1); // in the "past" — still pops first
-        assert_eq!(q.pop().unwrap().2, 1);
-        assert_eq!(q.pop().unwrap().2, 5);
-        assert_eq!(q.pop().unwrap().2, 10);
+        assert_eq!(q.pop().unwrap().1, 1);
+        assert_eq!(q.pop().unwrap().1, 5);
+        assert_eq!(q.pop().unwrap().1, 10);
         assert!(q.pop().is_none());
         assert_eq!(q.popped(), 4);
     }
@@ -667,7 +665,7 @@ mod tests {
         assert_eq!(q.len(), 2);
         assert_eq!(q.pop_at_or_before(SimTime::from_millis(1_999)), None);
         assert_eq!(q.len(), 2);
-        let (at, _, ()) = q.pop_at_or_before(SimTime::from_secs(2)).unwrap();
+        let (at, ()) = q.pop_at_or_before(SimTime::from_secs(2)).unwrap();
         assert_eq!(at, SimTime::from_secs(2));
         assert_eq!(q.len(), 1);
     }
@@ -703,13 +701,13 @@ mod tests {
         let t = SimTime::from_millis(10_000); // beyond the L0 window
         q.push(t, "coarse-path"); // seq 0
         q.push(SimTime::from_millis(1), "near"); // seq 1
-        assert_eq!(q.pop().unwrap().2, "near");
+        assert_eq!(q.pop().unwrap().1, "near");
         // The window has advanced to 1 ms; t is still beyond it. The
         // next pop jumps straight to t, cascading the coarse event into
         // its L0 bucket — a direct push at t must queue *behind* it.
         q.push(t, "direct-path"); // seq 2
-        assert_eq!(q.pop().unwrap(), (t, 0, "coarse-path"));
-        assert_eq!(q.pop().unwrap(), (t, 2, "direct-path"));
+        assert_eq!(q.pop().unwrap(), (t, "coarse-path"));
+        assert_eq!(q.pop().unwrap(), (t, "direct-path"));
         assert!(q.pop().is_none());
     }
 
@@ -723,10 +721,10 @@ mod tests {
         q.push(t, "far-path"); // seq 0
         assert_eq!(q.far_pushed(), 1);
         q.push(SimTime::from_millis(3), "near"); // seq 1
-        assert_eq!(q.pop().unwrap().2, "near");
+        assert_eq!(q.pop().unwrap().1, "near");
         q.push(t, "direct-path"); // seq 2 — still beyond L2 from 3 ms
-        assert_eq!(q.pop().unwrap(), (t, 0, "far-path"));
-        assert_eq!(q.pop().unwrap(), (t, 2, "direct-path"));
+        assert_eq!(q.pop().unwrap(), (t, "far-path"));
+        assert_eq!(q.pop().unwrap(), (t, "direct-path"));
         assert!(q.pop().is_none());
         assert_eq!(q.migrated(), 2);
     }
@@ -738,23 +736,23 @@ mod tests {
     fn matches_reference_order_under_churn() {
         let mut rng = StdRng::seed_from_u64(12345);
         let mut q = EventQueue::new();
-        let mut reference: Vec<(SimTime, u64, u64)> = Vec::new();
+        let mut reference: Vec<(SimTime, u64)> = Vec::new();
         let mut now = SimTime::ZERO;
         let mut next_tag = 0u64;
         for round in 0..2_000 {
             let pushes = rng.gen_range(0..4);
             for _ in 0..pushes {
                 let at = now + crate::time::SimDuration::from_millis(rng.gen_range(0..5_000));
-                let seq = q.push(at, next_tag);
-                reference.push((at, seq, next_tag));
+                q.push(at, next_tag);
+                reference.push((at, next_tag));
                 next_tag += 1;
             }
             if round % 3 == 0 {
-                if let Some((at, seq, tag)) = q.pop() {
+                if let Some((at, tag)) = q.pop() {
                     now = at;
                     reference.sort();
                     let expect = reference.remove(0);
-                    assert_eq!((at, seq, tag), expect);
+                    assert_eq!((at, tag), expect);
                 }
             }
         }
@@ -771,7 +769,7 @@ mod tests {
     fn matches_reference_order_across_idle_gaps() {
         let mut rng = StdRng::seed_from_u64(999);
         let mut q = EventQueue::new();
-        let mut reference: Vec<(SimTime, u64, u64)> = Vec::new();
+        let mut reference: Vec<(SimTime, u64)> = Vec::new();
         let mut now = SimTime::ZERO;
         let mut next_tag = 0u64;
         for _burst in 0..50 {
@@ -783,8 +781,8 @@ mod tests {
                     rng.gen_range(60_000..300_000)
                 };
                 let at = now + crate::time::SimDuration::from_millis(delay);
-                let seq = q.push(at, next_tag);
-                reference.push((at, seq, next_tag));
+                q.push(at, next_tag);
+                reference.push((at, next_tag));
                 next_tag += 1;
             }
             for _ in 0..rng.gen_range(0..4) {
@@ -808,7 +806,7 @@ mod tests {
     fn matches_reference_order_across_all_levels() {
         let mut rng = StdRng::seed_from_u64(4242);
         let mut q = EventQueue::new();
-        let mut reference: Vec<(SimTime, u64, u64)> = Vec::new();
+        let mut reference: Vec<(SimTime, u64)> = Vec::new();
         let mut now = SimTime::ZERO;
         let mut next_tag = 0u64;
         for _burst in 0..40 {
@@ -820,8 +818,8 @@ mod tests {
                     _ => rng.gen_range(134_479_872..500_000_000), // far
                 };
                 let at = now + crate::time::SimDuration::from_millis(delay);
-                let seq = q.push(at, next_tag);
-                reference.push((at, seq, next_tag));
+                q.push(at, next_tag);
+                reference.push((at, next_tag));
                 next_tag += 1;
             }
             for _ in 0..rng.gen_range(0..5) {
@@ -852,7 +850,7 @@ mod tests {
         q.push_keyed(t, 2, 3, "lane2-key3");
         q.push_keyed(t, 0, 1, "lane0-key1");
         q.push(t, "unkeyed-1");
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, _, p)| p)).collect();
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
         assert_eq!(
             order,
             [
@@ -874,9 +872,9 @@ mod tests {
         q.push_keyed(t, 5, 0, "b");
         q.push_keyed(t, 1, 4, "a");
         q.push(SimTime::from_millis(1), "near");
-        assert_eq!(q.pop().unwrap().2, "near");
+        assert_eq!(q.pop().unwrap().1, "near");
         q.push_keyed(t, 0, 2, "direct"); // still coarse from 1 ms
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, _, p)| p)).collect();
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
         assert_eq!(order, ["direct", "a", "b"]);
     }
 
@@ -892,15 +890,15 @@ mod tests {
         // Earliest event is beyond the limit: nothing pops, nothing moves.
         assert_eq!(q.pop_at_or_before(SimTime::from_millis(99)), None);
         assert_eq!(q.len(), 2);
-        // Within the limit: pops normally, with the same seq stream.
-        let (at, _, p) = q.pop_at_or_before(SimTime::from_millis(100)).unwrap();
+        // Within the limit: pops normally.
+        let (at, p) = q.pop_at_or_before(SimTime::from_millis(100)).unwrap();
         assert_eq!((at, p), (SimTime::from_millis(100), "far-ish"));
         // The L1 resident needs a wheel advance; the limit check happens
         // before the advance, so a refused pop leaves the cursor alone.
         assert_eq!(q.pop_at_or_before(SimTime::from_millis(500_000)), None);
         assert_eq!(q.pop_at_or_before(SimTime::from_millis(699_999)), None);
         assert_eq!(q.len(), 1);
-        let (at, _, p) = q.pop_at_or_before(SimTime::from_millis(u64::MAX)).unwrap();
+        let (at, p) = q.pop_at_or_before(SimTime::from_millis(u64::MAX)).unwrap();
         assert_eq!((at, p), (SimTime::from_millis(700_000), "l1"));
         assert!(q.is_empty());
         assert_eq!(q.pop_at_or_before(SimTime::from_millis(u64::MAX)), None);
@@ -926,7 +924,7 @@ mod tests {
         }
         let mut saw_l2 = false;
         for i in PENDING as u64..120_000 {
-            let (at, _, _) = q.pop().expect("the queue holds PENDING events");
+            let (at, _) = q.pop().expect("the queue holds PENDING events");
             q.push(SimTime::from_millis(at.as_millis() + delay(&mut rng)), i);
             saw_l2 |= q.l2_len > 0;
             assert!(q.len() <= PENDING);

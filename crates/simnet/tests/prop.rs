@@ -66,7 +66,7 @@ proptest! {
         }
         let mut last: Option<(SimTime, usize)> = None;
         let mut popped = 0usize;
-        while let Some((at, _, (idx, _))) = q.pop() {
+        while let Some((at, (idx, _))) = q.pop() {
             popped += 1;
             if let Some((pt, pidx)) = last {
                 prop_assert!(at >= pt, "time order violated");
@@ -79,31 +79,32 @@ proptest! {
         prop_assert_eq!(popped, entries.len());
     }
 
-    /// Model check against a reference `BinaryHeap<Reverse<(time, seq)>>`:
-    /// interleaved pushes and pops must pop the exact same `(time, seq,
-    /// payload)` sequence. Push horizons span every wheel level plus the
-    /// far heap, pops interleave so the cursor crosses frame and chunk
-    /// boundaries mid-stream, and `PushTie` manufactures exact-timestamp
-    /// bursts that exercise the FIFO tie-break.
+    /// Model check against a reference `BinaryHeap<Reverse<(time, push
+    /// index)>>`: interleaved pushes and pops must pop the exact same
+    /// `(time, payload)` sequence, where each payload is its push index,
+    /// the FIFO tie-break among equal times. Push horizons span every
+    /// wheel level plus the far heap, pops interleave so the cursor
+    /// crosses frame and chunk boundaries mid-stream, and `PushTie`
+    /// manufactures exact-timestamp bursts that exercise the FIFO
+    /// tie-break.
     #[test]
     fn wheel_matches_binary_heap_model(
         ops in proptest::collection::vec(queue_op(), 1..400),
     ) {
         let mut q = EventQueue::new();
-        let mut model: BinaryHeap<Reverse<(u64, u64, u64)>> = BinaryHeap::new();
+        let mut model: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
         let mut now = 0u64;
         let mut next_id = 0u64;
         let check_pop = |q: &mut EventQueue<u64>,
-                         model: &mut BinaryHeap<Reverse<(u64, u64, u64)>>,
+                         model: &mut BinaryHeap<Reverse<(u64, u64)>>,
                          now: &mut u64| {
             let got = q.pop();
             let want = model.pop();
             match (got, want) {
                 (None, None) => {}
-                (Some((at, seq, id)), Some(Reverse((mt, mseq, mid)))) => {
+                (Some((at, id)), Some(Reverse((mt, mid)))) => {
                     prop_assert_eq!(at.as_millis(), mt, "pop time diverged from model");
-                    prop_assert_eq!(seq, mseq, "pop seq diverged from model");
-                    prop_assert_eq!(id, mid, "pop payload diverged from model");
+                    prop_assert_eq!(id, mid, "pop order diverged from model");
                     *now = mt;
                 }
                 (g, w) => prop_assert!(false, "emptiness diverged: queue {g:?} vs model {w:?}"),
@@ -119,8 +120,8 @@ proptest! {
                 let at = now + delay;
                 let id = next_id;
                 next_id += 1;
-                let seq = q.push(SimTime::from_millis(at), id);
-                model.push(Reverse((at, seq, id)));
+                q.push(SimTime::from_millis(at), id);
+                model.push(Reverse((at, id)));
             } else {
                 check_pop(&mut q, &mut model, &mut now);
             }
@@ -137,8 +138,10 @@ proptest! {
 /// Fixed-seed regression: a smoke-campaign-shaped workload (every wheel
 /// level plus the far heap, with interleaved partial drains) must keep
 /// popping in exactly the order it does today. The pinned digest is the
-/// FNV-1a of the full `(time, seq, payload)` pop stream — any reordering
-/// or lost/duplicated event changes it.
+/// FNV-1a of the full pop stream, hashing each event's time, its push
+/// index (the queue's own sequence number: a fresh queue numbers pushes
+/// from 0) and its payload, which is that same index — any reordering or
+/// lost/duplicated event changes it.
 #[test]
 fn fixed_seed_pop_order_regression() {
     use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -171,9 +174,9 @@ fn fixed_seed_pop_order_regression() {
         // has crossed frame/chunk boundaries; the final round drains all.
         let drain = if round == 63 { usize::MAX } else { 24 };
         for _ in 0..drain {
-            let Some((at, seq, pid)) = q.pop() else { break };
+            let Some((at, pid)) = q.pop() else { break };
             fnv(&mut h, at.as_millis());
-            fnv(&mut h, seq);
+            fnv(&mut h, pid);
             fnv(&mut h, pid);
             popped += 1;
             now = at.as_millis();

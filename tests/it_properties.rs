@@ -113,7 +113,7 @@ proptest! {
         }
         let mut prev = SimTime::ZERO;
         let mut count = 0;
-        while let Some((at, _, _)) = q.pop() {
+        while let Some((at, _)) = q.pop() {
             prop_assert!(at >= prev);
             prev = at;
             count += 1;
