@@ -22,8 +22,7 @@ use geoip::{GeoDb, Region};
 use gnutella::QueryId;
 use serde::{Deserialize, Serialize};
 use simnet::SimTime;
-use std::net::Ipv4Addr;
-use trace::{QueryObs, Sessions, Trace};
+use trace::{ConnectionRecord, QueryObs};
 
 /// Table 2: queries/sessions removed by each rule.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -244,68 +243,26 @@ pub const RULE4_THRESHOLD_MS: u64 = 1_000;
 /// distort the Table A.1 tail fit.
 pub const PROBE_CLOSE_CORRECTION_MS: u64 = 30_000;
 
-/// Apply the five filter rules to a trace.
-pub fn apply_filters(trace: &Trace, db: &GeoDb) -> FilteredTrace {
-    let sessions = Sessions::from_trace(trace);
-    apply_filters_to_sessions(&sessions, db)
-}
-
-/// Apply the five filter rules to reconstructed sessions.
-pub fn apply_filters_to_sessions(sessions: &Sessions, db: &GeoDb) -> FilteredTrace {
-    let mut report = FilterReport::default();
-    let mut out = Vec::new();
-
-    for view in sessions.iter() {
-        let Some(end) = view.end else {
-            report.unfinished_sessions += 1;
-            continue;
-        };
-        if let Some(fs) = filter_completed_session(
-            db,
-            &mut report,
-            view.addr,
-            &view.user_agent,
-            view.ultrapeer,
-            view.start,
-            end,
-            view.closed_by_probe,
-            &view.queries,
-        ) {
-            out.push(fs);
-        }
-    }
-
-    FilteredTrace {
-        sessions: out,
-        report,
-    }
-}
-
-/// Run rules 1–5 on one *completed* session, updating the Table 2
-/// accounting in `report`. Returns the surviving [`FilteredSession`], or
-/// `None` when rule 3 discards the session.
+/// Run rules 1–5 on one *completed* session that ended at `end`,
+/// updating the Table 2 accounting in `report`. Returns the surviving
+/// [`FilteredSession`], or `None` when rule 3 discards the session.
 ///
-/// This is the single source of truth for the per-session filter logic:
-/// the batch path above and the streaming pipeline
-/// (`analysis::streaming`) both call it, which is what makes
-/// streaming-mode output bit-identical to batch output.
-#[allow(clippy::too_many_arguments)]
-pub fn filter_completed_session(
+/// The per-session filter logic of the one analysis path: the
+/// pipeline's close path (`analysis::streaming`) is its only caller,
+/// for live and retained traces alike.
+pub(crate) fn filter_completed_session(
     db: &GeoDb,
     report: &mut FilterReport,
-    addr: Ipv4Addr,
-    user_agent: &str,
-    ultrapeer: bool,
-    start: SimTime,
+    conn: &ConnectionRecord,
     end: SimTime,
-    closed_by_probe: bool,
     queries: &[QueryObs],
 ) -> Option<FilteredSession> {
+    let start = conn.start;
     // Undo the known idle-probe overestimate for silently-vanished
     // peers (see [`PROBE_CLOSE_CORRECTION_MS`]). The corrected end
     // never precedes the last received message: the probe fires only
     // after 15 s + 15 s of silence.
-    let end = if closed_by_probe {
+    let end = if conn.closed_by_probe {
         SimTime::from_millis(
             end.as_millis()
                 .saturating_sub(PROBE_CLOSE_CORRECTION_MS)
@@ -388,9 +345,9 @@ pub fn filter_completed_session(
     report.interarrival_queries += kept.iter().filter(|q| !q.flagged45).count() as u64;
 
     Some(FilteredSession {
-        region: db.lookup(addr),
-        ultrapeer,
-        user_agent: user_agent.to_owned(),
+        region: db.lookup(conn.addr),
+        ultrapeer: conn.ultrapeer,
+        user_agent: conn.user_agent.clone(),
         start,
         end,
         queries: kept,
@@ -400,8 +357,9 @@ pub fn filter_completed_session(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::streaming::analyze_retained;
     use std::net::Ipv4Addr;
-    use trace::{ConnectionRecord, MessageRecord, RecordedPayload, SessionId};
+    use trace::{MessageRecord, RecordedPayload, SessionId, Trace};
 
     fn test_guid() -> gnutella::Guid {
         gnutella::Guid([7; 16])
@@ -444,7 +402,7 @@ mod tests {
     }
 
     fn run(t: &Trace) -> FilteredTrace {
-        apply_filters(t, &GeoDb::synthetic())
+        analyze_retained(t, &GeoDb::synthetic()).ft
     }
 
     #[test]

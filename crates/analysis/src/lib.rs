@@ -17,14 +17,11 @@
 //!   GUID, per region, with the hit-rate / query-count correlation;
 //! * [`correlations`] — the §4.5 headline correlations: session duration
 //!   vs #queries (present), interarrival vs #queries (absent for NA);
-//! * [`streaming`] — the online form of the pipeline: a [`trace::TraceSink`]
-//!   that filters each session the moment it closes and folds it into
-//!   incremental aggregates, so campaigns run without materializing the
-//!   message trace;
-//! * [`columnar`] — the vectorized retained-mode path: one fused pass
-//!   over the chunked trace store that decodes each sealed chunk once,
-//!   producing the filtered trace and the popularity observations
-//!   together.
+//! * [`streaming`] — the one analysis pass: a pipeline that filters each
+//!   connected session as it closes and folds it into incremental
+//!   aggregates. It runs live as a [`trace::TraceSink`], so campaigns
+//!   need not materialize the message trace, or over a retained trace
+//!   through [`analyze_retained`]; both front ends share its close path.
 //!
 //! The pipeline's input is a [`trace::Trace`]; region resolution uses the
 //! same [`geoip::GeoDb`] the generator allocated addresses from, exactly
@@ -34,7 +31,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod characterize;
-pub mod columnar;
 pub mod correlations;
 pub mod filter;
 pub mod hitrate;
@@ -43,6 +39,5 @@ pub mod popularity;
 pub mod representative;
 pub mod streaming;
 
-pub use columnar::{analyze_retained, RetainedAnalysis};
-pub use filter::{apply_filters, FilterReport, FilteredQuery, FilteredSession, FilteredTrace};
-pub use streaming::{StreamingPipeline, StreamingResult};
+pub use filter::{FilterReport, FilteredQuery, FilteredSession, FilteredTrace};
+pub use streaming::{analyze_retained, RetainedAnalysis, StreamingPipeline, StreamingResult};

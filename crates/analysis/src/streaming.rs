@@ -1,25 +1,31 @@
-//! Streaming analysis: consume the trace as it is recorded.
+//! The analysis pipeline: rules 1–5 and the aggregate folds, one
+//! connected session at a time.
 //!
-//! The retain-mode pipeline materializes the whole columnar
-//! [`trace::Trace`] and analyzes it afterwards — fine for replay and
-//! JSONL export, but the trace dominates peak memory at paper scale
-//! (40 days × ~100k sessions/day). [`StreamingPipeline`] instead plugs
-//! into the collector as a [`TraceSink`]: it keeps only the *open*
-//! sessions' pending queries, runs the §3.3 filter rules the moment a
-//! session closes (via [`filter_completed_session`], the same function
-//! the batch path uses), and folds the surviving session into online
-//! aggregators — [`DailyObservations`] for popularity,
-//! [`SessionHistograms`] for the §4.3–§4.5 measures, and
-//! [`LoadAccumulator`] for the Figure 3 load curves. The full message
-//! stream is never stored.
+//! [`StreamingPipeline`] is the crate's one analyzer. It has two front
+//! ends that hand each finished connection to the same close path:
 //!
-//! With `retain_sessions` enabled the pipeline additionally keeps the
-//! filtered sessions themselves (orders of magnitude smaller than the
-//! raw message trace), which the equivalence tests use to prove the
-//! streaming output bit-identical to the batch output.
+//! * **live** — the pipeline is a [`TraceSink`] on the collector. It
+//!   keeps only the *open* sessions' pending one-hop queries, and
+//!   [`TraceSink::on_close`] folds a session the moment it closes, so
+//!   the message stream is never stored;
+//! * **retained** — [`analyze_retained`] reads a materialized
+//!   [`Trace`]: one selective scan of the chunked store
+//!   ([`trace::MessageColumns::for_each_one_hop_query`]) gathers each
+//!   connection's one-hop queries, then every connection is folded in
+//!   connection order.
+//!
+//! The close path runs the §3.3 filter rules (`filter_completed_session`)
+//! and folds the surviving session into online aggregators —
+//! [`DailyObservations`] for popularity, [`SessionHistograms`] for the
+//! §4.3–§4.5 measures, and [`LoadAccumulator`] for the Figure 3 load
+//! curves. With `retain_sessions` enabled the pipeline also keeps the
+//! filtered sessions themselves (orders of magnitude smaller than the raw
+//! message trace), which the figure-path analyses read.
 
 use crate::characterize::histograms::SessionHistograms;
-use crate::filter::{filter_completed_session, FilteredQuery, FilteredSession, FilteredTrace};
+use crate::filter::{
+    filter_completed_session, FilterReport, FilteredQuery, FilteredSession, FilteredTrace,
+};
 use crate::load::LoadAccumulator;
 use crate::popularity::DailyObservations;
 use geoip::GeoDb;
@@ -29,7 +35,9 @@ use std::collections::HashMap;
 use std::mem::size_of;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
-use trace::{ConnectionRecord, MessageRecord, QueryObs, RecordedPayload, SessionId, TraceSink};
+use trace::{
+    ConnectionRecord, MessageRecord, QueryObs, RecordedPayload, SessionId, Trace, TraceSink,
+};
 
 /// A session that has connected but not yet closed: the fields the
 /// filter will need, plus its one-hop queries so far.
@@ -48,15 +56,16 @@ const AGG_REFRESH_CLOSES: u64 = 1_024;
 /// Approximate per-entry overhead of the live-session hash map.
 const MAP_ENTRY_OVERHEAD: u64 = 48;
 
-/// Online analysis pipeline; implements [`TraceSink`] so it can be
+/// The analysis pipeline; implements [`TraceSink`] so it can be
 /// registered directly on a [`trace::MeasurementPeer`] (or behind a
-/// [`trace::Fanout`] next to a retaining [`trace::Trace`]).
+/// [`trace::Fanout`] next to a retaining [`trace::Trace`]), and folds
+/// retained traces through [`analyze_retained`].
 pub struct StreamingPipeline {
     db: GeoDb,
     live: HashMap<u64, LiveSession>,
     retain_sessions: bool,
     retained: Vec<(u64, FilteredSession)>,
-    report: crate::filter::FilterReport,
+    report: FilterReport,
     obs: DailyObservations,
     hist: SessionHistograms,
     load: LoadAccumulator,
@@ -70,12 +79,12 @@ pub struct StreamingPipeline {
     peak_bytes: u64,
 }
 
-/// Everything a streaming campaign produces.
+/// Everything one analysis pass produces, live or retained.
 #[derive(Debug, Clone)]
 pub struct StreamingResult {
     /// Filter report plus (when `retain_sessions` was set) the filtered
-    /// sessions in start order — the exact [`FilteredTrace`] the batch
-    /// path computes. With retention off, `ft.sessions` is empty.
+    /// sessions in start order. With retention off, `ft.sessions` is
+    /// empty.
     pub ft: FilteredTrace,
     /// Per-day popularity observations (§4.6).
     pub obs: DailyObservations,
@@ -148,15 +157,57 @@ impl StreamingPipeline {
         }
     }
 
-    /// Consume the pipeline, counting still-open sessions as unfinished
+    /// The close path both front ends share, once per connection. A
+    /// connection without an end was still open when the trace ended and
+    /// counts as unfinished. A finished one goes through rules 1–5; a
+    /// survivor is folded into `obs`, `hist` and `load` and, with
+    /// retention on, kept.
+    fn close_session(&mut self, conn: &ConnectionRecord, queries: &[QueryObs]) {
+        let Some(end) = conn.end else {
+            self.report.unfinished_sessions += 1;
+            return;
+        };
+        if let Some(fs) = filter_completed_session(&self.db, &mut self.report, conn, end, queries) {
+            self.obs.add_session(&fs);
+            self.hist.add_session(&fs);
+            self.load.add_session(&fs);
+            if self.retain_sessions {
+                self.retained_bytes += Self::retained_session_bytes(&fs);
+                self.retained.push((conn.id.0, fs));
+            }
+        }
+        self.closes += 1;
+        if self.closes.is_multiple_of(AGG_REFRESH_CLOSES) {
+            self.refresh_agg_bytes();
+        }
+        self.note_peak();
+    }
+
+    /// Hand a live session to the close path, ending at `end` (`None`:
+    /// still open when the campaign ended).
+    fn close_live(&mut self, id: u64, s: LiveSession, end: Option<SimTime>, by_probe: bool) {
+        let conn = ConnectionRecord {
+            id: SessionId(id),
+            addr: s.addr,
+            user_agent: s.user_agent,
+            ultrapeer: s.ultrapeer,
+            start: s.start,
+            end,
+            closed_by_probe: by_probe,
+        };
+        self.close_session(&conn, &s.queries);
+    }
+
+    /// Consume the pipeline, closing still-open sessions as unfinished
     /// and sorting retained sessions into start order.
     pub fn finish(mut self) -> StreamingResult {
-        self.report.unfinished_sessions += self.live.len() as u64;
+        for (id, s) in std::mem::take(&mut self.live) {
+            self.close_live(id, s, None, false);
+        }
         self.refresh_agg_bytes();
         self.note_peak();
         // Session ids are assigned in connect order, so sid order is
-        // start order — matching the batch path's session
-        // iteration order.
+        // start order, the order `analyze_retained` folds in.
         self.retained.sort_by_key(|(sid, _)| *sid);
         StreamingResult {
             ft: FilteredTrace {
@@ -225,30 +276,7 @@ impl TraceSink for StreamingPipeline {
         self.live_bytes = self.live_bytes.saturating_sub(
             Self::live_base_bytes(&s.user_agent) + (s.queries.len() * size_of::<QueryObs>()) as u64,
         );
-        if let Some(fs) = filter_completed_session(
-            &self.db,
-            &mut self.report,
-            s.addr,
-            &s.user_agent,
-            s.ultrapeer,
-            s.start,
-            end,
-            by_probe,
-            &s.queries,
-        ) {
-            self.obs.add_session(&fs);
-            self.hist.add_session(&fs);
-            self.load.add_session(&fs);
-            if self.retain_sessions {
-                self.retained_bytes += Self::retained_session_bytes(&fs);
-                self.retained.push((id.0, fs));
-            }
-        }
-        self.closes += 1;
-        if self.closes.is_multiple_of(AGG_REFRESH_CLOSES) {
-            self.refresh_agg_bytes();
-        }
-        self.note_peak();
+        self.close_live(id.0, s, Some(end), by_probe);
     }
 }
 
@@ -294,6 +322,42 @@ pub fn finish_shards(sinks: Vec<Arc<Mutex<StreamingPipeline>>>) -> StreamingResu
             })
             .collect(),
     )
+}
+
+/// The products of [`analyze_retained`]: the pipeline's result over a
+/// materialized trace.
+pub type RetainedAnalysis = StreamingResult;
+
+/// Analyze a materialized trace: gather each connection's one-hop
+/// queries with one selective scan of the chunked store, then hand every
+/// connection, in connection order, to the pipeline's close path, with
+/// retention on.
+///
+/// Equal, field for field, to the live pipeline's result on the campaign
+/// that recorded `trace`; `peak_bytes` counts the pipeline's own
+/// retained sessions and aggregates, not the trace.
+pub fn analyze_retained(trace: &Trace, db: &GeoDb) -> RetainedAnalysis {
+    telemetry::scope!("analysis/retained");
+    let mut queries: Vec<Vec<QueryObs>> = vec![Vec::new(); trace.connections.len()];
+    {
+        telemetry::scope!("scan");
+        trace
+            .messages
+            .for_each_one_hop_query(|sid, at, text, sha1| {
+                if let Some(v) = queries.get_mut(sid.0 as usize) {
+                    v.push(QueryObs { at, text, sha1 });
+                }
+            });
+    }
+    telemetry::scope!("fold");
+    let mut p = StreamingPipeline::new(db.clone(), true);
+    p.sessions_seen = trace.connections.len() as u64;
+    p.messages_seen = trace.messages.len() as u64;
+    p.wire_bytes = trace.wire_bytes;
+    for (c, q) in trace.connections.iter().zip(&queries) {
+        p.close_session(c, q);
+    }
+    p.finish()
 }
 
 #[cfg(test)]
@@ -408,5 +472,25 @@ mod tests {
         assert!(r.ft.sessions.is_empty());
         assert_eq!(r.ft.report.final_sessions, 1);
         assert_eq!(r.hist.total_sessions(), 1);
+    }
+
+    /// Unfinished sessions are counted, not filtered.
+    #[test]
+    fn open_sessions_count_as_unfinished() {
+        let mut trace = Trace::new();
+        trace.connections.push(ConnectionRecord {
+            id: SessionId(0),
+            addr: Ipv4Addr::new(24, 0, 0, 1),
+            user_agent: "T/1".into(),
+            ultrapeer: false,
+            start: SimTime::from_secs(0),
+            end: None,
+            closed_by_probe: false,
+        });
+        let r = analyze_retained(&trace, &GeoDb::synthetic());
+        assert_eq!(r.ft.report.unfinished_sessions, 1);
+        assert_eq!(r.ft.report.raw_sessions, 0);
+        assert!(r.ft.sessions.is_empty());
+        assert_eq!(r.obs.n_days(), 0);
     }
 }

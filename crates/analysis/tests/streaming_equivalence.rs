@@ -1,19 +1,21 @@
-//! Streaming mode must be bit-identical to retain mode.
+//! Retained analysis must be bit-identical to live analysis.
 //!
-//! Runs the same fixed-seed smoke-scale campaign twice — once retaining
-//! the full columnar trace and analyzing it in batch, once through the
-//! [`analysis::streaming::StreamingPipeline`] sink — and asserts every
-//! analysis product is *equal*, not approximately equal: the filtered
-//! trace (sessions and Table 2 report), the per-day popularity
-//! observations and rank tables, the §4.3–§4.5 session histograms, and
-//! the Figure 3 load panels.
+//! Runs the same fixed-seed smoke-scale campaign twice: once retaining
+//! the full chunked trace and folding it through
+//! [`analysis::analyze_retained`], once through the live
+//! [`analysis::streaming::StreamingPipeline`] sink. Both front ends share
+//! the pipeline's close path, so every product must be *equal*, not
+//! approximately equal: the filtered trace (sessions and Table 2 report),
+//! the per-day popularity observations, the §4.3–§4.5 session histograms,
+//! the Figure 3 load accumulator and the session/message/byte counts.
+//! The aggregates must also equal the batch functions recomputed over
+//! the filtered sessions.
 
 use analysis::characterize::histograms::SessionHistograms;
-use analysis::filter::apply_filters;
 use analysis::load::query_load_by_time;
-use analysis::popularity::{day_ranking, DailyObservations};
+use analysis::popularity::DailyObservations;
 use analysis::streaming::finish_shards;
-use analysis::StreamingPipeline;
+use analysis::{analyze_retained, StreamingPipeline};
 use behavior::{run_population_into, run_population_with_stats, PopulationConfig};
 use geoip::{GeoDb, Region};
 use parking_lot::Mutex;
@@ -34,54 +36,45 @@ fn streaming_equals_retain_unsharded() {
     let cfg = smoke();
     let db = GeoDb::synthetic();
 
-    // Retain mode: materialize the columnar trace, analyze in batch.
+    // Retained: materialize the chunked trace, then fold it.
     let (trace, retain_stats) = run_population_with_stats(&cfg);
-    let ft = apply_filters(&trace, &db);
-    let obs = DailyObservations::collect(&ft);
-    let hist = SessionHistograms::from_filtered(&ft);
+    let replay = analyze_retained(&trace, &db);
 
-    // Streaming mode: same campaign into a pipeline; the trace is never
+    // Live: same campaign into a pipeline; the trace is never
     // materialized.
     let sink = Arc::new(Mutex::new(StreamingPipeline::new(db.clone(), true)));
     let stream_stats = run_population_into(&cfg, Arc::clone(&sink) as SharedSink);
-    let r = finish_shards(vec![sink]);
+    let live = finish_shards(vec![sink]);
 
     // The generated campaign itself is identical…
     assert_eq!(retain_stats, stream_stats, "campaign stats diverged");
-    assert_eq!(r.sessions_seen as usize, trace.connections.len());
-    assert_eq!(r.messages_seen as usize, trace.messages.len());
-    assert_eq!(r.wire_bytes, trace.wire_bytes);
+    assert_eq!(replay.sessions_seen, live.sessions_seen);
+    assert_eq!(replay.messages_seen, live.messages_seen);
+    assert_eq!(replay.wire_bytes, live.wire_bytes);
+    assert_eq!(live.sessions_seen as usize, trace.connections.len());
 
     // …and so is every analysis product, bit for bit.
-    assert_eq!(r.ft.report, ft.report, "filter report diverged");
+    assert_eq!(replay.ft.report, live.ft.report, "filter report diverged");
     assert_eq!(
-        r.ft.sessions.len(),
-        ft.sessions.len(),
+        replay.ft.sessions.len(),
+        live.ft.sessions.len(),
         "filtered session count diverged"
     );
-    assert_eq!(r.ft.sessions, ft.sessions, "filtered sessions diverged");
-    assert_eq!(r.obs, obs, "popularity observations diverged");
-    assert_eq!(r.hist, hist, "session histograms diverged");
-    for region in [
-        Region::NorthAmerica,
-        Region::Europe,
-        Region::Asia,
-        Region::Other,
-    ] {
+    assert_eq!(replay.ft.sessions, live.ft.sessions, "sessions diverged");
+    assert_eq!(replay.obs, live.obs, "popularity observations diverged");
+    assert_eq!(replay.hist, live.hist, "session histograms diverged");
+    assert_eq!(replay.load, live.load, "load accumulator diverged");
+
+    // The folds equal the batch functions over the filtered sessions.
+    let ft = &replay.ft;
+    assert_eq!(replay.obs, DailyObservations::collect(ft));
+    assert_eq!(replay.hist, SessionHistograms::from_filtered(ft));
+    for region in Region::ALL {
         assert_eq!(
-            r.load.panel(region),
-            query_load_by_time(&ft, region),
+            replay.load.panel(region),
+            query_load_by_time(ft, region),
             "load panel diverged for {region:?}"
         );
-    }
-    for day in 0..obs.n_days() {
-        for region in Region::CHARACTERIZED {
-            assert_eq!(
-                day_ranking(&r.obs, region, day),
-                day_ranking(&obs, region, day),
-                "rank table diverged for {region:?} day {day}"
-            );
-        }
     }
 
     // Sanity: the campaign produced enough data for the comparisons to
@@ -90,6 +83,6 @@ fn streaming_equals_retain_unsharded() {
         ft.sessions.len() > 500,
         "campaign too small to be probative"
     );
-    assert!(obs.n_days() >= 1);
-    assert!(r.peak_bytes > 0 && r.peak_bytes < trace.mem_bytes());
+    assert!(replay.obs.n_days() >= 1);
+    assert!(live.peak_bytes > 0 && live.peak_bytes < trace.mem_bytes());
 }

@@ -404,7 +404,6 @@ pub fn run_population_into(cfg: &PopulationConfig, sink: SharedSink) -> Campaign
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trace::Sessions;
 
     #[test]
     fn smoke_run_produces_plausible_trace() {
@@ -436,8 +435,8 @@ mod tests {
         assert!(stats.query_messages > stats.hop1_queries);
         assert!(stats.queryhit_messages > 0);
 
-        // Sessions reconstruct; most have ended within the grace period.
-        let sessions = Sessions::from_trace(&trace);
+        // Most sessions have ended within the grace period.
+        let sessions = &trace.connections;
         let ended = sessions.iter().filter(|s| s.end.is_some()).count();
         assert!(
             ended as f64 / sessions.len() as f64 > 0.95,

@@ -1,10 +1,9 @@
-//! Filter-pipeline and session-reconstruction throughput.
+//! Retained-analysis and trace-export throughput.
 
-use analysis::filter::apply_filters;
+use analysis::analyze_retained;
 use behavior::{run_population, PopulationConfig};
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use geoip::GeoDb;
-use trace::Sessions;
 
 fn bench_filter(c: &mut Criterion) {
     // One medium trace shared across the benches.
@@ -21,12 +20,12 @@ fn bench_filter(c: &mut Criterion) {
     group.throughput(Throughput::Elements(n_msgs));
     group.sample_size(20);
 
-    group.bench_function("session_reconstruction", |b| {
-        b.iter(|| black_box(Sessions::from_trace(&trace)))
-    });
-
-    group.bench_function("filter_rules_1_to_5", |b| {
-        b.iter(|| black_box(apply_filters(&trace, &db)))
+    // The one analysis pass over a retained trace: the selective hop-1
+    // scan, then rules 1–5 and the folds per connection. Per message, so
+    // that ns/message × `trace.sink_records` predicts the pass's time on
+    // a campaign.
+    group.bench_function("retained_analysis", |b| {
+        b.iter(|| black_box(analyze_retained(&trace, &db)))
     });
 
     // JSONL serialization round trip.

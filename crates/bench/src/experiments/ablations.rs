@@ -23,24 +23,29 @@ pub fn filters_onoff(ctx: &ExperimentContext) -> String {
     // Unfiltered: recount popularity from *raw* hop-1 queries (no rules at
     // all — repeats, SHA1-with-keywords and quick-session traffic included),
     // restricted to NA peers, per day, then averaged by rank like Fig 11.
-    let sessions = trace::Sessions::from_trace(&ctx.trace);
+    let na: Vec<bool> = ctx
+        .trace
+        .connections
+        .iter()
+        .map(|c| ctx.db.lookup(c.addr) == Region::NorthAmerica)
+        .collect();
     let mut per_day: Vec<HashMap<QueryId, u64>> = Vec::new();
-    for view in sessions.iter() {
-        if ctx.db.lookup(view.addr) != Region::NorthAmerica {
-            continue;
-        }
-        for q in &view.queries {
-            let key = q.text.canonical();
-            if key.is_empty() {
-                continue;
+    ctx.trace
+        .messages
+        .for_each_one_hop_query(|sid, at, text, _sha1| {
+            if !na.get(sid.0 as usize).copied().unwrap_or(false) {
+                return;
             }
-            let day = (q.at.as_millis() / 86_400_000) as usize;
+            let key = text.canonical();
+            if key.is_empty() {
+                return;
+            }
+            let day = (at.as_millis() / 86_400_000) as usize;
             while per_day.len() <= day {
                 per_day.push(HashMap::new());
             }
             *per_day[day].entry(key).or_insert(0) += 1;
-        }
-    }
+        });
     let max_rank = 100;
     let mut sums = vec![0.0f64; max_rank];
     let mut days = 0usize;

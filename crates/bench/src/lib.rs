@@ -14,7 +14,7 @@
 pub mod experiments;
 pub mod render;
 
-use analysis::columnar::analyze_retained;
+use analysis::analyze_retained;
 use analysis::filter::FilteredTrace;
 use analysis::popularity::DailyObservations;
 use behavior::{run_population, PopulationConfig};
@@ -128,8 +128,8 @@ impl ExperimentContext {
         let t0 = std::time::Instant::now();
         let trace = run_population(&cfg);
         let db = GeoDb::synthetic();
-        // Fused columnar pass: filter + popularity decode each sealed
-        // trace chunk once.
+        // The one analysis pass: one selective scan of the sealed trace
+        // chunks, then rules 1–5 and the folds per connection.
         let r = analyze_retained(&trace, &db);
         let (ft, obs) = (r.ft, r.obs);
         telemetry::info!(

@@ -405,7 +405,7 @@ pub fn calibrate(ft: &FilteredTrace) -> (WorkloadModel, CalibrationReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use analysis::filter::apply_filters;
+    use analysis::analyze_retained;
     use geoip::GeoDb;
 
     #[test]
@@ -415,7 +415,7 @@ mod tests {
             sessions_per_day: 8_000.0,
             ..behavior::PopulationConfig::smoke()
         });
-        let ft = apply_filters(&trace, &GeoDb::synthetic());
+        let ft = analyze_retained(&trace, &GeoDb::synthetic()).ft;
         let (model, report) = calibrate(&ft);
 
         // Enough data: the NA-level measures must be fitted, not defaulted.

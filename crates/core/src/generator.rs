@@ -645,8 +645,8 @@ mod tests {
         assert_eq!(
             (fixed, rolled),
             (
-                (14_706, 5_938, 1_909_410_956_276_047_149),
-                (73_233, 28_941, 2_653_261_160_807_947_428),
+                (14_700, 5_935, 103_383_252_085_693_513),
+                (73_267, 28_951, 13_158_804_224_391_283_521),
             ),
             "generated event stream changed"
         );

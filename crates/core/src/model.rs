@@ -80,6 +80,9 @@ pub struct BodyTailParams<B, T> {
 pub const FIRST_QUERY_CLASSES: usize = 3; // <3, =3, >3
 /// Query-count conditioning classes used by Table A.5 (after last query).
 pub const LAST_QUERY_CLASSES: usize = 3; // 1, 2–7, >7
+/// Query-count conditioning classes of Europe's interarrival shift
+/// (Figure 8(b)).
+pub const INTERARRIVAL_CLASSES: usize = 3; // <3, 3–7, >7
 
 /// Index for the Table A.3 classes.
 pub fn first_query_class(n_queries: u32) -> usize {
@@ -99,9 +102,20 @@ pub fn last_query_class(n_queries: u32) -> usize {
     }
 }
 
-/// Labels of the [`first_query_class`] and [`last_query_class`] indices.
+/// Index for the Figure 8(b) classes of [`InterarrivalModel::eu_count_shift`].
+pub fn interarrival_class(n_queries: u32) -> usize {
+    match n_queries {
+        0..=2 => 0,
+        3..=7 => 1,
+        _ => 2,
+    }
+}
+
+/// Labels of the [`first_query_class`], [`last_query_class`] and
+/// [`interarrival_class`] indices.
 const FIRST_CLASS_LABELS: [&str; FIRST_QUERY_CLASSES] = ["n < 3", "n = 3", "n > 3"];
 const LAST_CLASS_LABELS: [&str; LAST_QUERY_CLASSES] = ["n = 1", "n 2–7", "n > 7"];
+const INTERARRIVAL_CLASS_LABELS: [&str; INTERARRIVAL_CLASSES] = ["n < 3", "n 3–7", "n > 7"];
 
 /// Index of the `[peak, non-peak]` axis of the law tables.
 fn period_index(peak: bool) -> usize {
@@ -557,8 +571,8 @@ impl WorkloadModel {
             BodyTail::new(f.body.dist()?, f.tail.dist()?, f.split, f.body_weight)
         };
         let ia = &self.interarrival;
-        // Europe's count shift is indexed by the Table A.3 classes; the
-        // other regions' three cells hold the same law.
+        // Europe's count shift is indexed by the Figure 8(b) classes;
+        // the other regions' three cells hold the same law.
         let interarrival = |r: usize, p: usize, c: usize| {
             let mut mu = ia.body[p].mu + ia.mu_shift[r];
             if REGIONS[r] == Region::Europe {
@@ -579,7 +593,7 @@ impl WorkloadModel {
                     .map_err(|e| LawError::at("queries_per_session", r, None, None, e))
             })?,
             first_query: grid("first_query", FIRST_CLASS_LABELS, first)?,
-            interarrival: grid("interarrival", FIRST_CLASS_LABELS, interarrival)?,
+            interarrival: grid("interarrival", INTERARRIVAL_CLASS_LABELS, interarrival)?,
             time_after_last: grid("time_after_last", LAST_CLASS_LABELS, |r, p, c| {
                 self.time_after_last[r][p][c].dist()
             })?,
@@ -604,9 +618,9 @@ pub struct ModelLaws {
     passive_duration: [[BodyTail<Truncated<Lognormal>, Lognormal>; 2]; 4],
     queries: [Lognormal; 4],
     first_query: [[[BodyTail<Weibull, Lognormal>; FIRST_QUERY_CLASSES]; 2]; 4],
-    /// Indexed by [`first_query_class`], the classes of Europe's count
+    /// Indexed by [`interarrival_class`], the classes of Europe's count
     /// shift.
-    interarrival: [[[BodyTail<Lognormal, Pareto>; FIRST_QUERY_CLASSES]; 2]; 4],
+    interarrival: [[[BodyTail<Lognormal, Pareto>; INTERARRIVAL_CLASSES]; 2]; 4],
     time_after_last: [[[Lognormal; LAST_QUERY_CLASSES]; 2]; 4],
 }
 
@@ -644,7 +658,7 @@ impl ModelLaws {
         peak: bool,
         n_queries: u32,
     ) -> &BodyTail<Lognormal, Pareto> {
-        &self.interarrival[region.index()][period_index(peak)][first_query_class(n_queries)]
+        &self.interarrival[region.index()][period_index(peak)][interarrival_class(n_queries)]
     }
 
     /// Time after the last query (seconds, Table A.5).
@@ -798,6 +812,10 @@ mod tests {
         assert_eq!(last_query_class(1), 0);
         assert_eq!(last_query_class(7), 1);
         assert_eq!(last_query_class(8), 2);
+        assert_eq!(interarrival_class(2), 0);
+        assert_eq!(interarrival_class(3), 1);
+        assert_eq!(interarrival_class(7), 1);
+        assert_eq!(interarrival_class(8), 2);
     }
 
     #[test]
@@ -806,6 +824,17 @@ mod tests {
         let eu_few = laws.interarrival(Region::Europe, true, 2);
         let eu_many = laws.interarrival(Region::Europe, true, 20);
         assert!(eu_few.quantile(0.5) > eu_many.quantile(0.5));
+        // Figure 8(b)'s classes: 3–7 queries share one law, which differs
+        // from both neighbours.
+        let eu_mid = laws.interarrival(Region::Europe, true, 3).quantile(0.5);
+        for n in 4..=7 {
+            let law = laws.interarrival(Region::Europe, true, n);
+            assert_eq!(law.quantile(0.5), eu_mid, "EU n = {n}");
+        }
+        for n in [2, 8] {
+            let law = laws.interarrival(Region::Europe, true, n);
+            assert_ne!(law.quantile(0.5), eu_mid, "EU n = {n}");
+        }
         let na_few = laws.interarrival(Region::NorthAmerica, true, 2);
         let na_many = laws.interarrival(Region::NorthAmerica, true, 20);
         assert_eq!(na_few.quantile(0.5), na_many.quantile(0.5));

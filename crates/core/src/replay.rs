@@ -355,7 +355,7 @@ mod tests {
         let pipeline = Arc::try_unwrap(streaming)
             .unwrap_or_else(|_| panic!("streaming sink still shared"))
             .into_inner();
-        let batch = analysis::apply_filters(&tr, &db);
+        let batch = analysis::analyze_retained(&tr, &db).ft;
         let online = pipeline.finish();
         assert!(batch.report.final_sessions > 50);
         assert_eq!(online.ft.report, batch.report);

@@ -225,7 +225,7 @@ impl QueryId {
 
     /// Reconstruct a handle from a value previously obtained via
     /// [`QueryId::raw`] **in this process**. The interner is the
-    /// dictionary the columnar trace chunks code query text against:
+    /// dictionary the trace store's chunks code query text against:
     /// a chunk stores the raw u32 and rebuilds the handle on decode.
     /// Feeding an id that never came out of this process's interner
     /// produces a handle whose `resolve` will panic.

@@ -28,12 +28,8 @@ pub enum Counter {
     SinkBatches,
     /// Message records delivered through the sink.
     SinkRecords,
-    /// Columnar tail seals into compressed chunks.
+    /// Trace-store tail seals into compressed chunks.
     ChunkSeals,
-    /// Random-access chunk reads served by the resident decode cache.
-    DecodeCacheHits,
-    /// Random-access chunk reads that had to decode a chunk.
-    DecodeCacheMisses,
     /// Compressed chunk bytes appended to the spill file.
     SpillBytesWritten,
     /// Spill I/O failures that degraded the store to in-memory chunks.
@@ -44,7 +40,7 @@ pub enum Counter {
     /// RNG draw pairs served from a session's gap-batched buffer
     /// instead of individual per-emission draws.
     RngBatchedDraws,
-    /// Record batches appended through the store's columnar fast path
+    /// Record batches appended through the store's batch fast path
     /// (one reserve + bounds check per column per batch).
     SinkFastBatches,
 }
@@ -60,8 +56,6 @@ impl Counter {
         Counter::SinkBatches,
         Counter::SinkRecords,
         Counter::ChunkSeals,
-        Counter::DecodeCacheHits,
-        Counter::DecodeCacheMisses,
         Counter::SpillBytesWritten,
         Counter::SpillDegraded,
         Counter::WheelCascades,
@@ -80,8 +74,6 @@ impl Counter {
             Counter::SinkBatches => "sink_batches",
             Counter::SinkRecords => "sink_records",
             Counter::ChunkSeals => "chunk_seals",
-            Counter::DecodeCacheHits => "decode_cache_hits",
-            Counter::DecodeCacheMisses => "decode_cache_misses",
             Counter::SpillBytesWritten => "spill_bytes_written",
             Counter::SpillDegraded => "spill_degraded",
             Counter::WheelCascades => "wheel_cascades",
@@ -92,7 +84,7 @@ impl Counter {
 }
 
 /// Number of [`Counter`] ids.
-pub const NUM_COUNTERS: usize = 15;
+pub const NUM_COUNTERS: usize = 13;
 
 /// High-water marks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -425,10 +417,10 @@ mod tests {
     #[test]
     fn json_shape() {
         let r = Registry::new();
-        r.incr(Counter::DecodeCacheHits);
+        r.incr(Counter::ChunkSeals);
         let j = r.snapshot().to_json();
         let counters = j.get("counters").expect("counters key");
-        assert_eq!(counters.get("decode_cache_hits"), Some(&JsonValue::U64(1)));
+        assert_eq!(counters.get("chunk_seals"), Some(&JsonValue::U64(1)));
         assert!(j.get("gauges").is_some());
         assert!(j.get("hists").is_some());
     }

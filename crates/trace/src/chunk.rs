@@ -363,27 +363,6 @@ impl ChunkBatch {
     pub fn wire_len(&self, i: usize) -> u32 {
         self.wire[i]
     }
-
-    /// Capacity-counted resident bytes of the scratch vectors.
-    pub fn mem_bytes(&self) -> u64 {
-        fn cap<T>(v: &Vec<T>) -> u64 {
-            (v.capacity() * std::mem::size_of::<T>()) as u64
-        }
-        cap(&self.session)
-            + cap(&self.at_ms)
-            + cap(&self.hops)
-            + cap(&self.ttl)
-            + cap(&self.kind)
-            + cap(&self.arg)
-            + cap(&self.guid)
-            + cap(&self.wire)
-            + cap(&self.pong_addr)
-            + cap(&self.pong_files)
-            + cap(&self.query_id)
-            + cap(&self.query_sha1)
-            + cap(&self.hit_addr)
-            + cap(&self.hit_results)
-    }
 }
 
 /// Rebuild the `arg` side-table index column from the kind column: the

@@ -8,16 +8,15 @@
 //!   routing (GUID table, TTL/hops forwarding, QUERYHIT reverse routing)
 //!   without ever *originating* queries, applies the 15 s + 15 s idle-probe
 //!   policy, and logs every received message;
-//! * [`record`] — the trace record types (connections and messages);
+//! * [`record`] — the trace record types (connections and messages) and
+//!   the one-hop query observation the filter rules read;
 //! * [`store::Trace`] — in-memory trace with JSONL (de)serialization,
-//!   backed by the columnar [`store::MessageColumns`] (sealed
+//!   backed by the column store [`store::MessageColumns`] (sealed
 //!   per-column-compressed chunks + flat tail, optional disk spill via
 //!   `P2PQ_TRACE_SPILL` — codec in [`chunk`]);
 //! * [`sink`] — the streaming consumer API: the collector delivers its
 //!   record stream to any [`sink::TraceSink`], so campaigns can retain
 //!   the full trace, fold it into online aggregates, or both;
-//! * [`session`] — reconstruction of per-session views (the unit of
-//!   analysis in §4);
 //! * [`stats`] — Table 1-style overall trace characteristics.
 
 #![warn(missing_docs)]
@@ -26,15 +25,13 @@
 pub mod chunk;
 pub mod collector;
 pub mod record;
-pub mod session;
 pub mod sink;
 pub mod stats;
 pub mod store;
 
 pub use chunk::ChunkBatch;
 pub use collector::{CollectorConfig, MeasurementPeer};
-pub use record::{ConnectionRecord, MessageRecord, RecordedPayload, SessionId};
-pub use session::{QueryObs, SessionView, Sessions};
+pub use record::{ConnectionRecord, MessageRecord, QueryObs, RecordedPayload, SessionId};
 pub use sink::{Fanout, SharedSink, TraceSink};
 pub use stats::TraceStats;
 pub use store::{MessageColumns, MessageCursor, MsgKind, Trace, CHUNK_ROWS};

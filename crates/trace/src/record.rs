@@ -43,10 +43,22 @@ impl ConnectionRecord {
     }
 }
 
+/// One observed query from a one-hop peer: the fields of a hop-1 QUERY
+/// record that the §3.3 filter rules read.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct QueryObs {
+    /// Arrival time at the measurement peer.
+    pub at: SimTime,
+    /// Interned query text.
+    pub text: QueryId,
+    /// Whether the message carried a SHA1 extension.
+    pub sha1: bool,
+}
+
 /// Payload-specific fields of a recorded message.
 ///
 /// All variants hold `Copy` scalars (query text travels as an interned
-/// [`QueryId`]), so whole records copy for free — the columnar store
+/// [`QueryId`]), so whole records copy for free — the column store
 /// reconstructs them on demand from its typed columns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RecordedPayload {

@@ -36,7 +36,7 @@ impl TraceStats {
         for c in &trace.connections {
             last_ms = last_ms.max(c.end.unwrap_or(c.start).as_millis());
         }
-        // Chunk-at-a-time columnar pass: each decoded batch is counted
+        // Chunk-at-a-time pass: each decoded batch is counted
         // with branch-light per-column loops (a 5-bucket histogram over
         // the kind column, a fused compare-and-sum for hop-1 queries, a
         // max-reduce over the timestamps) instead of a per-row match —

@@ -1,7 +1,7 @@
 //! In-memory trace store with JSONL (de)serialization.
 //!
-//! Messages live in [`MessageColumns`]: an uncompressed columnar
-//! (structure-of-arrays) *tail* that absorbs appends, sealed into
+//! Messages live in [`MessageColumns`]: an uncompressed
+//! structure-of-arrays *tail* that absorbs appends, sealed into
 //! immutable per-column-compressed chunks of [`CHUNK_ROWS`] rows as it
 //! fills (see [`crate::chunk`] for the codec: frame-of-reference
 //! bit-packed timestamps/session ids/wire lengths, dictionary-coded
@@ -16,21 +16,17 @@
 //! [`MessageRecord`], iteration yields [`MessageRecord`]s by value
 //! (everything in a record is `Copy`), and serde round-trips through the
 //! record form so the JSONL interchange format is byte-identical to the
-//! row-oriented store. Analysis passes that want the columnar layout
-//! iterate decoded batches via [`MessageColumns::for_each_batch`] or the
-//! selective [`MessageColumns::for_each_one_hop_query`] scan; sequential
-//! consumers (export, replay, merge) use [`MessageColumns::cursor`],
+//! row-oriented store. Every read is sequential. Passes that want the
+//! column layout iterate decoded batches via
+//! [`MessageColumns::for_each_batch`]; the analysis pipeline reads the
+//! selective [`MessageColumns::for_each_one_hop_query`] scan; record
+//! consumers (export, equality, tests) use [`MessageColumns::cursor`],
 //! which decodes each chunk exactly once into its own scratch buffer.
-//! Random access ([`MessageColumns::get`] and friends) stays available
-//! through a shared single-chunk decode cache behind a mutex — correct
-//! from `&self` across threads, but meant for tests and spot checks, not
-//! hot loops.
 
 use crate::chunk::{self, ChunkBatch, SpillFile};
 use crate::record::{ConnectionRecord, MessageRecord, RecordedPayload, SessionId};
 use crate::stats::TraceStats;
 use gnutella::{Guid, QueryId};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use simnet::SimTime;
 use std::io::{self, BufRead, Write};
@@ -76,7 +72,7 @@ impl MsgKind {
     }
 }
 
-/// The uncompressed columnar tail: plain parallel vectors, append-only,
+/// The uncompressed tail: plain parallel vectors, append-only,
 /// drained into a sealed chunk when it reaches the chunk size. This is
 /// the old flat SoA layout; payload side tables are kept as separate
 /// parallel vectors per field so sealing can hand the codec borrowed
@@ -347,29 +343,7 @@ enum SealedChunk {
     Spilled { offset: u64, len: u32 },
 }
 
-/// Shared single-chunk decode cache for random access from `&self`.
-struct DecodeCache {
-    /// Index of the decoded chunk, `usize::MAX` when empty.
-    chunk: usize,
-    batch: ChunkBatch,
-    file_buf: Vec<u8>,
-}
-
-impl DecodeCache {
-    fn empty() -> DecodeCache {
-        DecodeCache {
-            chunk: usize::MAX,
-            batch: ChunkBatch::default(),
-            file_buf: Vec::new(),
-        }
-    }
-
-    fn mem_bytes(&self) -> u64 {
-        self.batch.mem_bytes() + self.file_buf.capacity() as u64
-    }
-}
-
-/// Columnar message store: sealed compressed chunks plus a flat tail.
+/// Column store for messages: sealed compressed chunks plus a flat tail.
 ///
 /// Rows are addressed by insertion index; the `wire_len` column is
 /// in-memory provenance (like [`Trace::wire_bytes`]): it does not
@@ -395,7 +369,6 @@ pub struct MessageColumns {
     /// Reusable seal-time scratch (timestamp millis + encode output).
     encode_ms_scratch: Vec<u64>,
     encode_buf: Vec<u8>,
-    cache: Mutex<DecodeCache>,
 }
 
 impl Default for MessageColumns {
@@ -413,7 +386,6 @@ impl Default for MessageColumns {
             spilled_bytes: 0,
             encode_ms_scratch: Vec::new(),
             encode_buf: Vec::new(),
-            cache: Mutex::new(DecodeCache::empty()),
         }
     }
 }
@@ -439,7 +411,6 @@ impl Clone for MessageColumns {
             spilled_bytes: self.spilled_bytes,
             encode_ms_scratch: Vec::new(),
             encode_buf: Vec::new(),
-            cache: Mutex::new(DecodeCache::empty()),
         }
     }
 }
@@ -663,74 +634,9 @@ impl MessageColumns {
         }
     }
 
-    /// Run `f` against the decoded batch for chunk `idx`, via the shared
-    /// cache (random-access path).
-    fn with_cached_batch<R>(&self, idx: usize, f: impl FnOnce(&ChunkBatch) -> R) -> R {
-        let mut guard = self.cache.lock();
-        let cache = &mut *guard;
-        if cache.chunk != idx {
-            telemetry::global().incr(Counter::DecodeCacheMisses);
-            let bytes = self.chunk_data(idx, &mut cache.file_buf);
-            chunk::decode_chunk(bytes, &mut cache.batch);
-            cache.chunk = idx;
-        } else {
-            telemetry::global().incr(Counter::DecodeCacheHits);
-        }
-        f(&cache.batch)
-    }
-
-    /// Reconstruct the record at row `i` (panics when out of bounds).
-    ///
-    /// Sealed rows decode through a shared one-chunk cache; sequential
-    /// consumers should prefer [`MessageColumns::cursor`] or
-    /// [`MessageColumns::iter`], which skip the cache lock.
-    pub fn get(&self, i: usize) -> MessageRecord {
-        if i >= self.rows_sealed {
-            return self.tail.get(i - self.rows_sealed);
-        }
-        self.with_cached_batch(i / self.chunk_rows, |b| b.record(i % self.chunk_rows))
-    }
-
-    /// Wire length recorded for row `i` (0 when the producer did not
-    /// account wire bytes).
-    pub fn wire_len(&self, i: usize) -> u32 {
-        if i >= self.rows_sealed {
-            return self.tail.wire_len[i - self.rows_sealed];
-        }
-        self.with_cached_batch(i / self.chunk_rows, |b| b.wire_len(i % self.chunk_rows))
-    }
-
-    /// Arrival-time column value at row `i`.
-    pub fn time_at(&self, i: usize) -> SimTime {
-        if i >= self.rows_sealed {
-            return self.tail.at[i - self.rows_sealed];
-        }
-        self.with_cached_batch(i / self.chunk_rows, |b| {
-            SimTime::from_millis(b.at_ms[i % self.chunk_rows])
-        })
-    }
-
-    /// Kind column value at row `i`.
-    pub fn kind_at(&self, i: usize) -> MsgKind {
-        if i >= self.rows_sealed {
-            return self.tail.kind[i - self.rows_sealed];
-        }
-        self.with_cached_batch(i / self.chunk_rows, |b| {
-            MsgKind::from_u8(b.kind[i % self.chunk_rows])
-        })
-    }
-
-    /// Hops column value at row `i`.
-    pub fn hops_at(&self, i: usize) -> u8 {
-        if i >= self.rows_sealed {
-            return self.tail.hops[i - self.rows_sealed];
-        }
-        self.with_cached_batch(i / self.chunk_rows, |b| b.hops[i % self.chunk_rows])
-    }
-
     /// Sequential reader with its own decode scratch: decodes each
-    /// sealed chunk exactly once as the position crosses it, no locks.
-    /// The canonical replay and export path.
+    /// sealed chunk exactly once as the position crosses it. The record
+    /// read path (export, equality, iteration).
     pub fn cursor(&self) -> MessageCursor<'_> {
         MessageCursor {
             cols: self,
@@ -749,8 +655,8 @@ impl MessageColumns {
 
     /// Visit every decoded column batch in row order: each sealed chunk
     /// once, then the flat tail copied through the same [`ChunkBatch`]
-    /// shape. The chunk-at-a-time analysis kernels (trace stats, the
-    /// filter/popularity fast path) are written against this.
+    /// shape. Chunk-at-a-time kernels (trace stats) are written against
+    /// this.
     pub fn for_each_batch(&self, mut f: impl FnMut(&ChunkBatch)) {
         let mut batch = ChunkBatch::default();
         let mut file_buf = Vec::new();
@@ -766,7 +672,7 @@ impl MessageColumns {
     }
 
     /// Visit every hop-1 QUERY row without materializing records — the
-    /// session-reconstruction and streaming fast path. Sealed chunks use
+    /// analysis pipeline's read path for retained traces. Sealed chunks use
     /// a selective decode that reads only the AT/SESSION/KIND/HOPS/QUERY
     /// sections (TTL, GUID, wire and the other side tables are skipped
     /// without being touched).
@@ -811,7 +717,7 @@ impl MessageColumns {
 
     /// Resident bytes: the flat tail at capacity, sealed chunks that are
     /// held in memory (spilled extents cost nothing here), the chunk
-    /// directory, and the decode/encode scratch buffers.
+    /// directory, and the encode scratch buffers.
     pub fn mem_bytes(&self) -> u64 {
         let mem_chunks: u64 = self
             .sealed
@@ -823,7 +729,7 @@ impl MessageColumns {
             .sum();
         let directory = (self.sealed.capacity() * std::mem::size_of::<SealedChunk>()) as u64;
         let scratch = (self.encode_ms_scratch.capacity() * 8 + self.encode_buf.capacity()) as u64;
-        self.tail.mem_bytes() + mem_chunks + directory + scratch + self.cache.lock().mem_bytes()
+        self.tail.mem_bytes() + mem_chunks + directory + scratch
     }
 
     /// Number of sealed (compressed) chunks.
@@ -858,11 +764,10 @@ impl MessageColumns {
         }
     }
 
-    /// Drop scratch allocations (decode cache, seal buffers) and shrink
-    /// the tail. Call before snapshotting or unwrapping a finished
-    /// trace so teardown copies don't carry dead capacity.
+    /// Drop scratch allocations (seal buffers) and shrink the tail. Call
+    /// before snapshotting or unwrapping a finished trace so teardown
+    /// copies don't carry dead capacity.
     pub fn compact(&mut self) {
-        *self.cache.lock() = DecodeCache::empty();
         self.encode_ms_scratch = Vec::new();
         self.encode_buf = Vec::new();
         self.tail.shrink_to_fit();
@@ -870,8 +775,7 @@ impl MessageColumns {
 }
 
 /// Sequential decoding reader over a [`MessageColumns`], with private
-/// scratch buffers (no shared-cache locking). Created by
-/// [`MessageColumns::cursor`].
+/// scratch buffers. Created by [`MessageColumns::cursor`].
 pub struct MessageCursor<'a> {
     cols: &'a MessageColumns,
     next: usize,
@@ -888,21 +792,6 @@ impl MessageCursor<'_> {
             chunk::decode_chunk(bytes, &mut self.batch);
             self.chunk = idx;
         }
-    }
-
-    /// Arrival time of the next row, without advancing.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        if self.next >= self.cols.len() {
-            return None;
-        }
-        if self.next >= self.cols.rows_sealed {
-            return Some(self.cols.tail.at[self.next - self.cols.rows_sealed]);
-        }
-        let idx = self.next / self.cols.chunk_rows;
-        self.ensure_chunk(idx);
-        Some(SimTime::from_millis(
-            self.batch.at_ms[self.next % self.cols.chunk_rows],
-        ))
     }
 
     /// The next row and its wire length, advancing the cursor.
@@ -993,7 +882,7 @@ impl Deserialize for MessageColumns {
 pub struct Trace {
     /// One record per direct connection, indexed by [`SessionId`].
     pub connections: Vec<ConnectionRecord>,
-    /// All received messages, in arrival order (columnar layout).
+    /// All received messages, in arrival order (column layout).
     pub messages: MessageColumns,
     /// Total wire size of the recorded messages, in bytes — charged by the
     /// collector via `gnutella::wire::encoded_len` regardless of whether
@@ -1091,10 +980,14 @@ impl Trace {
     /// Read back a JSONL trace.
     ///
     /// Connection records are re-indexed by their embedded [`SessionId`];
-    /// message order is preserved.
+    /// message order is preserved. Fails with [`io::ErrorKind::InvalidData`]
+    /// naming the session when the session ids have a gap, when a session
+    /// has two connection records, or when a message's session has none.
     pub fn read_jsonl<R: BufRead>(r: R) -> io::Result<Trace> {
+        let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
         let mut connections: Vec<Option<ConnectionRecord>> = Vec::new();
         let mut messages = MessageColumns::new();
+        let mut last_msg_session = None;
         for line in r.lines() {
             let line = line?;
             if line.trim().is_empty() {
@@ -1108,21 +1001,29 @@ impl Trace {
                     if connections.len() <= idx {
                         connections.resize(idx + 1, None);
                     }
+                    if connections[idx].is_some() {
+                        return Err(invalid(format!(
+                            "duplicate connection record for session {idx}"
+                        )));
+                    }
                     connections[idx] = Some(c);
                 }
-                TraceLine::Msg(m) => messages.push(m),
+                TraceLine::Msg(m) => {
+                    last_msg_session = last_msg_session.max(Some(m.session.0));
+                    messages.push(m);
+                }
             }
+        }
+        if let Some(s) = last_msg_session.filter(|&s| s >= connections.len() as u64) {
+            return Err(invalid(format!(
+                "message for session {s} has no connection record"
+            )));
         }
         let connections = connections
             .into_iter()
             .enumerate()
             .map(|(i, c)| {
-                c.ok_or_else(|| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("missing connection record for session {i}"),
-                    )
-                })
+                c.ok_or_else(|| invalid(format!("missing connection record for session {i}")))
             })
             .collect::<io::Result<Vec<_>>>()?;
         Ok(Trace {
@@ -1213,7 +1114,7 @@ mod tests {
     }
 
     /// The JSONL interchange format is frozen: this golden output was
-    /// captured from the row-oriented (pre-columnar) store and must stay
+    /// captured from the row-oriented store that preceded the column layout and must stay
     /// byte-identical so old traces and external readers keep working.
     #[test]
     fn jsonl_matches_row_store_golden() {
@@ -1357,10 +1258,12 @@ mod tests {
         assert_eq!(cols.len(), records.len());
         let back: Vec<MessageRecord> = cols.iter().collect();
         assert_eq!(back, records);
-        // Random access agrees with iteration.
-        for (i, r) in records.iter().enumerate() {
-            assert_eq!(cols.get(i), *r);
+        // The cursor agrees with iteration, row by row.
+        let mut cur = cols.cursor();
+        for r in &records {
+            assert_eq!(cur.next_with_wire(), Some((*r, 0)));
         }
+        assert_eq!(cur.next_with_wire(), None);
     }
 
     #[test]
@@ -1384,14 +1287,13 @@ mod tests {
             let back: Vec<MessageRecord> = cols.iter().collect();
             assert_eq!(back, records, "chunk_rows {chunk_rows}");
 
-            // Random access (cached path), in an order that thrashes the
-            // cache across chunk boundaries.
-            for i in (0..records.len()).rev() {
-                assert_eq!(cols.get(i), records[i]);
-                assert_eq!(cols.wire_len(i), (i % 97) as u32);
-                assert_eq!(cols.time_at(i), records[i].at);
-                assert_eq!(cols.hops_at(i), records[i].hops);
+            // The cursor returns each row with its wire length, across
+            // chunk boundaries and into the tail.
+            let mut cur = cols.cursor();
+            for (i, r) in records.iter().enumerate() {
+                assert_eq!(cur.next_with_wire(), Some((*r, (i % 97) as u32)));
             }
+            assert_eq!(cur.next_with_wire(), None);
 
             // Batch visitation covers every row in order.
             let mut n = 0usize;
@@ -1447,8 +1349,8 @@ mod tests {
         let mut b = MessageColumns::new();
         b.push(rec);
         assert_eq!(a, b);
-        assert_eq!(a.wire_len(0), 23);
-        assert_eq!(b.wire_len(0), 0);
+        assert_eq!(a.cursor().next_with_wire(), Some((rec, 23)));
+        assert_eq!(b.cursor().next_with_wire(), Some((rec, 0)));
     }
 
     #[test]
@@ -1506,8 +1408,8 @@ mod tests {
         for r in &records {
             cols.push(*r);
         }
-        // Populate the decode cache, then compact it away.
-        let _ = cols.get(0);
+        // Seals leave encode scratch behind and the tail over-reserved;
+        // compact drops both.
         let before = cols.mem_bytes();
         cols.compact();
         assert!(cols.mem_bytes() < before);
@@ -1538,6 +1440,37 @@ mod tests {
         let mut buf = Vec::new();
         t.write_jsonl(&mut buf).unwrap();
         assert!(Trace::read_jsonl(buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn read_rejects_message_without_connection() {
+        let mut t = sample_trace();
+        t.messages.push(MessageRecord {
+            session: SessionId(7),
+            guid: test_guid(),
+            at: SimTime::from_secs(400),
+            hops: 1,
+            ttl: 6,
+            payload: RecordedPayload::Ping,
+        });
+        let mut buf = Vec::new();
+        t.write_jsonl(&mut buf).unwrap();
+        let err = Trace::read_jsonl(buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("session 7"), "{err}");
+    }
+
+    #[test]
+    fn read_rejects_duplicate_connection() {
+        let mut t = sample_trace();
+        let mut dup = t.connections[1].clone();
+        dup.user_agent = "Other/1".into();
+        t.connections.push(dup);
+        let mut buf = Vec::new();
+        t.write_jsonl(&mut buf).unwrap();
+        let err = Trace::read_jsonl(buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("session 1"), "{err}");
     }
 
     #[test]

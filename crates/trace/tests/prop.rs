@@ -4,7 +4,7 @@ use gnutella::Guid;
 use proptest::prelude::*;
 use simnet::SimTime;
 use std::net::Ipv4Addr;
-use trace::{ConnectionRecord, MessageRecord, RecordedPayload, SessionId, Sessions, Trace};
+use trace::{ConnectionRecord, MessageRecord, RecordedPayload, SessionId, Trace};
 
 fn arb_payload() -> impl Strategy<Value = RecordedPayload> {
     prop_oneof![
@@ -172,11 +172,12 @@ proptest! {
         // Sequential decode matches the records pushed.
         let decoded: Vec<MessageRecord> = chunked.iter().collect();
         prop_assert_eq!(&decoded, &records);
-        // Random access in reverse order (cache-hostile) agrees too.
-        for i in (0..records.len()).rev() {
-            prop_assert_eq!(chunked.get(i), records[i].clone());
-            prop_assert_eq!(chunked.wire_len(i), wire_lens[i]);
+        // The cursor returns every row with its wire length.
+        let mut cur = chunked.cursor();
+        for (r, w) in records.iter().zip(&wire_lens) {
+            prop_assert_eq!(cur.next_with_wire(), Some((*r, *w)));
         }
+        prop_assert_eq!(cur.next_with_wire(), None);
         // The selective query scan sees exactly the one-hop queries.
         let mut seen = Vec::new();
         chunked.for_each_one_hop_query(|sid, at, text, sha1| {
@@ -211,19 +212,5 @@ proptest! {
         prop_assert!(s.hop1_queries <= s.query_messages);
         prop_assert_eq!(s.direct_connections, trace.connections.len() as u64);
         prop_assert!(s.ultrapeer_connections <= s.direct_connections);
-    }
-
-    #[test]
-    fn session_reconstruction_is_exhaustive(trace in arb_trace()) {
-        let sessions = Sessions::from_trace(&trace);
-        prop_assert_eq!(sessions.len(), trace.connections.len());
-        // Every hop-1 query lands in exactly one view.
-        let expected = trace.messages.iter().filter(|m| m.is_one_hop_query()).count();
-        let got: usize = sessions.iter().map(|v| v.queries.len()).sum();
-        prop_assert_eq!(got, expected);
-        // Reconstruction preserves the trace's message order within each
-        // session (collector-produced traces are time-sorted; arbitrary
-        // traces keep whatever order they had, so only the count invariant
-        // above is asserted on ordering-hostile inputs).
     }
 }

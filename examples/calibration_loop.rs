@@ -9,7 +9,7 @@
 //! cargo run --release -p p2pq-examples --bin calibration_loop
 //! ```
 
-use analysis::filter::apply_filters;
+use analysis::analyze_retained;
 use behavior::{run_population, PopulationConfig};
 use geoip::{GeoDb, Region};
 use p2pq::{calibrate, collect_sessions, GeneratorConfig, WorkloadGenerator};
@@ -24,7 +24,7 @@ fn main() {
         seed: 7,
         ..PopulationConfig::default()
     });
-    let ft = apply_filters(&trace, &GeoDb::synthetic());
+    let ft = analyze_retained(&trace, &GeoDb::synthetic()).ft;
     println!(
         "   {} sessions survived filtering ({} raw)",
         ft.report.final_sessions, ft.report.raw_sessions

@@ -9,8 +9,8 @@
 //! cargo run --release -p p2pq-examples --bin measurement_study [days] [sessions_per_day]
 //! ```
 
+use analysis::analyze_retained;
 use analysis::characterize::passive_fraction;
-use analysis::filter::apply_filters;
 use behavior::{run_population, PopulationConfig};
 use geoip::{GeoDb, Region};
 
@@ -38,7 +38,7 @@ fn main() {
     );
 
     // --- Table 2: filter accounting --------------------------------------
-    let ft = apply_filters(&trace, &GeoDb::synthetic());
+    let ft = analyze_retained(&trace, &GeoDb::synthetic()).ft;
     println!("\n=== Table 2 — Filtered Queries ===");
     print!("{}", ft.report.render_table());
 

@@ -1,8 +1,8 @@
 //! End-to-end pipeline: simulate → serialize → filter → characterize →
 //! calibrate → regenerate.
 
+use analysis::analyze_retained;
 use analysis::characterize::{interarrival, passive_fraction, queries};
-use analysis::filter::apply_filters;
 use analysis::popularity::{class_sizes, DailyObservations};
 use behavior::run_population;
 use geoip::{GeoDb, Region};
@@ -30,7 +30,7 @@ fn full_pipeline_closes_the_loop() {
 
     // 3. Filter.
     let db = GeoDb::synthetic();
-    let ft = apply_filters(&trace, &db);
+    let ft = analyze_retained(&trace, &db).ft;
     let r = &ft.report;
     // Table 2 arithmetic must balance exactly.
     assert_eq!(
