@@ -7,7 +7,7 @@
 //! paper's 40-day trace, at a configurable scale.
 
 use crate::arrivals::{ArrivalProcess, HourArrivals};
-use crate::hybrid::{HybridShard, ShardOutcome};
+use crate::hybrid::HybridCampaign;
 use crate::peer::{ClientPeer, PeerEnv, RelayRates};
 use crate::session::SessionPlanner;
 use crate::vocabulary::{Vocabulary, VocabularyConfig};
@@ -15,7 +15,7 @@ use geoip::{AddressAllocator, GeoDb};
 use gnutella::net::{NetMsg, Transport};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use simnet::{Actor, Context, LatencyModel, NodeId, SimDuration, SimTime, Simulator};
+use simnet::{Actor, Context, LatencyModel, NodeId, SimDuration, SimStats, SimTime, Simulator};
 use stats::rng::SeedSequence;
 use std::sync::Arc;
 use telemetry::{Counter, Gauge, Registry, Snapshot};
@@ -130,27 +130,34 @@ pub struct CampaignStats {
 }
 
 impl CampaignStats {
-    /// Statistics of a finished campaign. The engine's plain counters
-    /// are folded into the registry snapshot here — the one place engine
-    /// statistics and registry counters meet, for either fidelity.
-    fn of(s: ShardOutcome) -> CampaignStats {
-        let mut telemetry = s.telemetry;
-        telemetry.add_counter(Counter::EventsPopped, s.sim.events_popped);
-        telemetry.add_counter(Counter::HeapSpills, s.sim.heap_spills);
-        telemetry.add_counter(Counter::HeapMigrations, s.sim.heap_migrations);
-        telemetry.add_counter(Counter::WheelCascades, s.sim.wheel_cascades);
-        telemetry.add_counter(Counter::HybridElided, s.elided_msgs);
-        telemetry.add_counter(Counter::HybridModeled, s.modeled_msgs);
-        telemetry.max_gauge(Gauge::PeakQueueLen, s.sim.peak_queue_len);
+    /// Statistics of a finished campaign: the engine's statistics `sim`,
+    /// the hybrid engine's elided and modeled message counts (zero for
+    /// full fidelity), and the final snapshot of the campaign registry.
+    /// The engine's plain counters are folded into the snapshot here —
+    /// the one place engine statistics and registry counters meet, for
+    /// either fidelity.
+    pub(crate) fn of(
+        sim: SimStats,
+        elided_msgs: u64,
+        modeled_msgs: u64,
+        mut telemetry: Snapshot,
+    ) -> CampaignStats {
+        telemetry.add_counter(Counter::EventsPopped, sim.events_popped);
+        telemetry.add_counter(Counter::HeapSpills, sim.heap_spills);
+        telemetry.add_counter(Counter::HeapMigrations, sim.heap_migrations);
+        telemetry.add_counter(Counter::WheelCascades, sim.wheel_cascades);
+        telemetry.add_counter(Counter::HybridElided, elided_msgs);
+        telemetry.add_counter(Counter::HybridModeled, modeled_msgs);
+        telemetry.max_gauge(Gauge::PeakQueueLen, sim.peak_queue_len);
         CampaignStats {
-            events_popped: s.sim.events_popped,
-            peak_queue_len: s.sim.peak_queue_len,
-            delivered: s.sim.delivered,
-            dropped: s.sim.dropped,
-            timers_fired: s.sim.timers_fired,
-            spawned: s.sim.spawned,
-            hybrid_elided_msgs: s.elided_msgs,
-            hybrid_modeled_msgs: s.modeled_msgs,
+            events_popped: sim.events_popped,
+            peak_queue_len: sim.peak_queue_len,
+            delivered: sim.delivered,
+            dropped: sim.dropped,
+            timers_fired: sim.timers_fired,
+            spawned: sim.spawned,
+            hybrid_elided_msgs: elided_msgs,
+            hybrid_modeled_msgs: modeled_msgs,
             telemetry,
         }
     }
@@ -277,7 +284,7 @@ fn build_full(
         transport: cfg.transport,
         ..CollectorConfig::default()
     };
-    let server = sim.add_node(Box::new(MeasurementPeer::with_sink_and_registry(
+    let server = sim.add_node(Box::new(MeasurementPeer::new(
         collector_cfg,
         sink,
         registry,
@@ -296,56 +303,6 @@ fn build_full(
     };
     sim.add_node(Box::new(driver));
     (sim, end + SimDuration::from_hours(2))
-}
-
-/// Build, run and finish one campaign at the configured fidelity,
-/// deriving every stream from `seq`.
-fn run_shard(
-    cfg: &PopulationConfig,
-    vocab: Arc<Vocabulary>,
-    seq: SeedSequence,
-    sink: SharedSink,
-) -> ShardOutcome {
-    // One registry per campaign: single-writer relaxed atomics on the
-    // hot path, snapshotted at finish.
-    let registry = Arc::new(Registry::new());
-    match cfg.fidelity {
-        Fidelity::Full => {
-            let (mut sim, horizon) = {
-                telemetry::scope!("build");
-                build_full(cfg, vocab, seq, sink, Arc::clone(&registry))
-            };
-            {
-                telemetry::scope!("run");
-                sim.run_until(horizon);
-            }
-            telemetry::scope!("finish");
-            let stats = sim.stats();
-            // Dropping the simulator drops the measurement peer, which
-            // flushes the collector's pending record buffer into the
-            // sink — after this the sink has seen the complete stream
-            // (and the registry its final sink counters).
-            drop(sim);
-            ShardOutcome {
-                sim: stats,
-                elided_msgs: 0,
-                modeled_msgs: 0,
-                telemetry: registry.snapshot(),
-            }
-        }
-        Fidelity::Hybrid => {
-            let mut shard = {
-                telemetry::scope!("build");
-                HybridShard::new(cfg, vocab, seq, sink, registry)
-            };
-            {
-                telemetry::scope!("run");
-                shard.run_until(shard.horizon());
-            }
-            telemetry::scope!("finish");
-            shard.finish()
-        }
-    }
 }
 
 /// Pre-reservation estimate for a retained trace: expected connections
@@ -391,6 +348,9 @@ pub fn run_population_with_stats(cfg: &PopulationConfig) -> (Trace, CampaignStat
 /// of materializing a trace. With a streaming aggregator sink the full
 /// trace is never held in memory; with a `Trace` sink this is exactly
 /// [`run_population_with_stats`].
+///
+/// Builds, runs and finishes the campaign at the configured fidelity,
+/// deriving every stream from the root seed.
 pub fn run_population_into(cfg: &PopulationConfig, sink: SharedSink) -> CampaignStats {
     telemetry::scope!("campaign");
     let seq = SeedSequence::new(cfg.seed);
@@ -398,7 +358,41 @@ pub fn run_population_into(cfg: &PopulationConfig, sink: SharedSink) -> Campaign
         telemetry::scope!("build");
         Arc::new(build_vocabulary(cfg, &seq))
     };
-    CampaignStats::of(run_shard(cfg, vocab, seq, sink))
+    // One registry per campaign: single-writer relaxed atomics on the
+    // hot path, snapshotted at finish.
+    let registry = Arc::new(Registry::new());
+    match cfg.fidelity {
+        Fidelity::Full => {
+            let (mut sim, horizon) = {
+                telemetry::scope!("build");
+                build_full(cfg, vocab, seq, sink, Arc::clone(&registry))
+            };
+            {
+                telemetry::scope!("run");
+                sim.run_until(horizon);
+            }
+            telemetry::scope!("finish");
+            let stats = sim.stats();
+            // Dropping the simulator drops the measurement peer, whose
+            // recorder drains its pending record buffer into the sink —
+            // after this the sink has seen the complete stream (and the
+            // registry its final sink counters).
+            drop(sim);
+            CampaignStats::of(stats, 0, 0, registry.snapshot())
+        }
+        Fidelity::Hybrid => {
+            let mut campaign = {
+                telemetry::scope!("build");
+                HybridCampaign::new(cfg, vocab, seq, sink, registry)
+            };
+            {
+                telemetry::scope!("run");
+                campaign.run_until(campaign.horizon());
+            }
+            telemetry::scope!("finish");
+            campaign.finish()
+        }
+    }
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! the relay/background traffic those neighbors forward. Full-fidelity
 //! simulation nevertheless pays per-message actor dispatch, protocol
 //! message construction, handshake rendering/parsing, and GUID routing
-//! for every peer. [`HybridShard`] keeps the *observable* half — every
+//! for every peer. [`HybridCampaign`] keeps the *observable* half — every
 //! message the collector records, every reply that provokes recorded
 //! traffic — and replaces the rest with direct statistical emission:
 //!
@@ -14,8 +14,15 @@
 //!   actors; their traffic is drawn through [`crate::stream`] — the same
 //!   functions, in the same order, from the same per-session RNG streams
 //!   as [`crate::peer::ClientPeer`] — and lands in the trace as
-//!   [`MessageRecord`]s with analytic wire lengths, skipping
-//!   `gnutella::message::Message` construction and the codec entirely;
+//!   [`MessageRecord`]s whose wire lengths come from the codec's per-kind
+//!   lengths (`gnutella::wire`), skipping `gnutella::message::Message`
+//!   construction and the codec entirely;
+//! * the collector admits, records and closes sessions through a
+//!   [`trace::Recorder`], the recording half the full-fidelity
+//!   `trace::MeasurementPeer` owns too: admission cap, session ids, open
+//!   connections with their idle clocks, and the record buffer that
+//!   feeds the sink. What is the engine's own is how the collector's
+//!   replies and forwards travel: as keyed events, or not at all;
 //! * collector replies that no recorded message depends on (PONG answers
 //!   to pings, forwarded query copies to sessions that share no files,
 //!   reverse-routed hits, busy replies, probes to vanished peers) are
@@ -28,7 +35,10 @@
 //! The result is an observed trace that is **bit-identical** to full
 //! simulation — enforced by golden equivalence tests — at a fraction of
 //! the per-message cost, which is what makes `mega`-scale campaigns
-//! (millions of sessions/day) tractable.
+//! (millions of sessions/day) tractable. Full fidelity is the oracle for
+//! how messages move; what the collector does with the messages it
+//! receives is one shared implementation, tested on its own in
+//! `trace::collector`.
 
 use crate::arrivals::{ArrivalProcess, HourArrivals};
 use crate::files::SharedFilesModel;
@@ -36,48 +46,24 @@ use crate::peer::RelayRates;
 use crate::session::{SessionPlan, SessionPlanner};
 use crate::stream::{
     draw_query_answer, draw_relay_hit, draw_relay_pong, draw_relay_query, EmissionKind,
-    SessionEmitter, ANSWER_FILE_NAME, RELAY_HIT_NAME_LEN,
+    SessionEmitter, ANSWER_FILE_NAME, BYE_REASON, RELAY_HIT_NAME_LEN,
 };
 use crate::vocabulary::Vocabulary;
 use geoip::{AddressAllocator, GeoDb};
 use gnutella::message::DEFAULT_TTL;
-use gnutella::peerlink::{IdleAction, IdleTracker, IDLE_PROBE_AFTER};
+use gnutella::peerlink::{IdleAction, IDLE_PROBE_AFTER};
+use gnutella::wire;
 use gnutella::Guid;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simnet::{EventQueue, LatencyModel, SimDuration, SimStats, SimTime};
+use simnet::{EventQueue, LatencyModel, NodeId, SimDuration, SimStats, SimTime};
 use stats::rng::SeedSequence;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
-use telemetry::{Counter, Hist, Registry, Snapshot};
-use trace::{
-    CollectorConfig, ConnectionRecord, MessageRecord, RecordedPayload, SessionId, SharedSink,
-};
+use telemetry::Registry;
+use trace::{CollectorConfig, MessageRecord, RecordedPayload, Recorder, SharedSink};
 
-use crate::driver::PopulationConfig;
-
-/// Gnutella message header length on the wire.
-const WIRE_HEADER: u32 = 23;
-/// Wire length of a PING (header only).
-const WIRE_PING: u32 = WIRE_HEADER;
-/// Wire length of a PONG (header + 14-byte body).
-const WIRE_PONG: u32 = WIRE_HEADER + 14;
-/// Wire length of the closing BYE (`code` + `"shutting down"` + NUL).
-const WIRE_BYE: u32 = WIRE_HEADER + 2 + 13 + 1;
-/// Wire length of a QUERYHIT excluding result records
-/// (header + count/port/addr/speed + servent GUID).
-const WIRE_HIT_BASE: u32 = WIRE_HEADER + 11 + 16;
-/// Wire length of one relayed-hit result record
-/// (index/size + `fileNNNN.mp3` + terminators).
-const WIRE_RELAY_HIT_RESULT: u32 = 8 + RELAY_HIT_NAME_LEN as u32 + 2;
-/// Wire length of the single-result answer hit (`match.mp3`).
-const WIRE_ANSWER_HIT: u32 = WIRE_HIT_BASE + 8 + ANSWER_FILE_NAME.len() as u32 + 2;
-
-/// Wire length of a QUERY with the given text length and optional SHA1
-/// extension length (min_speed + text + NUL, + sha1 + NUL).
-fn wire_query(text_len: usize, sha1_len: Option<usize>) -> u32 {
-    WIRE_HEADER + 2 + text_len as u32 + 1 + sha1_len.map_or(0, |l| l as u32 + 1)
-}
+use crate::driver::{CampaignStats, PopulationConfig};
 
 /// Collector node id (always spawned first).
 const COLLECTOR_LANE: u32 = 0;
@@ -156,52 +142,12 @@ struct Session {
     emitter: Option<SessionEmitter>,
     pending: Option<EmissionKind>,
     next_key: u64,
-    /// Gap-batched RNG draws: pre-drawn (GUID, send-latency) pairs
-    /// served to upcoming emissions. Only populated for free-rider
-    /// leaves (`!ultrapeer && shared_files == 0`), whose every
-    /// post-accept RNG consumption before `End` is provably such a
-    /// pair — planned queries, keepalives, and probe pongs alike — with
-    /// no interleaving draws from the same RNG. Serving pre-drawn pairs
-    /// in order therefore leaves the RNG stream bit-identical to
-    /// per-emission draws.
-    pair_buf: Vec<(Guid, SimDuration)>,
-    pair_pos: usize,
-    /// Exact count of not-yet-emitted planned + keepalive emissions.
-    /// Refills never draw past it, and emissions decrement it while
-    /// probes only consume buffered pairs, so the buffer is provably
-    /// empty when `End` draws directly from the RNG.
-    pair_budget: u64,
-    /// Whether this session is eligible for gap batching.
-    batching: bool,
 }
-
-/// Outcome of one (full- or hybrid-fidelity) campaign run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ShardOutcome {
-    /// Engine-level statistics (the hybrid engine fills the same fields
-    /// from its event loop).
-    pub sim: SimStats,
-    /// Messages whose delivery the hybrid engine elided entirely.
-    pub elided_msgs: u64,
-    /// Peer→collector messages the hybrid engine modeled as events.
-    pub modeled_msgs: u64,
-    /// The campaign registry's final counter snapshot (sink-layer
-    /// counters; engine-level quantities are folded in by
-    /// [`crate::CampaignStats`]).
-    pub telemetry: Snapshot,
-}
-
-/// Local-record buffer size triggering a sink drain — matches the
-/// collector's chunking so the sink sees identical batch boundaries.
-const RECORD_FLUSH_CHUNK: usize = 8_192;
-
-/// Pairs drawn per gap-batched RNG refill burst (see [`Session`]).
-const RNG_BATCH: usize = 16;
 
 /// A hybrid-fidelity campaign: drop-in replacement for the
 /// full-fidelity `Simulator` campaign, producing a bit-identical
 /// observed trace.
-pub struct HybridShard {
+pub struct HybridCampaign {
     queue: EventQueue<Body>,
     end: SimTime,
     horizon: SimTime,
@@ -233,20 +179,13 @@ pub struct HybridShard {
     sessions: Vec<Option<Box<Session>>>,
     free: Vec<u32>,
 
-    // Collector state (lane 0).
-    max_connections: usize,
+    // Collector state (lane 0). The recorder tags each open connection
+    // with its session's slot.
+    recorder: Recorder<u32>,
     forward_fanout: usize,
     coll_latency: LatencyModel,
     crng: StdRng,
     ckey: u64,
-    next_sid: u64,
-    /// Open connections ordered by node id. Admission order is not node
-    /// order (connect latencies differ), so an insert may land mid-list.
-    conns: Vec<(Peer, SessionId, IdleTracker)>,
-    pending_records: Vec<MessageRecord>,
-    pending_wire: Vec<u32>,
-    sink: SharedSink,
-    registry: Arc<Registry>,
 
     // Statistics.
     pops: u64,
@@ -257,7 +196,7 @@ pub struct HybridShard {
     modeled: u64,
 }
 
-impl HybridShard {
+impl HybridCampaign {
     /// Build a campaign exactly as the full-fidelity driver would: same
     /// seed derivations, same environment, same horizon.
     pub fn new(
@@ -266,14 +205,14 @@ impl HybridShard {
         seq: SeedSequence,
         sink: SharedSink,
         registry: Arc<Registry>,
-    ) -> HybridShard {
+    ) -> HybridCampaign {
         let planner = SessionPlanner::paper_default(vocab.clone());
         let db = GeoDb::synthetic();
         let alloc = Arc::new(AddressAllocator::new(&db));
         let files = planner.files;
         let end = SimTime::from_secs_f64(cfg.days * 86_400.0);
         let collector_defaults = CollectorConfig::default();
-        let mut shard = HybridShard {
+        let mut campaign = HybridCampaign {
             queue: EventQueue::new(),
             end,
             horizon: end + SimDuration::from_hours(2),
@@ -293,17 +232,11 @@ impl HybridShard {
             peer_latency: LatencyModel::intra_continent(),
             sessions: Vec::new(),
             free: Vec::new(),
-            max_connections: cfg.max_connections,
+            recorder: Recorder::new(cfg.max_connections, sink, registry),
             forward_fanout: cfg.forward_fanout,
             coll_latency: collector_defaults.latency,
             crng: StdRng::seed_from_u64(seq.derive_seed("collector")),
             ckey: 0,
-            next_sid: 0,
-            conns: Vec::new(),
-            pending_records: Vec::with_capacity(RECORD_FLUSH_CHUNK),
-            pending_wire: Vec::with_capacity(RECORD_FLUSH_CHUNK),
-            sink,
-            registry,
             pops: 0,
             delivered: 0,
             dropped: 0,
@@ -311,8 +244,8 @@ impl HybridShard {
             elided: 0,
             modeled: 0,
         };
-        shard.schedule_hour(SimTime::ZERO);
-        shard
+        campaign.schedule_hour(SimTime::ZERO);
+        campaign
     }
 
     /// The instant the campaign stops processing (campaign end plus the
@@ -336,25 +269,26 @@ impl HybridShard {
     }
 
     /// Finish the campaign: drain buffered records and report statistics.
-    pub fn finish(mut self) -> ShardOutcome {
-        self.flush();
-        ShardOutcome {
-            sim: SimStats {
-                delivered: self.delivered,
-                dropped: self.dropped,
-                timers_fired: self.timers_fired,
-                spawned: 2 + self.spawned,
-                removed: 0,
-                events_popped: self.pops,
-                peak_queue_len: self.queue.peak_len() as u64,
-                heap_spills: self.queue.far_pushed(),
-                heap_migrations: self.queue.migrated(),
-                wheel_cascades: self.queue.cascades(),
-            },
-            elided_msgs: self.elided,
-            modeled_msgs: self.modeled,
-            telemetry: self.registry.snapshot(),
-        }
+    pub fn finish(mut self) -> CampaignStats {
+        self.recorder.flush();
+        let sim = SimStats {
+            delivered: self.delivered,
+            dropped: self.dropped,
+            timers_fired: self.timers_fired,
+            spawned: 2 + self.spawned,
+            removed: 0,
+            events_popped: self.pops,
+            peak_queue_len: self.queue.peak_len() as u64,
+            heap_spills: self.queue.far_pushed(),
+            heap_migrations: self.queue.migrated(),
+            wheel_cascades: self.queue.cascades(),
+        };
+        CampaignStats::of(
+            sim,
+            self.elided,
+            self.modeled,
+            self.recorder.registry().snapshot(),
+        )
     }
 
     // ----- driver (lane 1) -------------------------------------------------
@@ -409,10 +343,6 @@ impl HybridShard {
             emitter: None,
             pending: None,
             next_key: 1,
-            pair_buf: Vec::new(),
-            pair_pos: 0,
-            pair_budget: 0,
-            batching: false,
         });
         let slot = match self.free.pop() {
             Some(slot) => {
@@ -475,54 +405,9 @@ impl HybridShard {
     /// consume a schedule key, enqueue the arrival.
     fn session_send(&mut self, node: u32, sess: &mut Session, now: SimTime, msg: WireMsg) {
         let d = self.peer_latency.sample(&mut sess.rng);
-        self.session_send_at(node, sess, now, d, msg);
-    }
-
-    /// As [`Self::session_send`], with the send latency already drawn
-    /// (the gap-batched path pre-draws it alongside the GUID).
-    fn session_send_at(
-        &mut self,
-        node: u32,
-        sess: &mut Session,
-        now: SimTime,
-        d: SimDuration,
-        msg: WireMsg,
-    ) {
         let key = sess.next_key;
         sess.next_key += 1;
         self.push(now + d, node, key, Body::MsgArrive(node, msg));
-    }
-
-    /// The session's next (GUID, send-latency) pair, in RNG-stream
-    /// order: served from the gap-batched buffer when the session is
-    /// eligible (refilling it in one burst of up to [`RNG_BATCH`] pairs,
-    /// capped by the remaining emission budget), drawn directly
-    /// otherwise — including the probe-pong case where the budget has
-    /// already run dry. Either way the RNG consumes the same calls in
-    /// the same order as per-emission draws.
-    fn next_pair(&mut self, sess: &mut Session) -> (Guid, SimDuration) {
-        if sess.batching {
-            if sess.pair_pos == sess.pair_buf.len() && sess.pair_budget > 0 {
-                let n = sess.pair_budget.min(RNG_BATCH as u64) as usize;
-                sess.pair_buf.clear();
-                sess.pair_pos = 0;
-                sess.pair_buf.reserve(n);
-                for _ in 0..n {
-                    let g = Guid::random(&mut sess.rng);
-                    let d = self.peer_latency.sample(&mut sess.rng);
-                    sess.pair_buf.push((g, d));
-                }
-                self.registry.add(Counter::RngBatchedDraws, n as u64);
-            }
-            if sess.pair_pos < sess.pair_buf.len() {
-                let p = sess.pair_buf[sess.pair_pos];
-                sess.pair_pos += 1;
-                return p;
-            }
-        }
-        let g = Guid::random(&mut sess.rng);
-        let d = self.peer_latency.sample(&mut sess.rng);
-        (g, d)
     }
 
     // ----- collector helpers (lane 0) --------------------------------------
@@ -531,58 +416,6 @@ impl HybridShard {
         let k = self.ckey;
         self.ckey += 1;
         k
-    }
-
-    fn conn_index(&self, node: u32) -> Option<usize> {
-        self.conns.binary_search_by_key(&node, |e| e.0.node).ok()
-    }
-
-    fn flush(&mut self) {
-        if self.pending_records.is_empty() {
-            return;
-        }
-        telemetry::scope!("drain");
-        let n = self.pending_records.len() as u64;
-        let virtual_secs = self
-            .pending_records
-            .last()
-            .map_or(0.0, |r| r.at.as_secs_f64());
-        self.sink
-            .lock()
-            .on_batch(&self.pending_records, &self.pending_wire);
-        self.pending_records.clear();
-        self.pending_wire.clear();
-        self.registry.incr(Counter::SinkBatches);
-        self.registry.add(Counter::SinkRecords, n);
-        self.registry.observe(Hist::SinkBatchSize, n);
-        telemetry::progress::record_batch(n, virtual_secs);
-    }
-
-    fn record(&mut self, sid: SessionId, at: SimTime, msg: &WireMsg) {
-        self.pending_wire.push(msg.wire);
-        self.pending_records.push(MessageRecord {
-            session: sid,
-            guid: msg.guid,
-            at,
-            hops: msg.hops,
-            ttl: msg.ttl,
-            payload: msg.payload,
-        });
-        if self.pending_records.len() >= RECORD_FLUSH_CHUNK {
-            self.flush();
-        }
-    }
-
-    fn finalize(&mut self, node: u32, end: SimTime, by_probe: bool) {
-        if let Some(i) = self.conn_index(node) {
-            let (_, sid, _) = self.conns.remove(i);
-            // Drain-then-close through the one accounting point, exactly
-            // as the full collector finalizes — the sink sees identical
-            // batch boundaries, so the sink counters match
-            // across fidelities.
-            self.flush();
-            self.sink.lock().on_close(sid, end, by_probe);
-        }
     }
 
     // ----- event processing ------------------------------------------------
@@ -612,21 +445,6 @@ impl HybridShard {
                         at,
                         &mut sess.rng,
                     ));
-                    // Arm gap batching for free-rider leaves: they are
-                    // never fanout targets (forwarding skips sessions
-                    // sharing no files), their emitter draws nothing,
-                    // and every pre-`End` emission — planned query,
-                    // keepalive, probe pong — consumes exactly one
-                    // (GUID, latency) pair. The pre-`End` emission
-                    // count is a pure function of the plan: every
-                    // retained query fires, plus one keepalive per
-                    // whole interval within the session duration.
-                    let ka_ms = sess.keepalive.as_millis();
-                    if !sess.plan.ultrapeer && sess.plan.shared_files == 0 && ka_ms > 0 {
-                        sess.batching = true;
-                        sess.pair_budget =
-                            sess.plan.queries.len() as u64 + sess.plan.duration.as_millis() / ka_ms;
-                    }
                     self.arm_next(peer, &mut sess);
                     self.put_session(peer, sess);
                 } else {
@@ -659,7 +477,7 @@ impl HybridShard {
             }
             Body::ConnClose(node) => {
                 self.delivered += 1;
-                self.finalize(node, at, false);
+                self.recorder.close(NodeId(node), at, false);
             }
             Body::PeerGone(peer) => {
                 if self.end_session(peer) {
@@ -685,7 +503,7 @@ impl HybridShard {
                         guid,
                         hops: 1,
                         ttl: DEFAULT_TTL - 1,
-                        wire: WIRE_ANSWER_HIT,
+                        wire: wire::query_hit_len(1, ANSWER_FILE_NAME.len()) as u32,
                         payload: RecordedPayload::QueryHit {
                             addr: sess.addr,
                             results: 1,
@@ -702,22 +520,18 @@ impl HybridShard {
                     return;
                 };
                 self.delivered += 1;
-                // Probe pongs consume the same (GUID, latency) pair
-                // shape as emissions; they draw from the batch buffer
-                // without touching the emission budget.
-                let (guid, d) = self.next_pair(&mut sess);
                 let msg = WireMsg {
-                    guid,
+                    guid: Guid::random(&mut sess.rng),
                     hops: 1,
                     ttl: DEFAULT_TTL - 1,
-                    wire: WIRE_PONG,
+                    wire: wire::PONG_LEN as u32,
                     payload: RecordedPayload::Pong {
                         addr: sess.addr,
                         shared_files: sess.plan.shared_files,
                     },
                     answer_origin: None,
                 };
-                self.session_send_at(peer.node, &mut sess, at, d, msg);
+                self.session_send(peer.node, &mut sess, at, msg);
                 self.put_session(peer, sess);
             }
             Body::IdleCheck(node) => {
@@ -727,7 +541,7 @@ impl HybridShard {
     }
 
     fn on_connect_arrive(&mut self, peer: Peer, at: SimTime) {
-        if self.conns.len() >= self.max_connections {
+        if self.recorder.is_full() {
             // Busy reply: draw + key for ordering parity, no event — the
             // rejected peer only removes itself.
             let _ = self.coll_latency.sample(&mut self.crng);
@@ -739,26 +553,15 @@ impl HybridShard {
         let Some(sess) = self.take_session(peer) else {
             return;
         };
-        let sid = SessionId(self.next_sid);
-        self.next_sid += 1;
-        self.sink.lock().on_connect(ConnectionRecord {
-            id: sid,
-            addr: sess.addr,
-            user_agent: sess.plan.user_agent.clone(),
-            ultrapeer: sess.plan.ultrapeer,
-            start: at,
-            end: None,
-            closed_by_probe: false,
-        });
-        // Admission order is NOT monotone in node id: connect latencies
-        // differ, so a later-spawned peer can be admitted first. Keep the
-        // list sorted by node (the order the full collector's `ConnSet`
-        // maintains, which also fixes fanout-target selection).
         let node = peer.node;
-        match self.conns.binary_search_by_key(&node, |e| e.0.node) {
-            Ok(_) => unreachable!("node {node} admitted twice"),
-            Err(i) => self.conns.insert(i, (peer, sid, IdleTracker::new(at))),
-        }
+        self.recorder.admit(
+            NodeId(node),
+            peer.slot,
+            at,
+            sess.addr,
+            sess.plan.user_agent.clone(),
+            sess.plan.ultrapeer,
+        );
         let d = self.coll_latency.sample(&mut self.crng);
         let key = self.ckey();
         self.push(at + d, COLLECTOR_LANE, key, Body::AcceptArrive(peer));
@@ -777,44 +580,31 @@ impl HybridShard {
     fn emit(&mut self, node: u32, sess: &mut Session, now: SimTime, kind: EmissionKind) -> bool {
         match kind {
             EmissionKind::Planned(i) => {
-                let (text_len, sha1_len, text, has_sha1) = {
-                    let pq = &sess.plan.queries[i];
-                    (
-                        pq.text.text_len(),
-                        pq.sha1.as_ref().map(|s| s.len()),
-                        pq.text,
-                        pq.sha1.is_some(),
-                    )
-                };
-                debug_assert!(!sess.batching || sess.pair_budget > 0);
-                let (guid, d) = self.next_pair(sess);
-                sess.pair_budget = sess.pair_budget.saturating_sub(1);
+                let pq = &sess.plan.queries[i];
                 let msg = WireMsg {
-                    guid,
+                    guid: Guid::random(&mut sess.rng),
                     hops: 1,
                     ttl: DEFAULT_TTL - 1,
-                    wire: wire_query(text_len, sha1_len),
+                    wire: wire::query_len(pq.text.text_len(), pq.sha1.as_ref().map(String::len))
+                        as u32,
                     payload: RecordedPayload::Query {
-                        text,
-                        sha1: has_sha1,
+                        text: pq.text,
+                        sha1: pq.sha1.is_some(),
                     },
                     answer_origin: None,
                 };
-                self.session_send_at(node, sess, now, d, msg);
+                self.session_send(node, sess, now, msg);
             }
             EmissionKind::Keepalive => {
-                debug_assert!(!sess.batching || sess.pair_budget > 0);
-                let (guid, d) = self.next_pair(sess);
-                sess.pair_budget = sess.pair_budget.saturating_sub(1);
                 let msg = WireMsg {
-                    guid,
+                    guid: Guid::random(&mut sess.rng),
                     hops: 1,
                     ttl: DEFAULT_TTL - 1,
-                    wire: WIRE_PING,
+                    wire: wire::PING_LEN as u32,
                     payload: RecordedPayload::Ping,
                     answer_origin: None,
                 };
-                self.session_send_at(node, sess, now, d, msg);
+                self.session_send(node, sess, now, msg);
             }
             EmissionKind::RelayQuery => {
                 let d = draw_relay_query(&self.vocab, &self.planner.diurnal, now, &mut sess.rng);
@@ -822,7 +612,7 @@ impl HybridShard {
                     guid: d.guid,
                     hops: d.hops,
                     ttl: d.ttl,
-                    wire: wire_query(d.text.text_len(), None),
+                    wire: wire::query_len(d.text.text_len(), None) as u32,
                     payload: RecordedPayload::Query {
                         text: d.text,
                         sha1: false,
@@ -843,7 +633,7 @@ impl HybridShard {
                     guid: d.guid,
                     hops: d.hops,
                     ttl: d.ttl,
-                    wire: WIRE_PONG,
+                    wire: wire::PONG_LEN as u32,
                     payload: RecordedPayload::Pong {
                         addr: d.addr,
                         shared_files: d.files,
@@ -854,12 +644,12 @@ impl HybridShard {
             }
             EmissionKind::RelayHit => {
                 let d = draw_relay_hit(&self.planner.diurnal, &self.alloc, now, &mut sess.rng);
-                let n = d.results.len() as u32;
+                let n = d.results.len();
                 let msg = WireMsg {
                     guid: d.guid,
                     hops: d.hops,
                     ttl: d.ttl,
-                    wire: WIRE_HIT_BASE + n * WIRE_RELAY_HIT_RESULT,
+                    wire: wire::query_hit_len(n, n * RELAY_HIT_NAME_LEN) as u32,
                     payload: RecordedPayload::QueryHit {
                         addr: d.addr,
                         results: n as u8,
@@ -869,14 +659,6 @@ impl HybridShard {
                 self.session_send(node, sess, now, msg);
             }
             EmissionKind::End => {
-                // The budget counted every pre-`End` emission exactly,
-                // so the batch buffer must be dry before `End` draws
-                // directly from the session RNG.
-                debug_assert!(
-                    !sess.batching
-                        || (sess.pair_budget == 0 && sess.pair_pos == sess.pair_buf.len()),
-                    "gap-batch buffer not drained at session end"
-                );
                 if !sess.plan.vanish {
                     if sess.plan.send_bye {
                         let guid = Guid::random(&mut sess.rng);
@@ -884,7 +666,7 @@ impl HybridShard {
                             guid,
                             hops: 1,
                             ttl: DEFAULT_TTL - 1,
-                            wire: WIRE_BYE,
+                            wire: wire::bye_len(BYE_REASON.len()) as u32,
                             payload: RecordedPayload::Bye,
                             answer_origin: None,
                         };
@@ -902,12 +684,20 @@ impl HybridShard {
     }
 
     fn on_msg_arrive(&mut self, node: u32, at: SimTime, msg: WireMsg) {
-        let Some(i) = self.conn_index(node) else {
+        let Some(sid) = self.recorder.receive(NodeId(node), at) else {
             return; // message after close — TCP stragglers, unrecorded
         };
-        self.conns[i].2.on_receive(at);
-        let sid = self.conns[i].1;
-        self.record(sid, at, &msg);
+        self.recorder.record(
+            MessageRecord {
+                session: sid,
+                guid: msg.guid,
+                at,
+                hops: msg.hops,
+                ttl: msg.ttl,
+                payload: msg.payload,
+            },
+            msg.wire,
+        );
         match msg.payload {
             RecordedPayload::Ping => {
                 // The collector's PONG reply: drawn, keyed, never seen.
@@ -921,14 +711,17 @@ impl HybridShard {
                 // always succeeds; forward when TTL allows.
                 if msg.ttl > 1 {
                     let fanout = self.forward_fanout;
-                    let mut sent = 0usize;
+                    let mut sent = 0;
                     let mut idx = 0;
-                    while idx < self.conns.len() && sent < fanout {
-                        let target = self.conns[idx].0;
+                    while sent < fanout {
+                        let Some((id, slot)) = self.recorder.open_at(idx) else {
+                            break;
+                        };
                         idx += 1;
-                        if target.node == node {
+                        if id.0 == node {
                             continue;
                         }
+                        let target = Peer { node: id.0, slot };
                         let d = self.coll_latency.sample(&mut self.crng);
                         let key = self.ckey();
                         sent += 1;
@@ -957,7 +750,7 @@ impl HybridShard {
                 if let Some(origin) = msg.answer_origin {
                     // Reverse-route along the GUID path; the origin peer
                     // ignores hits, so the delivery itself is elided.
-                    if origin != node && self.conn_index(origin).is_some() {
+                    if origin != node && self.recorder.is_open(NodeId(origin)) {
                         let _ = self.coll_latency.sample(&mut self.crng);
                         let _ = self.ckey();
                         self.elided += 1;
@@ -966,18 +759,17 @@ impl HybridShard {
             }
             RecordedPayload::Pong { .. } => {}
             RecordedPayload::Bye => {
-                self.finalize(node, at, false);
+                self.recorder.close(NodeId(node), at, false);
             }
         }
     }
 
     fn on_idle_check(&mut self, node: u32, at: SimTime) {
-        let Some(i) = self.conn_index(node) else {
+        let Some((action, slot)) = self.recorder.idle_check(NodeId(node), at) else {
             return; // connection already gone; the chain dies
         };
         self.timers_fired += 1;
-        let peer = self.conns[i].0;
-        let action = self.conns[i].2.check(at);
+        let peer = Peer { node, slot };
         match action {
             IdleAction::CheckAt(deadline) => {
                 let key = self.ckey();
@@ -1004,7 +796,7 @@ impl HybridShard {
                 } else {
                     self.elided += 1;
                 }
-                self.finalize(node, at, true);
+                self.recorder.close(NodeId(node), at, true);
             }
         }
     }
@@ -1032,9 +824,9 @@ mod tests {
         ));
         let sink: SharedSink = Arc::new(parking_lot::Mutex::new(Fanout::new()));
         let registry = Arc::new(Registry::new());
-        let mut shard = HybridShard::new(&cfg, vocab, seq, sink, registry);
-        shard.run_until(shard.horizon());
-        (shard.sessions.len(), shard.spawned)
+        let mut campaign = HybridCampaign::new(&cfg, vocab, seq, sink, registry);
+        campaign.run_until(campaign.horizon());
+        (campaign.sessions.len(), campaign.spawned)
     }
 
     /// The table holds live sessions only: its length stays under a bound

@@ -30,7 +30,7 @@ use crate::files::SharedFilesModel;
 use crate::session::SessionPlan;
 use crate::stream::{
     draw_query_answer, draw_relay_hit, draw_relay_pong, draw_relay_query, EmissionKind,
-    SessionEmitter, ANSWER_FILE_NAME,
+    SessionEmitter, ANSWER_FILE_NAME, BYE_REASON,
 };
 use crate::vocabulary::Vocabulary;
 use geoip::{AddressAllocator, DiurnalModel};
@@ -240,7 +240,7 @@ impl ClientPeer {
                             Guid::random(&mut self.rng),
                             Payload::Bye(gnutella::message::Bye {
                                 code: 200,
-                                reason: "shutting down".into(),
+                                reason: BYE_REASON.into(),
                             }),
                         )
                         .first_hop();

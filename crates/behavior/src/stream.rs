@@ -38,6 +38,9 @@ use std::net::Ipv4Addr;
 /// Fixed name of the single result in an answer to a forwarded query.
 pub const ANSWER_FILE_NAME: &str = "match.mp3";
 
+/// Reason text of the BYE a session sends when it closes visibly.
+pub const BYE_REASON: &str = "shutting down";
+
 /// Draw an exponential delay with the given mean.
 pub fn exp_delay(rng: &mut StdRng, mean_secs: f64) -> SimDuration {
     let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);

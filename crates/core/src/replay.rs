@@ -271,6 +271,7 @@ mod tests {
                 ..CollectorConfig::default()
             },
             trace.clone(),
+            Arc::default(),
         )));
 
         let horizon = SimTime::from_secs(2 * 3600);
@@ -326,12 +327,13 @@ mod tests {
         fanout.register(Arc::clone(&streaming) as SharedSink);
 
         let mut sim: Simulator<NetMsg> = Simulator::new(11);
-        let target = sim.add_node(Box::new(MeasurementPeer::with_sink(
+        let target = sim.add_node(Box::new(MeasurementPeer::new(
             CollectorConfig {
                 max_connections: 10_000,
                 ..CollectorConfig::default()
             },
-            Arc::new(Mutex::new(fanout)) as SharedSink,
+            Arc::new(Mutex::new(fanout)),
+            Arc::default(),
         )));
 
         let horizon = SimTime::from_secs(2 * 3600);

@@ -57,7 +57,7 @@ impl std::error::Error for WireError {}
 /// Encode a message to bytes.
 pub fn encode_message(msg: &Message) -> Bytes {
     let payload = encode_payload(&msg.payload);
-    let mut buf = BytesMut::with_capacity(23 + payload.len());
+    let mut buf = BytesMut::with_capacity(HEADER_LEN + payload.len());
     buf.put_slice(msg.guid.as_bytes());
     buf.put_u8(msg.payload.type_byte());
     buf.put_u8(msg.ttl);
@@ -109,6 +109,40 @@ fn encode_payload(p: &Payload) -> Bytes {
     buf.freeze()
 }
 
+/// Length of the header every message starts with.
+pub const HEADER_LEN: usize = 23;
+
+/// Wire length of a PING (header only).
+pub const PING_LEN: usize = HEADER_LEN;
+
+/// Wire length of a PONG: header, port, address, file and kB counts.
+pub const PONG_LEN: usize = HEADER_LEN + 14;
+
+/// Wire length of a QUERY whose text is `text_len` bytes, with a
+/// `sha1_len`-byte `urn:sha1:` extension if any: header, min speed,
+/// text and NUL, then the extension and its NUL.
+pub const fn query_len(text_len: usize, sha1_len: Option<usize>) -> usize {
+    let ext = match sha1_len {
+        Some(len) => len + 1,
+        None => 0,
+    };
+    HEADER_LEN + 2 + text_len + 1 + ext
+}
+
+/// Wire length of a QUERYHIT carrying `results` result records whose
+/// file names total `name_bytes` bytes: header, count, port, address and
+/// speed, then per result its index, size, name, NUL and empty extension
+/// block, then the servent GUID.
+pub const fn query_hit_len(results: usize, name_bytes: usize) -> usize {
+    HEADER_LEN + 11 + results * (8 + 2) + name_bytes + 16
+}
+
+/// Wire length of a BYE whose reason is `reason_len` bytes: header,
+/// code, reason and NUL.
+pub const fn bye_len(reason_len: usize) -> usize {
+    HEADER_LEN + 2 + reason_len + 1
+}
+
 /// Exact wire size of `msg` — what `encode_message(msg).len()` would
 /// return — computed without allocating.
 ///
@@ -119,28 +153,15 @@ fn encode_payload(p: &Payload) -> Bytes {
 /// enforced by a proptest suite and by the sampling conformance layer
 /// ([`conformance`]).
 pub fn encoded_len(msg: &Message) -> usize {
-    23 + payload_len(&msg.payload)
-}
-
-/// Wire size of a payload body (excluding the 23-byte header).
-fn payload_len(p: &Payload) -> usize {
-    match p {
-        Payload::Ping => 0,
-        Payload::Pong(_) => 14,
-        Payload::Query(q) => {
-            // min_speed + text + NUL (+ sha1 extension + NUL).
-            2 + q.text.text_len() + 1 + q.sha1.as_ref().map_or(0, |sha1| sha1.len() + 1)
-        }
-        Payload::QueryHit(qh) => {
-            // count + port + addr + speed, per-result records, servent GUID.
-            11 + qh
-                .results
-                .iter()
-                .map(|r| 8 + r.name.len() + 2)
-                .sum::<usize>()
-                + 16
-        }
-        Payload::Bye(b) => 2 + b.reason.len() + 1,
+    match &msg.payload {
+        Payload::Ping => PING_LEN,
+        Payload::Pong(_) => PONG_LEN,
+        Payload::Query(q) => query_len(q.text.text_len(), q.sha1.as_ref().map(String::len)),
+        Payload::QueryHit(qh) => query_hit_len(
+            qh.results.len(),
+            qh.results.iter().map(|r| r.name.len()).sum(),
+        ),
+        Payload::Bye(b) => bye_len(b.reason.len()),
     }
 }
 

@@ -37,12 +37,6 @@ pub enum Counter {
     /// Hierarchical-wheel level-down moves (L2→L1/L0, L1→L0) as
     /// simulated time entered an event's chunk or frame.
     WheelCascades,
-    /// RNG draw pairs served from a session's gap-batched buffer
-    /// instead of individual per-emission draws.
-    RngBatchedDraws,
-    /// Record batches appended through the store's batch fast path
-    /// (one reserve + bounds check per column per batch).
-    SinkFastBatches,
 }
 
 impl Counter {
@@ -59,8 +53,6 @@ impl Counter {
         Counter::SpillBytesWritten,
         Counter::SpillDegraded,
         Counter::WheelCascades,
-        Counter::RngBatchedDraws,
-        Counter::SinkFastBatches,
     ];
 
     /// snake_case name used in `telemetry.json`.
@@ -77,14 +69,12 @@ impl Counter {
             Counter::SpillBytesWritten => "spill_bytes_written",
             Counter::SpillDegraded => "spill_degraded",
             Counter::WheelCascades => "wheel_cascades",
-            Counter::RngBatchedDraws => "rng_batched_draws",
-            Counter::SinkFastBatches => "sink_fast_batches",
         }
     }
 }
 
 /// Number of [`Counter`] ids.
-pub const NUM_COUNTERS: usize = 13;
+pub const NUM_COUNTERS: usize = 11;
 
 /// High-water marks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

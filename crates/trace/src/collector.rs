@@ -14,13 +14,27 @@
 //! * applies the idle policy of §3.2: 15 s silence ⇒ probe PING, 15 s more
 //!   ⇒ close (so probe-closed session durations overestimate by ≈30 s);
 //! * logs a [`MessageRecord`] for every received Gnutella message and a
-//!   [`ConnectionRecord`] per connection into a shared [`Trace`].
+//!   [`ConnectionRecord`] per connection into a [`crate::sink::TraceSink`].
+//!
+//! The node has a recording half and a moving half. [`Recorder`] is the
+//! recording half: the admission cap, dense session ids, the open
+//! connections with their idle clocks, and the record buffer that feeds
+//! the sink. It is the one implementation of the [`crate::sink`]
+//! delivery contract, and it has two owners:
+//!
+//! * [`MeasurementPeer`], the `simnet` actor of full-fidelity campaigns,
+//!   adds the moving half as simulator sends: handshake parsing, GUID
+//!   routing, PONG replies, query forwards, probe PINGs and idle timers;
+//! * the hybrid-fidelity engine (`behavior::hybrid`) moves the same
+//!   replies and forwards as keyed events of its own, or elides the ones
+//!   nothing observable depends on, and admits, records and closes every
+//!   session through its own `Recorder`.
 //!
 //! Recording is lock-free on the per-message hot path: records accumulate
-//! in a collector-local arrival-ordered buffer and are drained into the
-//! shared trace in chunks — at session close, when the buffer fills, and
-//! when the collector is dropped at simulation end — so the shared trace
-//! ends up bit-identical to per-message appends at a fraction of the lock
+//! in a recorder-local arrival-ordered buffer and are drained into the
+//! sink in batches of at most 8 192 — at session close, when the buffer
+//! fills, and when the recorder is dropped at simulation end — so the
+//! sink sees exactly the arrival order at a fraction of the lock
 //! traffic. Frames travel on the typed fast path ([`NetMsg::Frame`]) by
 //! default; wire-volume accounting uses `gnutella::wire::encoded_len`, and
 //! the byte codec stays covered by the conformance sampler and the
@@ -34,13 +48,11 @@
 
 use crate::record::{ConnectionRecord, MessageRecord, RecordedPayload, SessionId};
 use crate::sink::SharedSink;
-use crate::store::Trace;
 use gnutella::message::{Message, Payload, Pong};
 use gnutella::net::{NetMsg, Transport};
 use gnutella::peerlink::{IdleAction, IdleTracker};
-use gnutella::wire::{decode_message, encoded_len, WireError};
+use gnutella::wire::{decode_message, encoded_len};
 use gnutella::{Guid, Handshake, HandshakeResponse, RoutingTable};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simnet::{Actor, Context, LatencyModel, NodeId, SimTime};
@@ -79,177 +91,181 @@ impl Default for CollectorConfig {
     }
 }
 
-struct Conn {
-    sid: SessionId,
-    idle: IdleTracker,
-}
-
-/// Live connections, ordered by [`NodeId`].
-///
-/// A sorted `Vec` rather than a tree map: the set is small (bounded by
-/// `max_connections`) and hit on every received frame, so binary search
-/// over one contiguous allocation beats pointer-chasing tree nodes. The
-/// engine allocates `NodeId`s monotonically and never reuses them, but
-/// connect latencies differ, so a later-spawned peer can be admitted
-/// first and an insert can land mid-list. Iteration order is
-/// ascending `NodeId` — the same order the previous `BTreeMap` gave the
-/// forward fan-out loop, which keeps traces bit-identical.
-#[derive(Default)]
-struct ConnSet {
-    entries: Vec<(NodeId, Conn)>,
-}
-
-impl ConnSet {
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    fn get_mut(&mut self, node: NodeId) -> Option<&mut Conn> {
-        match self.entries.binary_search_by_key(&node, |e| e.0) {
-            Ok(i) => Some(&mut self.entries[i].1),
-            Err(_) => None,
-        }
-    }
-
-    fn contains(&self, node: NodeId) -> bool {
-        self.entries.binary_search_by_key(&node, |e| e.0).is_ok()
-    }
-
-    fn insert(&mut self, node: NodeId, conn: Conn) {
-        match self.entries.binary_search_by_key(&node, |e| e.0) {
-            Ok(i) => self.entries[i].1 = conn,
-            Err(i) => self.entries.insert(i, (node, conn)),
-        }
-    }
-
-    fn remove(&mut self, node: NodeId) -> Option<Conn> {
-        match self.entries.binary_search_by_key(&node, |e| e.0) {
-            Ok(i) => Some(self.entries.remove(i).1),
-            Err(_) => None,
-        }
-    }
-}
-
-/// Counters the collector keeps in addition to the trace.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CollectorCounters {
-    /// Connections refused at capacity.
-    pub rejected_busy: u64,
-    /// Handshakes that failed to parse.
-    pub rejected_bad_handshake: u64,
-    /// Wire decode errors on data frames.
-    pub decode_errors: u64,
-    /// Queries forwarded onward.
-    pub forwarded_queries: u64,
-    /// Duplicate queries suppressed by the routing table.
-    pub duplicates_suppressed: u64,
-    /// QUERYHITs reverse-routed.
-    pub reverse_routed_hits: u64,
-    /// Probe PINGs sent.
-    pub probes_sent: u64,
-    /// Connections closed by the idle-probe policy.
-    pub probe_closes: u64,
-}
-
-/// Local-record buffer size that triggers a drain into the shared trace.
-/// Chunked draining amortizes the trace lock to one acquisition per ~8k
-/// messages in the worst case (no session closing for a long stretch);
-/// in a normal campaign session closes drain the buffer far earlier.
-/// A power-of-two divisor of the store's compressed-chunk size
+/// Record-buffer size that triggers a drain into the sink. Draining in
+/// batches amortizes the sink lock to one acquisition per ~8k messages
+/// in the worst case (no session closing for a long stretch); in a
+/// normal campaign session closes drain the buffer far earlier. A
+/// power-of-two divisor of the store's compressed-chunk size
 /// (`trace::store::CHUNK_ROWS` = 8 × this), so retained-mode chunk
 /// seals happen at drain boundaries, inside the batch append, never
 /// mid-record.
 const RECORD_FLUSH_CHUNK: usize = 8_192;
 
-/// The measurement ultrapeer actor.
-pub struct MeasurementPeer {
-    cfg: CollectorConfig,
-    conns: ConnSet,
-    routing: RoutingTable,
-    sink: SharedSink,
-    counters: CollectorCounters,
-    rng: StdRng,
+/// One open connection.
+struct Open<T> {
+    node: NodeId,
+    sid: SessionId,
+    idle: IdleTracker,
+    /// The owner's tag for this connection.
+    tag: T,
+}
+
+/// The recording half of the measurement node (see the module docs).
+///
+/// Each open connection carries a caller tag `T`: the hybrid engine's
+/// session slot, `()` for the actor. Dropping the recorder drains the
+/// records still buffered, so the sink has seen the complete stream once
+/// its owner is gone; sessions still open then never see `on_close`.
+pub struct Recorder<T: Copy> {
+    max_connections: usize,
+    /// Next session id. Ids are dense from 0, which is what indexes a
+    /// retained trace's `connections` vector.
+    next_sid: u64,
+    /// Open connections, sorted by node id.
+    ///
+    /// A sorted `Vec` rather than a tree map: the set is small (bounded
+    /// by `max_connections`) and hit on every received frame, so binary
+    /// search over one contiguous allocation beats pointer-chasing tree
+    /// nodes. Node ids are handed out monotonically and never reused,
+    /// but connect latencies differ, so a later-spawned peer can be
+    /// admitted first and an insert can land mid-list. Ascending node
+    /// order is also the forward fan-out's target order.
+    open: Vec<Open<T>>,
     /// Arrival-ordered records not yet delivered to the sink. Recording
-    /// appends here without taking any lock; [`Self::flush`] hands whole
-    /// chunks to the sink under one lock acquisition at session close,
-    /// buffer-full, or collector drop — so the delivered order is
-    /// exactly the arrival order, bit-identical to per-message pushes.
+    /// appends here without taking any lock; [`Self::flush`] hands the
+    /// whole buffer to the sink under one lock acquisition.
     pending: Vec<MessageRecord>,
     /// Wire length of each record still in `pending` (parallel vector).
     pending_wire: Vec<u32>,
-    /// Next session id — collector-local so recording works against any
-    /// sink, not just a retained trace. Ids are dense from 0, which is
-    /// what indexes a retained trace's `connections` vector.
-    next_sid: u64,
-    /// Lane-local schedule counter: the `key` half of the `(lane, key)`
-    /// ordering pair on every send and timer this actor schedules. Keyed
-    /// scheduling (plus sampling latency from the collector's own RNG
-    /// rather than the engine's) makes the collector's event timing a
-    /// pure function of its inbound stream — the contract the
-    /// hybrid-fidelity engine replays.
-    next_key: u64,
-    /// Telemetry registry the drain boundary reports into: the
-    /// campaign's registry under a campaign, a private one for
-    /// standalone use.
-    /// Relaxed counter bumps once per ~8k records — never per message.
+    sink: SharedSink,
+    /// Registry the drain boundary reports into: the campaign's registry
+    /// under a campaign, a private one for standalone use. Relaxed
+    /// counter bumps once per drain, never per message.
     registry: Arc<Registry>,
 }
 
-impl MeasurementPeer {
-    /// Create a measurement peer writing into the shared `trace`
-    /// (retain mode — the trace consumes the record stream directly).
-    pub fn new(cfg: CollectorConfig, trace: Arc<Mutex<Trace>>) -> Self {
-        MeasurementPeer::with_sink(cfg, trace)
-    }
-
-    /// Create a measurement peer delivering the record stream to an
-    /// arbitrary sink (streaming aggregators, fan-outs, or a trace).
-    pub fn with_sink(cfg: CollectorConfig, sink: SharedSink) -> Self {
-        MeasurementPeer::with_sink_and_registry(cfg, sink, Arc::new(Registry::new()))
-    }
-
-    /// As [`MeasurementPeer::with_sink`], but reporting drain telemetry
-    /// into a caller-owned (e.g. campaign-wide) registry.
-    pub fn with_sink_and_registry(
-        cfg: CollectorConfig,
-        sink: SharedSink,
-        registry: Arc<Registry>,
-    ) -> Self {
-        let rng = StdRng::seed_from_u64(cfg.seed);
-        MeasurementPeer {
-            cfg,
-            conns: ConnSet::default(),
-            routing: RoutingTable::new(),
-            sink,
-            counters: CollectorCounters::default(),
-            rng,
+impl<T: Copy> Recorder<T> {
+    /// A recorder with `max_connections` slots, delivering its record
+    /// stream to `sink` and its drain telemetry to `registry`.
+    pub fn new(max_connections: usize, sink: SharedSink, registry: Arc<Registry>) -> Self {
+        Recorder {
+            max_connections,
+            next_sid: 0,
+            open: Vec::new(),
             pending: Vec::with_capacity(RECORD_FLUSH_CHUNK),
             pending_wire: Vec::with_capacity(RECORD_FLUSH_CHUNK),
-            next_sid: 0,
-            next_key: 0,
+            sink,
             registry,
         }
     }
 
-    fn take_key(&mut self) -> u64 {
-        let k = self.next_key;
-        self.next_key += 1;
-        k
+    /// Whether every slot is taken, so the next connect is refused.
+    /// Checked before the caller builds anything for the connection:
+    /// at flood rates nearly every arrival is refused here.
+    pub fn is_full(&self) -> bool {
+        self.open.len() >= self.max_connections
     }
 
-    /// Current live connection count.
-    pub fn live_connections(&self) -> usize {
-        self.conns.len()
+    /// Admit `node`'s connection at `at`: hand it the next session id,
+    /// deliver its connection record, and start its idle clock. The
+    /// caller checks [`Self::is_full`] first. A node that is already
+    /// open is re-admitted under the new session; its old session never
+    /// sees `on_close`.
+    pub fn admit(
+        &mut self,
+        node: NodeId,
+        tag: T,
+        at: SimTime,
+        addr: Ipv4Addr,
+        user_agent: String,
+        ultrapeer: bool,
+    ) {
+        debug_assert!(!self.is_full(), "admitted past the cap");
+        let sid = SessionId(self.next_sid);
+        self.next_sid += 1;
+        self.sink.lock().on_connect(ConnectionRecord {
+            id: sid,
+            addr,
+            user_agent,
+            ultrapeer,
+            start: at,
+            end: None,
+            closed_by_probe: false,
+        });
+        let conn = Open {
+            node,
+            sid,
+            idle: IdleTracker::new(at),
+            tag,
+        };
+        match self.find(node) {
+            Ok(i) => self.open[i] = conn,
+            Err(i) => self.open.insert(i, conn),
+        }
     }
 
-    /// Collector-side counters.
-    pub fn counters(&self) -> CollectorCounters {
-        self.counters
+    fn find(&self, node: NodeId) -> Result<usize, usize> {
+        self.open.binary_search_by_key(&node, |c| c.node)
     }
 
-    /// Drain buffered message records into the sink (one lock
-    /// acquisition, one batch delivery).
-    fn flush(&mut self) {
+    /// Traffic from `node` arrived at `at`: restart its idle clock and
+    /// return its session, or `None` when no connection from `node` is
+    /// open (a straggler after close, which goes unrecorded).
+    pub fn receive(&mut self, node: NodeId, at: SimTime) -> Option<SessionId> {
+        let i = self.find(node).ok()?;
+        let conn = &mut self.open[i];
+        conn.idle.on_receive(at);
+        Some(conn.sid)
+    }
+
+    /// Whether a connection from `node` is open.
+    pub fn is_open(&self, node: NodeId) -> bool {
+        self.find(node).is_ok()
+    }
+
+    /// The `i`-th open connection in ascending node order, with its tag;
+    /// `None` past the last. Walking by index lets the fan-out loop draw
+    /// a latency and a schedule key per target while it walks.
+    pub fn open_at(&self, i: usize) -> Option<(NodeId, T)> {
+        self.open.get(i).map(|c| (c.node, c.tag))
+    }
+
+    /// Evaluate `node`'s idle clock at `at` (§3.2), with the
+    /// connection's tag; `None` when the connection is already closed.
+    pub fn idle_check(&mut self, node: NodeId, at: SimTime) -> Option<(IdleAction, T)> {
+        let i = self.find(node).ok()?;
+        let conn = &mut self.open[i];
+        Some((conn.idle.check(at), conn.tag))
+    }
+
+    /// Buffer one received message and its wire length, draining when
+    /// the buffer is full.
+    pub fn record(&mut self, rec: MessageRecord, wire: u32) {
+        self.pending.push(rec);
+        self.pending_wire.push(wire);
+        if self.pending.len() >= RECORD_FLUSH_CHUNK {
+            self.flush();
+        }
+    }
+
+    /// Close `node`'s connection at `end` (`by_probe` per the §3.2 idle
+    /// policy); nothing happens when it is not open. Drains before the
+    /// close, so every record of the session reaches the sink before its
+    /// `on_close`.
+    pub fn close(&mut self, node: NodeId, end: SimTime, by_probe: bool) {
+        if let Ok(i) = self.find(node) {
+            let sid = self.open.remove(i).sid;
+            // Drain-then-close in two acquisitions: only this recorder
+            // writes to its sink, so nothing can interleave, and the
+            // drain goes through the one accounting point.
+            self.flush();
+            self.sink.lock().on_close(sid, end, by_probe);
+        }
+    }
+
+    /// Drain the buffered records into the sink: one lock acquisition,
+    /// one batch, and the drain's counters.
+    pub fn flush(&mut self) {
         if self.pending.is_empty() {
             return;
         }
@@ -265,48 +281,75 @@ impl MeasurementPeer {
         telemetry::progress::record_batch(n, virtual_secs);
     }
 
-    fn record_message(&mut self, sid: SessionId, at: SimTime, msg: &Message) {
-        let payload = match &msg.payload {
-            Payload::Ping => RecordedPayload::Ping,
-            Payload::Pong(p) => RecordedPayload::Pong {
-                addr: p.addr,
-                shared_files: p.shared_files,
-            },
-            Payload::Query(q) => RecordedPayload::Query {
-                text: q.text,
-                sha1: q.sha1.is_some(),
-            },
-            Payload::QueryHit(qh) => RecordedPayload::QueryHit {
-                addr: qh.addr,
-                results: qh.results.len() as u8,
-            },
-            Payload::Bye(_) => RecordedPayload::Bye,
-        };
-        self.pending_wire.push(encoded_len(msg) as u32);
-        self.pending.push(MessageRecord {
-            session: sid,
-            guid: msg.guid,
-            at,
-            hops: msg.hops,
-            ttl: msg.ttl,
-            payload,
-        });
-        if self.pending.len() >= RECORD_FLUSH_CHUNK {
-            self.flush();
+    /// The registry drains report into.
+    pub fn registry(&self) -> &Arc<Registry> {
+        &self.registry
+    }
+}
+
+impl<T: Copy> Drop for Recorder<T> {
+    /// Final drain: records buffered after the last session close (e.g.
+    /// traffic on connections still open at simulation end) reach the
+    /// sink when the recorder's owner is dropped.
+    fn drop(&mut self) {
+        self.flush();
+    }
+}
+
+/// The recorded form of a received payload.
+fn recorded(payload: &Payload) -> RecordedPayload {
+    match payload {
+        Payload::Ping => RecordedPayload::Ping,
+        Payload::Pong(p) => RecordedPayload::Pong {
+            addr: p.addr,
+            shared_files: p.shared_files,
+        },
+        Payload::Query(q) => RecordedPayload::Query {
+            text: q.text,
+            sha1: q.sha1.is_some(),
+        },
+        Payload::QueryHit(qh) => RecordedPayload::QueryHit {
+            addr: qh.addr,
+            results: qh.results.len() as u8,
+        },
+        Payload::Bye(_) => RecordedPayload::Bye,
+    }
+}
+
+/// The measurement ultrapeer actor.
+pub struct MeasurementPeer {
+    cfg: CollectorConfig,
+    recorder: Recorder<()>,
+    routing: RoutingTable,
+    rng: StdRng,
+    /// Lane-local schedule counter: the `key` half of the `(lane, key)`
+    /// ordering pair on every send and timer this actor schedules. Keyed
+    /// scheduling (plus sampling latency from the collector's own RNG
+    /// rather than the engine's) makes the collector's event timing a
+    /// pure function of its inbound stream — the contract the
+    /// hybrid-fidelity engine replays.
+    next_key: u64,
+}
+
+impl MeasurementPeer {
+    /// Create a measurement peer delivering its record stream to `sink`
+    /// (a [`crate::Trace`] to retain it, a streaming aggregator, or a
+    /// [`crate::Fanout`] of both) and its drain telemetry to `registry`
+    /// (the campaign's registry, or a fresh one for standalone use).
+    pub fn new(cfg: CollectorConfig, sink: SharedSink, registry: Arc<Registry>) -> Self {
+        MeasurementPeer {
+            recorder: Recorder::new(cfg.max_connections, sink, registry),
+            routing: RoutingTable::new(),
+            rng: StdRng::seed_from_u64(cfg.seed),
+            next_key: 0,
+            cfg,
         }
     }
 
-    fn finalize(&mut self, node: NodeId, end: SimTime, by_probe: bool) {
-        if let Some(conn) = self.conns.remove(node) {
-            // Drain-then-close in two acquisitions: only this actor
-            // writes to its sink, so nothing can interleave, and the
-            // drain goes through the one accounting point.
-            self.flush();
-            self.sink.lock().on_close(conn.sid, end, by_probe);
-            if by_probe {
-                self.counters.probe_closes += 1;
-            }
-        }
+    fn take_key(&mut self) -> u64 {
+        let k = self.next_key;
+        self.next_key += 1;
+        k
     }
 
     fn send_message(&mut self, ctx: &mut Context<'_, NetMsg>, to: NodeId, msg: Message) {
@@ -340,7 +383,17 @@ impl MeasurementPeer {
         sid: SessionId,
     ) {
         let now = ctx.now();
-        self.record_message(sid, now, &msg);
+        self.recorder.record(
+            MessageRecord {
+                session: sid,
+                guid: msg.guid,
+                at: now,
+                hops: msg.hops,
+                ttl: msg.ttl,
+                payload: recorded(&msg.payload),
+            },
+            encoded_len(&msg) as u32,
+        );
         match &msg.payload {
             Payload::Ping => {
                 // Answer direct pings with our own PONG (0 shared files —
@@ -360,22 +413,19 @@ impl MeasurementPeer {
                 self.send_message(ctx, from, pong);
             }
             Payload::Query(_) => {
+                // Duplicates are suppressed by the routing table. The
+                // forwarded copy is built once, outside the target loop.
                 if self.routing.insert(msg.guid, from, now) {
-                    // The forwarded copy is built once, outside the target
-                    // loop; targets are streamed off the connection map
-                    // (ordered by NodeId) without a temporary Vec.
                     if let Some(fwd) = msg.forwarded() {
                         let transport = self.cfg.transport;
                         let fanout = self.cfg.forward_fanout;
                         let lane = ctx.id().0;
-                        let mut sent = 0u64;
-                        // Targets are streamed off the connection map
-                        // (ordered by NodeId) without a temporary Vec;
-                        // indexed iteration lets each send draw its own
-                        // latency and schedule key.
+                        let mut sent = 0;
                         let mut idx = 0;
-                        while idx < self.conns.entries.len() && (sent as usize) < fanout {
-                            let t = self.conns.entries[idx].0;
+                        while sent < fanout {
+                            let Some((t, ())) = self.recorder.open_at(idx) else {
+                                break;
+                            };
                             idx += 1;
                             if t == from {
                                 continue;
@@ -385,18 +435,14 @@ impl MeasurementPeer {
                             ctx.send_after_keyed(t, transport.frame(fwd.clone()), d, lane, key);
                             sent += 1;
                         }
-                        self.counters.forwarded_queries += sent;
                     }
-                } else {
-                    self.counters.duplicates_suppressed += 1;
                 }
             }
             Payload::QueryHit(_) => {
                 if let Some(next) = self.routing.reverse_route(&msg.guid) {
-                    if next != from && self.conns.contains(next) {
+                    if next != from && self.recorder.is_open(next) {
                         if let Some(fwd) = msg.forwarded() {
                             self.send_message(ctx, next, fwd);
-                            self.counters.reverse_routed_hits += 1;
                         }
                     }
                 }
@@ -404,19 +450,9 @@ impl MeasurementPeer {
             Payload::Pong(_) => {}
             Payload::Bye(_) => {
                 // Graceful close: the peer will tear down next.
-                self.finalize(from, now, false);
+                self.recorder.close(from, now, false);
             }
         }
-    }
-}
-
-impl Drop for MeasurementPeer {
-    /// Final drain: records buffered after the last session close (e.g.
-    /// traffic on connections still open at simulation end) reach the
-    /// shared trace when the simulator — and with it this actor — is
-    /// dropped.
-    fn drop(&mut self) {
-        self.flush();
     }
 }
 
@@ -426,37 +462,21 @@ impl Actor for MeasurementPeer {
     fn on_message(&mut self, ctx: &mut Context<'_, NetMsg>, from: NodeId, msg: NetMsg) {
         match msg {
             NetMsg::Connect { addr, handshake } => {
-                if self.conns.len() >= self.cfg.max_connections {
-                    self.counters.rejected_busy += 1;
+                if self.recorder.is_full() {
                     self.send_net(ctx, from, NetMsg::ConnectReply(HandshakeResponse::Busy));
                     return;
                 }
-                let parsed = match Handshake::parse(&handshake) {
-                    Ok(h) => h,
-                    Err(_) => {
-                        self.counters.rejected_bad_handshake += 1;
-                        self.send_net(ctx, from, NetMsg::ConnectReply(HandshakeResponse::Busy));
-                        return;
-                    }
+                let Ok(parsed) = Handshake::parse(&handshake) else {
+                    self.send_net(ctx, from, NetMsg::ConnectReply(HandshakeResponse::Busy));
+                    return;
                 };
-                let now = ctx.now();
-                let sid = SessionId(self.next_sid);
-                self.next_sid += 1;
-                self.sink.lock().on_connect(ConnectionRecord {
-                    id: sid,
-                    addr,
-                    user_agent: parsed.user_agent,
-                    ultrapeer: parsed.ultrapeer,
-                    start: now,
-                    end: None,
-                    closed_by_probe: false,
-                });
-                self.conns.insert(
+                self.recorder.admit(
                     from,
-                    Conn {
-                        sid,
-                        idle: IdleTracker::new(now),
-                    },
+                    (),
+                    ctx.now(),
+                    addr,
+                    parsed.user_agent,
+                    parsed.ultrapeer,
                 );
                 self.send_net(ctx, from, NetMsg::ConnectReply(HandshakeResponse::Accept));
                 // Arm the idle-check chain for this connection.
@@ -466,32 +486,23 @@ impl Actor for MeasurementPeer {
                 // The measurement peer never dials out; ignore.
             }
             NetMsg::Frame(m) => {
-                let Some(conn) = self.conns.get_mut(from) else {
-                    return; // frame after close — TCP stragglers
-                };
-                conn.idle.on_receive(ctx.now());
-                let sid = conn.sid;
-                self.handle_gnutella(ctx, from, m, sid);
+                // A frame after close is a TCP straggler: unrecorded.
+                if let Some(sid) = self.recorder.receive(from, ctx.now()) {
+                    self.handle_gnutella(ctx, from, m, sid);
+                }
             }
             NetMsg::Data(mut bytes) => {
-                let Some(conn) = self.conns.get_mut(from) else {
+                let Some(sid) = self.recorder.receive(from, ctx.now()) else {
                     return; // data after close — TCP stragglers
                 };
-                conn.idle.on_receive(ctx.now());
-                let sid = conn.sid;
-                loop {
-                    match decode_message(&mut bytes) {
-                        Ok(m) => self.handle_gnutella(ctx, from, m, sid),
-                        Err(WireError::Truncated) if bytes.is_empty() => break,
-                        Err(_) => {
-                            self.counters.decode_errors += 1;
-                            break;
-                        }
-                    }
+                // Decode until the buffer is used up or a frame fails to
+                // decode; the rest of the buffer is dropped.
+                while let Ok(m) = decode_message(&mut bytes) {
+                    self.handle_gnutella(ctx, from, m, sid);
                 }
             }
             NetMsg::Disconnect => {
-                self.finalize(from, ctx.now(), false);
+                self.recorder.close(from, ctx.now(), false);
             }
         }
     }
@@ -499,9 +510,8 @@ impl Actor for MeasurementPeer {
     fn on_timer(&mut self, ctx: &mut Context<'_, NetMsg>, tag: u64) {
         let node = NodeId(tag as u32);
         let now = ctx.now();
-        let action = match self.conns.get_mut(node) {
-            Some(conn) => conn.idle.check(now),
-            None => return, // connection already gone
+        let Some((action, ())) = self.recorder.idle_check(node, now) else {
+            return; // connection already gone
         };
         match action {
             IdleAction::CheckAt(deadline) => {
@@ -511,12 +521,11 @@ impl Actor for MeasurementPeer {
                 let ping =
                     Message::originate(Guid::random(&mut self.rng), Payload::Ping).first_hop();
                 self.send_message(ctx, node, ping);
-                self.counters.probes_sent += 1;
                 self.arm_idle_timer(ctx, deadline - now, tag);
             }
             IdleAction::Close => {
                 self.send_net(ctx, node, NetMsg::Disconnect);
-                self.finalize(node, now, true);
+                self.recorder.close(node, now, true);
             }
         }
     }
@@ -525,7 +534,10 @@ impl Actor for MeasurementPeer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::TraceSink;
+    use crate::store::Trace;
     use gnutella::wire::encode_message;
+    use parking_lot::Mutex;
     use simnet::{SimDuration, Simulator};
 
     /// A scripted client that connects, optionally sends frames at given
@@ -624,7 +636,11 @@ mod tests {
     fn setup() -> (Simulator<NetMsg>, NodeId, Arc<Mutex<Trace>>) {
         let trace = Arc::new(Mutex::new(Trace::new()));
         let mut sim: Simulator<NetMsg> = Simulator::new(42);
-        let peer = MeasurementPeer::new(CollectorConfig::default(), trace.clone());
+        let peer = MeasurementPeer::new(
+            CollectorConfig::default(),
+            trace.clone(),
+            Arc::new(Registry::new()),
+        );
         let id = sim.add_node(Box::new(peer));
         (sim, id, trace)
     }
@@ -689,7 +705,11 @@ mod tests {
             max_connections: 2,
             ..CollectorConfig::default()
         };
-        let server = sim.add_node(Box::new(MeasurementPeer::new(cfg, trace.clone())));
+        let server = sim.add_node(Box::new(MeasurementPeer::new(
+            cfg,
+            trace.clone(),
+            Arc::new(Registry::new()),
+        )));
         for i in 0..5 {
             let mut c = ScriptClient::new(server, Ipv4Addr::new(24, 0, 0, 10 + i));
             // Keep the first two alive with periodic traffic.
@@ -769,5 +789,143 @@ mod tests {
             assert_eq!(got.len(), 1, "client should see exactly one forwarded copy");
             assert_eq!(got[0].hops, 2);
         }
+    }
+
+    /// One sink call, as [`LogSink`] saw it.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Call {
+        Connect(SessionId),
+        /// The session of each record in the batch.
+        Batch(Vec<SessionId>),
+        Close(SessionId),
+    }
+
+    /// A sink that logs its calls in order.
+    #[derive(Default)]
+    struct LogSink(Vec<Call>);
+
+    impl TraceSink for LogSink {
+        fn on_connect(&mut self, rec: ConnectionRecord) {
+            self.0.push(Call::Connect(rec.id));
+        }
+
+        fn on_batch(&mut self, records: &[MessageRecord], wire_lens: &[u32]) {
+            assert_eq!(records.len(), wire_lens.len());
+            self.0
+                .push(Call::Batch(records.iter().map(|r| r.session).collect()));
+        }
+
+        fn on_close(&mut self, id: SessionId, _end: SimTime, _by_probe: bool) {
+            self.0.push(Call::Close(id));
+        }
+    }
+
+    fn logged_recorder(max_connections: usize) -> (Recorder<u32>, Arc<Mutex<LogSink>>) {
+        let log = Arc::new(Mutex::new(LogSink::default()));
+        let rec = Recorder::new(max_connections, log.clone(), Arc::new(Registry::new()));
+        (rec, log)
+    }
+
+    /// Admit `node`, tagged `10 × node`.
+    fn admit(rec: &mut Recorder<u32>, node: u32, at: SimTime) {
+        let addr = Ipv4Addr::new(24, 0, 0, node as u8);
+        rec.admit(NodeId(node), node * 10, at, addr, "X/1".into(), false);
+    }
+
+    fn ping(session: SessionId, at: SimTime) -> MessageRecord {
+        MessageRecord {
+            session,
+            guid: Guid([1; 16]),
+            at,
+            hops: 1,
+            ttl: 6,
+            payload: RecordedPayload::Ping,
+        }
+    }
+
+    /// The [`crate::sink`] delivery contract, driven on a recorder
+    /// directly: session ids are dense from 0 in admission order, the
+    /// cap holds, open connections walk in ascending node order after
+    /// out-of-order admits, and every record of a session reaches the
+    /// sink before that session's `on_close`.
+    #[test]
+    fn recorder_keeps_the_sink_contract() {
+        let t = SimTime::from_secs;
+        let (mut rec, log) = logged_recorder(3);
+        for (i, node) in [7, 3, 5].into_iter().enumerate() {
+            assert!(!rec.is_full());
+            admit(&mut rec, node, t(i as u64));
+        }
+        assert!(rec.is_full(), "three admits fill three slots");
+        let walk: Vec<_> = (0..).map_while(|i| rec.open_at(i)).collect();
+        assert_eq!(walk, [(NodeId(3), 30), (NodeId(5), 50), (NodeId(7), 70)]);
+        let [s7, s3, s5] = [7, 3, 5].map(|n| rec.receive(NodeId(n), t(10)).unwrap());
+        assert_eq!([s7, s3, s5], [SessionId(0), SessionId(1), SessionId(2)]);
+        assert_eq!(rec.receive(NodeId(4), t(10)), None, "never admitted");
+
+        for k in 0..3 {
+            rec.record(ping(s7, t(11 + k)), 23);
+            rec.record(ping(s5, t(11 + k)), 23);
+        }
+        rec.close(NodeId(5), t(20), false);
+        assert!(!rec.is_open(NodeId(5)) && !rec.is_full());
+        rec.close(NodeId(5), t(21), true); // already closed: nothing happens
+        admit(&mut rec, 9, t(22));
+        let s9 = rec.receive(NodeId(9), t(23)).unwrap();
+        rec.record(ping(s9, t(23)), 23);
+        rec.close(NodeId(7), t(24), true);
+        drop(rec);
+
+        assert_eq!(
+            log.lock().0,
+            [
+                Call::Connect(s7),
+                Call::Connect(s3),
+                Call::Connect(s5),
+                Call::Batch(vec![s7, s5, s7, s5, s7, s5]),
+                Call::Close(s5),
+                Call::Connect(SessionId(3)),
+                Call::Batch(vec![SessionId(3)]),
+                Call::Close(s7),
+            ]
+        );
+    }
+
+    /// A full buffer drains at exactly 8 192 records, and records still
+    /// buffered when the recorder is dropped reach the sink, without an
+    /// `on_close` for the session that is still open.
+    #[test]
+    fn recorder_drains_a_full_buffer_and_at_drop() {
+        let t = SimTime::from_secs;
+        let (mut rec, log) = logged_recorder(1);
+        admit(&mut rec, 1, t(0));
+        let sid = rec.receive(NodeId(1), t(1)).unwrap();
+        for _ in 1..RECORD_FLUSH_CHUNK {
+            rec.record(ping(sid, t(1)), 23);
+        }
+        assert_eq!(log.lock().0, [Call::Connect(sid)], "drained early");
+        rec.record(ping(sid, t(1)), 23);
+        assert_eq!(
+            log.lock().0.last(),
+            Some(&Call::Batch(vec![sid; RECORD_FLUSH_CHUNK]))
+        );
+        rec.record(ping(sid, t(2)), 23);
+        rec.record(ping(sid, t(3)), 23);
+        let registry = Arc::clone(rec.registry());
+        drop(rec);
+        assert_eq!(
+            log.lock().0,
+            [
+                Call::Connect(sid),
+                Call::Batch(vec![sid; RECORD_FLUSH_CHUNK]),
+                Call::Batch(vec![sid; 2]),
+            ]
+        );
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter(Counter::SinkBatches), 2);
+        assert_eq!(
+            snap.counter(Counter::SinkRecords),
+            RECORD_FLUSH_CHUNK as u64 + 2
+        );
     }
 }

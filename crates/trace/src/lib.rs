@@ -8,6 +8,11 @@
 //!   routing (GUID table, TTL/hops forwarding, QUERYHIT reverse routing)
 //!   without ever *originating* queries, applies the 15 s + 15 s idle-probe
 //!   policy, and logs every received message;
+//! * [`collector::Recorder`] — the measurement node's recording half
+//!   (admission cap, session ids, open connections with their idle
+//!   clocks, the batched record buffer): the actor owns one, and so does
+//!   the hybrid-fidelity engine in `behavior`, so both fidelities admit,
+//!   record and close sessions through the same code;
 //! * [`record`] — the trace record types (connections and messages) and
 //!   the one-hop query observation the filter rules read;
 //! * [`store::Trace`] — in-memory trace with JSONL (de)serialization,
@@ -30,7 +35,7 @@ pub mod stats;
 pub mod store;
 
 pub use chunk::ChunkBatch;
-pub use collector::{CollectorConfig, MeasurementPeer};
+pub use collector::{CollectorConfig, MeasurementPeer, Recorder};
 pub use record::{ConnectionRecord, MessageRecord, QueryObs, RecordedPayload, SessionId};
 pub use sink::{Fanout, SharedSink, TraceSink};
 pub use stats::TraceStats;

@@ -8,14 +8,20 @@
 //! (`streaming` mode, see `analysis::streaming`), or both at once via
 //! [`Fanout`].
 //!
-//! Delivery contract (what the collector guarantees):
+//! Delivery contract. It has one implementation,
+//! [`crate::collector::Recorder`], through which both campaign engines
+//! record (the full-fidelity `MeasurementPeer` and the hybrid engine);
+//! its unit tests drive it against a logging sink:
 //!
-//! * `on_connect` is called once per session, before any of its batches;
-//! * batches arrive in arrival order; every message of a session is
-//!   delivered in some batch **before** that session's `on_close` (the
-//!   collector drains its pending buffer when it finalizes a session);
+//! * `on_connect` is called once per session, before any of its batches,
+//!   with session ids dense from 0;
+//! * batches arrive in arrival order, at most 8 192 records each; every
+//!   message of a session is delivered in some batch **before** that
+//!   session's `on_close` (the recorder drains its pending buffer when
+//!   it closes a session);
 //! * `on_close` is called at most once per session; sessions still open
-//!   when the collector is dropped never see it.
+//!   when the recorder is dropped never see it, but their buffered
+//!   records are drained then.
 
 use crate::record::{ConnectionRecord, MessageRecord, SessionId};
 use crate::store::Trace;

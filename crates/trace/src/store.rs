@@ -115,43 +115,13 @@ impl FlatColumns {
         self.wire_len.reserve(n);
     }
 
-    fn push_with_wire(&mut self, rec: MessageRecord, wire: u32) {
-        let arg = match rec.payload {
-            RecordedPayload::Ping | RecordedPayload::Bye => 0,
-            RecordedPayload::Pong { addr, shared_files } => {
-                self.pong_addr.push(addr);
-                self.pong_files.push(shared_files);
-                (self.pong_addr.len() - 1) as u32
-            }
-            RecordedPayload::Query { text, sha1 } => {
-                self.query_id.push(text.raw());
-                self.query_sha1.push(sha1);
-                (self.query_id.len() - 1) as u32
-            }
-            RecordedPayload::QueryHit { addr, results } => {
-                self.hit_addr.push(addr);
-                self.hit_results.push(results);
-                (self.hit_addr.len() - 1) as u32
-            }
-        };
-        self.session
-            .push(u32::try_from(rec.session.0).expect("session id exceeds u32 range"));
-        self.guid.push(rec.guid);
-        self.at.push(rec.at);
-        self.hops.push(rec.hops);
-        self.ttl.push(rec.ttl);
-        self.kind.push(kind_of(&rec.payload));
-        self.arg.push(arg);
-        self.wire_len.push(wire);
-    }
-
-    /// Columnar batch append: one sequential pass fills the per-kind
-    /// side tables plus the data-dependent `kind`/`arg` columns, then
-    /// the six remaining columns extend in bulk — one reserve + bounds
-    /// check per column per batch instead of eight `push` calls per
-    /// record. Produces byte-identical columns to repeated
-    /// [`FlatColumns::push_with_wire`] calls: side-table rows are
-    /// appended in record order, so every `arg` index is unchanged.
+    /// Columnar batch append, the tail's one append path: one
+    /// sequential pass fills the per-kind side tables plus the
+    /// data-dependent `kind`/`arg` columns, then the six remaining
+    /// columns extend in bulk — one reserve + bounds check per column
+    /// per batch instead of eight `push` calls per record. Side-table
+    /// rows are appended in record order, so a record's `arg` index does
+    /// not depend on how the records were batched.
     fn extend_batch(&mut self, records: &[MessageRecord], wire_lens: &[u32]) {
         debug_assert_eq!(records.len(), wire_lens.len());
         self.reserve(records.len());
@@ -497,29 +467,21 @@ impl MessageColumns {
     }
 
     /// Append a record, keeping `wire` bytes of provenance in the
-    /// `wire_len` column. Seals the tail into a compressed chunk when it
-    /// reaches the chunk size.
+    /// `wire_len` column: a one-record [`Self::push_batch`].
     pub fn push_with_wire(&mut self, rec: MessageRecord, wire: u32) {
-        self.tail.push_with_wire(rec, wire);
-        if self.tail.len() == self.chunk_rows {
-            self.seal_tail();
-        }
+        self.push_batch(&[rec], &[wire]);
     }
 
-    /// Append a drained batch (the [`crate::sink::TraceSink`] path).
+    /// Append a batch of records with their wire lengths (the
+    /// [`crate::sink::TraceSink`] path, and the one append path).
     ///
-    /// Fast path: the batch is split at chunk-seal boundaries and each
-    /// segment lands in the typed columns via
-    /// [`FlatColumns::extend_batch`] — one reserve + bounds check per
-    /// column per segment instead of eight per-record `push` calls.
-    /// Sealing semantics are identical to the per-record path: the tail
-    /// seals exactly when it reaches `chunk_rows`.
+    /// The batch is split at chunk-seal boundaries and each segment
+    /// lands in the typed columns via `FlatColumns::extend_batch` —
+    /// one reserve + bounds check per column per segment instead of
+    /// eight per-record `push` calls. The tail seals exactly when it
+    /// reaches `chunk_rows`, however the records were batched.
     pub fn push_batch(&mut self, mut records: &[MessageRecord], mut wire_lens: &[u32]) {
         debug_assert_eq!(records.len(), wire_lens.len());
-        if records.is_empty() {
-            return;
-        }
-        telemetry::global().incr(Counter::SinkFastBatches);
         while !records.is_empty() {
             let room = self.chunk_rows - self.tail.len();
             let take = room.min(records.len());
@@ -983,9 +945,12 @@ impl Trace {
     /// message order is preserved. Fails with [`io::ErrorKind::InvalidData`]
     /// naming the session when the session ids have a gap, when a session
     /// has two connection records, or when a message's session has none.
+    /// Memory is bounded by the input: the `n` connection records are
+    /// placed by id only once all of them are read, so an id outside
+    /// `0..n` is a gap below `n`, whatever its value.
     pub fn read_jsonl<R: BufRead>(r: R) -> io::Result<Trace> {
         let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-        let mut connections: Vec<Option<ConnectionRecord>> = Vec::new();
+        let mut read = Vec::new();
         let mut messages = MessageColumns::new();
         let mut last_msg_session = None;
         for line in r.lines() {
@@ -996,36 +961,47 @@ impl Trace {
             let parsed: TraceLine = serde_json::from_str(&line)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
             match parsed {
-                TraceLine::Conn(c) => {
-                    let idx = c.id.0 as usize;
-                    if connections.len() <= idx {
-                        connections.resize(idx + 1, None);
-                    }
-                    if connections[idx].is_some() {
+                TraceLine::Conn(c) => read.push(c),
+                TraceLine::Msg(m) => {
+                    // The store keeps session ids as `u32`; a larger one
+                    // cannot name any connection it holds.
+                    if u32::try_from(m.session.0).is_err() {
                         return Err(invalid(format!(
-                            "duplicate connection record for session {idx}"
+                            "message for session {} has no connection record",
+                            m.session.0
                         )));
                     }
-                    connections[idx] = Some(c);
-                }
-                TraceLine::Msg(m) => {
                     last_msg_session = last_msg_session.max(Some(m.session.0));
                     messages.push(m);
                 }
             }
         }
-        if let Some(s) = last_msg_session.filter(|&s| s >= connections.len() as u64) {
-            return Err(invalid(format!(
-                "message for session {s} has no connection record"
-            )));
+        let mut placed: Vec<Option<ConnectionRecord>> = vec![None; read.len()];
+        for c in read {
+            let id = c.id.0;
+            match usize::try_from(id).ok().and_then(|i| placed.get_mut(i)) {
+                Some(Some(_)) => {
+                    return Err(invalid(format!(
+                        "duplicate connection record for session {id}"
+                    )))
+                }
+                Some(slot) => *slot = Some(c),
+                // Out of range: some id below the count is then missing.
+                None => {}
+            }
         }
-        let connections = connections
+        let connections = placed
             .into_iter()
             .enumerate()
             .map(|(i, c)| {
                 c.ok_or_else(|| invalid(format!("missing connection record for session {i}")))
             })
             .collect::<io::Result<Vec<_>>>()?;
+        if let Some(s) = last_msg_session.filter(|&s| s >= connections.len() as u64) {
+            return Err(invalid(format!(
+                "message for session {s} has no connection record"
+            )));
+        }
         Ok(Trace {
             connections,
             messages,
@@ -1471,6 +1447,44 @@ mod tests {
         let err = Trace::read_jsonl(buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("session 1"), "{err}");
+    }
+
+    /// A connection id far past the record count is a gap, not a table
+    /// size: the reader returns `InvalidData` instead of sizing its
+    /// connection table by the id.
+    #[test]
+    fn read_rejects_huge_session_id() {
+        for huge in [4_000_000_000, u64::MAX] {
+            let mut t = sample_trace();
+            t.connections[2].id = SessionId(huge);
+            let mut buf = Vec::new();
+            t.write_jsonl(&mut buf).unwrap();
+            let err = Trace::read_jsonl(buf.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(
+                err.to_string()
+                    .contains("missing connection record for session 2"),
+                "{err}"
+            );
+
+            // The same id on a message line.
+            let mut buf = Vec::new();
+            sample_trace().write_jsonl(&mut buf).unwrap();
+            let text = String::from_utf8(buf).unwrap();
+            let last = text.lines().last().unwrap();
+            assert!(last.contains("\"session\":2"), "{last}");
+            let text = format!(
+                "{text}{}\n",
+                last.replace("\"session\":2", &format!("\"session\":{huge}"))
+            );
+            let err = Trace::read_jsonl(text.as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(
+                err.to_string()
+                    .contains(&format!("message for session {huge} has no")),
+                "{err}"
+            );
+        }
     }
 
     #[test]
