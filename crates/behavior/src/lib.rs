@@ -10,15 +10,18 @@
 //! Two layers are modeled separately, because separating them is the
 //! paper's first contribution (§3.3):
 //!
-//! * **User behavior** ([`session`], [`params`]) — passive/active choice,
-//!   passive session durations, queries per active session, time to first
-//!   query, query interarrival times, time after last query, and query
-//!   content drawn from a drifting per-region vocabulary ([`vocabulary`]).
-//! * **Client-software behavior** ([`clients`]) — the automation artifacts
-//!   the filter rules must remove: SHA1 source-search queries (rule 1),
-//!   automatic re-sending of earlier queries (rule 2), quick system-level
-//!   disconnects (rule 3), sub-second re-query bursts at connect (rule 4),
-//!   and fixed-interval periodic re-queries (rule 5).
+//! * **User behavior** ([`session`]) — passive/active choice, passive
+//!   session durations, queries per active session, time to first query,
+//!   query interarrival times and time after last query, all drawn from
+//!   the paper's model (`model::WorkloadModel::paper_default()`, the same
+//!   table the Figure 12 generator samples), and query content drawn from
+//!   a drifting per-region vocabulary ([`vocabulary`]).
+//! * **Client-software behavior** ([`clients`], [`params`]) — the
+//!   automation artifacts the filter rules must remove: SHA1 source-search
+//!   queries (rule 1), automatic re-sending of earlier queries (rule 2),
+//!   quick system-level disconnects (rule 3), sub-second re-query bursts
+//!   at connect (rule 4), and fixed-interval periodic re-queries (rule 5);
+//!   plus how connections end and advertise themselves.
 //!
 //! [`peer::ClientPeer`] executes a generated [`session::SessionPlan`]
 //! against the measurement peer over the simulated network, and
@@ -44,7 +47,8 @@ pub use driver::{
     PopulationConfig,
 };
 pub use files::SharedFilesModel;
+pub use model::QueryClass;
 pub use params::BehaviorParams;
 pub use peer::{ClientPeer, PeerEnv, RelayRates};
 pub use session::{PlannedQuery, QueryOrigin, SessionKind, SessionPlan, SessionPlanner};
-pub use vocabulary::{QueryClass, Vocabulary, VocabularyConfig};
+pub use vocabulary::{Vocabulary, VocabularyConfig};

@@ -1,71 +1,21 @@
-//! User-behavior parameters, anchored to the paper's appendix.
+//! Client-software and connection parameters of the ground truth: what
+//! the paper's model does not describe.
 //!
-//! Tables A.1–A.5 give fitted models for North American peers; the other
-//! regions are parameterized from the figure-level statistics the paper
-//! reports (Figures 5–9): Asian sessions are shorter and close sooner,
-//! European sessions issue more queries with shorter interarrival times,
-//! and so on. Every number below is traceable to a sentence or table in
-//! the paper; see the field docs.
+//! The user layer (the passive fraction of Figure 4 and the session laws
+//! of Tables A.1–A.5) is the paper's model itself, drawn through
+//! [`model::ModelLaws`]; see [`crate::session::SessionPlanner`]. What is
+//! left here is the system layer the filter rules must see through:
+//! quick disconnects (§3.3 rule 3), silent vanishing and BYE teardown
+//! (§3.2), ultrapeer mode (Table 1) and keepalive PINGs.
 
-use geoip::Region;
 use serde::{Deserialize, Serialize};
-use stats::dist::{BodyTail, Lognormal, Pareto, Truncated, Weibull};
 
-/// Number-of-queries class used by the conditional models of Tables A.3
-/// (time until first query) — `<3`, `=3`, `>3`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FirstQueryClass {
-    /// Fewer than 3 queries in the session.
-    Lt3,
-    /// Exactly 3 queries.
-    Eq3,
-    /// More than 3 queries.
-    Gt3,
-}
-
-impl FirstQueryClass {
-    /// Classify a session's query count.
-    pub fn of(n_queries: u32) -> Self {
-        match n_queries {
-            0..=2 => FirstQueryClass::Lt3,
-            3 => FirstQueryClass::Eq3,
-            _ => FirstQueryClass::Gt3,
-        }
-    }
-}
-
-/// Number-of-queries class used by Table A.5 (time after last query) —
-/// `1`, `2–7`, `>7`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum LastQueryClass {
-    /// Exactly one query.
-    One,
-    /// Two to seven queries.
-    TwoToSeven,
-    /// More than seven queries.
-    Gt7,
-}
-
-impl LastQueryClass {
-    /// Classify a session's query count.
-    pub fn of(n_queries: u32) -> Self {
-        match n_queries {
-            0 | 1 => LastQueryClass::One,
-            2..=7 => LastQueryClass::TwoToSeven,
-            _ => LastQueryClass::Gt7,
-        }
-    }
-}
-
-/// The complete user-behavior parameter set.
+/// The connection-level parameter set.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BehaviorParams {
     /// Probability that a raw connection is a system-level quick
     /// disconnect (§3.3 rule 3: ≈70 % of connections end within 64 s).
     pub quick_disconnect_prob: f64,
-    /// Probability a non-quick session is passive, per region
-    /// (§4.3 / Figure 4: NA 80–85 %, EU 75–80 %, Asia 80–90 %).
-    pub passive_prob: [f64; 4],
     /// Fraction of sessions ending silently (no TCP teardown observed;
     /// the measurement peer probe-closes them ≈30 s later, §3.2).
     pub vanish_prob: f64,
@@ -84,8 +34,6 @@ impl Default for BehaviorParams {
     fn default() -> Self {
         BehaviorParams {
             quick_disconnect_prob: 0.70,
-            // NA, EU, Asia, Other.
-            passive_prob: [0.825, 0.775, 0.85, 0.82],
             vanish_prob: 0.80,
             bye_prob: 0.10,
             ultrapeer_prob: 0.40,
@@ -95,11 +43,6 @@ impl Default for BehaviorParams {
 }
 
 impl BehaviorParams {
-    /// Passive probability for a region.
-    pub fn passive_prob(&self, region: Region) -> f64 {
-        self.passive_prob[region.index()]
-    }
-
     /// Quick-disconnect duration model (§3.3): 29 % of *all* connections
     /// end within 10 s, 32 % within 20–25 s, ~9 % within 25–64 s (the three
     /// weights renormalized within the quick class).
@@ -111,158 +54,11 @@ impl BehaviorParams {
             (0.09 / 0.70, 25.0, 63.0),
         ]
     }
-
-    /// Passive connected-session duration model (Table A.1 for North
-    /// America; other regions scaled to match Figure 5(a): Asia 85 % < 2
-    /// min, NA 75 %, EU 55 % — with the non-peak body weight reduced as in
-    /// Table A.1's 75 % → 55 % peak → non-peak shift).
-    ///
-    /// Durations are in seconds; the body is additionally truncated below
-    /// at 64 s because shorter connections are quick disconnects, modeled
-    /// separately.
-    pub fn passive_duration(
-        &self,
-        region: Region,
-        peak: bool,
-    ) -> BodyTail<Truncated<Lognormal>, Lognormal> {
-        // (body weight, body LN, tail LN) per region × period.
-        let (w, body, tail) = match (region, peak) {
-            (Region::NorthAmerica | Region::Other, true) => (0.75, (2.108, 2.502), (6.397, 2.749)),
-            (Region::NorthAmerica | Region::Other, false) => (0.55, (2.201, 2.383), (6.817, 2.848)),
-            // Europe: longer sessions — smaller body weight, heavier tail.
-            (Region::Europe, true) => (0.55, (2.201, 2.383), (6.90, 2.80)),
-            (Region::Europe, false) => (0.42, (2.201, 2.383), (7.25, 2.85)),
-            // Asia: shorter sessions — larger body weight, lighter tail.
-            (Region::Asia, true) => (0.85, (2.05, 2.45), (5.80, 2.60)),
-            (Region::Asia, false) => (0.78, (2.10, 2.45), (6.05, 2.70)),
-        };
-        let body_ln = Lognormal::new(body.0, body.1).expect("body params valid");
-        let tail_ln = Lognormal::new(tail.0, tail.1).expect("tail params valid");
-        let body_trunc = Truncated::new(body_ln, 64.0, 120.0).expect("body window carries mass");
-        BodyTail::new(body_trunc, tail_ln, 120.0, w).expect("composite valid")
-    }
-
-    /// Queries per active session (Table A.2, exact paper parameters).
-    /// Draw with `.sample(rng).ceil() as u32`.
-    pub fn queries_per_session(&self, region: Region) -> Lognormal {
-        let (mu, sigma) = match region {
-            Region::NorthAmerica | Region::Other => (-0.0673, 1.360),
-            Region::Europe => (0.520, 1.306),
-            Region::Asia => (-1.029, 1.618),
-        };
-        Lognormal::new(mu, sigma).expect("Table A.2 params valid")
-    }
-
-    /// Hard cap on user queries per session (numerical guard for the
-    /// heavy lognormal tail; Figure 6 x-axes end near 100).
-    pub const MAX_USER_QUERIES: u32 = 120;
-
-    /// Time until first query (Table A.3: Weibull body ‖ lognormal tail,
-    /// conditioned on period and query-count class; exact NA parameters,
-    /// region adjustments per Figure 7(a): Asia's first query arrives
-    /// sooner — lighter tail; Europe's tail stretches toward 1000 s).
-    pub fn time_to_first_query(
-        &self,
-        region: Region,
-        peak: bool,
-        class: FirstQueryClass,
-    ) -> BodyTail<Weibull, Lognormal> {
-        use FirstQueryClass::*;
-        // (weibull α, weibull λ, LN σ, LN µ, split) from Table A.3.
-        let (wa, wl, ls, lm, split) = match (peak, class) {
-            (true, Lt3) => (1.477, 0.005252, 2.905, 5.091, 45.0),
-            (true, Eq3) => (1.261, 0.01081, 2.045, 6.303, 45.0),
-            (true, Gt3) => (0.9821, 0.02662, 2.359, 6.301, 45.0),
-            (false, Lt3) => (1.159, 0.01779, 3.384, 5.144, 120.0),
-            (false, Eq3) => (1.207, 0.01446, 2.324, 6.400, 120.0),
-            (false, Gt3) => (0.9351, 0.03380, 2.463, 7.186, 120.0),
-        };
-        // Region adjustment on the tail (Figure 7(a)).
-        let lm = match region {
-            Region::Asia => lm - 1.35,
-            Region::Europe => lm + 0.25,
-            _ => lm,
-        };
-        // Body weight: ≈40 % of first queries within 30 s in every region
-        // (Figure 7(a)); peak sessions front-load slightly more.
-        let w = if peak { 0.50 } else { 0.42 };
-        let body = Weibull::new(wa, wl).expect("Table A.3 Weibull valid");
-        let tail = Lognormal::new(lm, ls).expect("Table A.3 lognormal valid");
-        BodyTail::new(body, tail, split, w).expect("composite valid")
-    }
-
-    /// Query interarrival time (Table A.4: lognormal body ‖ Pareto tail at
-    /// 103 s; exact NA parameters). Body weight per region from Figure
-    /// 8(a): interarrivals below ~100 s are 90 % in Europe, 80 % in Asia,
-    /// 70 % in North America. For Europe only, the body is additionally
-    /// conditioned on the session's query count (Figure 8(b)): sessions
-    /// with many queries have shorter interarrivals.
-    pub fn interarrival(
-        &self,
-        region: Region,
-        peak: bool,
-        n_queries: u32,
-    ) -> BodyTail<Lognormal, Pareto> {
-        let (mu, sigma, pareto_alpha) = if peak {
-            (3.353, 1.625, 0.9041)
-        } else {
-            (2.933, 1.410, 1.143)
-        };
-        let (w, mu) = match region {
-            Region::NorthAmerica | Region::Other => (0.70, mu),
-            Region::Asia => (0.80, mu - 0.35),
-            Region::Europe => {
-                // Figure 8(b): EU interarrival conditioned on #queries.
-                let shift = match n_queries {
-                    0..=2 => 0.25,
-                    3..=7 => 0.0,
-                    _ => -0.55,
-                };
-                (0.90, mu - 0.70 + shift)
-            }
-        };
-        let body = Lognormal::new(mu, sigma).expect("Table A.4 body valid");
-        let tail = Pareto::new(pareto_alpha, 103.0).expect("Table A.4 tail valid");
-        BodyTail::new(body, tail, 103.0, w).expect("composite valid")
-    }
-
-    /// Time after the last query (Table A.5: lognormal, conditioned on
-    /// period and query-count class; exact NA parameters, Asia closes
-    /// sessions faster per Figure 9(a)).
-    pub fn time_after_last(&self, region: Region, peak: bool, class: LastQueryClass) -> Lognormal {
-        use LastQueryClass::*;
-        let (sigma, mu) = match (peak, class) {
-            (true, One) => (2.361, 4.879),
-            (true, TwoToSeven) => (2.259, 5.686),
-            (true, Gt7) => (2.145, 6.107),
-            (false, One) => (2.162, 4.760),
-            (false, TwoToSeven) => (2.156, 5.672),
-            (false, Gt7) => (2.286, 6.036),
-        };
-        let mu = match region {
-            Region::Asia => mu - 0.85,
-            _ => mu,
-        };
-        Lognormal::new(mu, sigma).expect("Table A.5 params valid")
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use stats::dist::Continuous;
-
-    #[test]
-    fn first_query_classes() {
-        assert_eq!(FirstQueryClass::of(0), FirstQueryClass::Lt3);
-        assert_eq!(FirstQueryClass::of(2), FirstQueryClass::Lt3);
-        assert_eq!(FirstQueryClass::of(3), FirstQueryClass::Eq3);
-        assert_eq!(FirstQueryClass::of(4), FirstQueryClass::Gt3);
-        assert_eq!(LastQueryClass::of(1), LastQueryClass::One);
-        assert_eq!(LastQueryClass::of(7), LastQueryClass::TwoToSeven);
-        assert_eq!(LastQueryClass::of(8), LastQueryClass::Gt7);
-    }
 
     #[test]
     fn quick_disconnect_mixture_normalizes() {
@@ -272,132 +68,6 @@ mod tests {
         for (_, lo, hi) in p.quick_disconnect_mixture() {
             assert!(lo < hi && hi < 64.0);
         }
-    }
-
-    #[test]
-    fn passive_duration_region_ordering() {
-        // Figure 5(a): P(duration < 2 min) — Asia 0.85, NA 0.75, EU 0.55
-        // during peak periods.
-        let p = BehaviorParams::default();
-        let at2min = |r| p.passive_duration(r, true).cdf(120.0);
-        assert!((at2min(Region::Asia) - 0.85).abs() < 1e-9);
-        assert!((at2min(Region::NorthAmerica) - 0.75).abs() < 1e-9);
-        assert!((at2min(Region::Europe) - 0.55).abs() < 1e-9);
-        // Durations never drop below the 64 s rule-3 boundary.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        for r in Region::ALL {
-            for peak in [true, false] {
-                let d = p.passive_duration(r, peak);
-                for x in d.sample_n(&mut rng, 500) {
-                    assert!(x >= 64.0, "{r} {peak}: duration {x}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn passive_duration_long_tail_exists() {
-        // §4.4: sessions of 17–50 h make up ≈1 % in every region.
-        let p = BehaviorParams::default();
-        for r in [Region::NorthAmerica, Region::Europe, Region::Asia] {
-            let d = p.passive_duration(r, false);
-            let frac_over_17h = d.ccdf(17.0 * 3600.0);
-            assert!(
-                frac_over_17h > 0.002 && frac_over_17h < 0.08,
-                "{r}: {frac_over_17h}"
-            );
-        }
-    }
-
-    #[test]
-    fn queries_per_session_region_ordering() {
-        // Figure 6(a): fraction issuing <5 queries — Asia 92 %, NA 80 %,
-        // EU 70 %. With ceil() discretization, X ≤ 4 ⟺ sample ≤ 4; the
-        // Table A.2 lognormals land a few points above the paper's quoted
-        // CCDF values (the paper's own Figure A.1(a) fit shows the same
-        // offset), so the bands here are generous.
-        let p = BehaviorParams::default();
-        let lt5 = |r: Region| p.queries_per_session(r).cdf(4.0);
-        assert!(
-            (lt5(Region::Asia) - 0.92).abs() < 0.05,
-            "AS {}",
-            lt5(Region::Asia)
-        );
-        assert!(
-            (lt5(Region::NorthAmerica) - 0.83).abs() < 0.05,
-            "NA {}",
-            lt5(Region::NorthAmerica)
-        );
-        assert!(
-            (lt5(Region::Europe) - 0.72).abs() < 0.06,
-            "EU {}",
-            lt5(Region::Europe)
-        );
-        // Ordering: EU issues most queries.
-        assert!(
-            p.queries_per_session(Region::Europe).mean().unwrap()
-                > p.queries_per_session(Region::NorthAmerica).mean().unwrap()
-        );
-    }
-
-    #[test]
-    fn interarrival_region_ordering() {
-        // Figure 8(a): P(interarrival < 100 s) ≈ 0.9 EU / 0.8 Asia / 0.7 NA.
-        let p = BehaviorParams::default();
-        let below = |r| p.interarrival(r, true, 5).cdf(103.0);
-        assert!((below(Region::Europe) - 0.90).abs() < 1e-9);
-        assert!((below(Region::Asia) - 0.80).abs() < 1e-9);
-        assert!((below(Region::NorthAmerica) - 0.70).abs() < 1e-9);
-    }
-
-    #[test]
-    fn eu_interarrival_conditioned_on_query_count() {
-        // Figure 8(b): many-query EU sessions have shorter interarrivals.
-        let p = BehaviorParams::default();
-        let few = p.interarrival(Region::Europe, true, 2);
-        let many = p.interarrival(Region::Europe, true, 20);
-        assert!(few.quantile(0.5) > many.quantile(0.5));
-        // NA is NOT conditioned (paper's explicit finding).
-        let na_few = p.interarrival(Region::NorthAmerica, true, 2);
-        let na_many = p.interarrival(Region::NorthAmerica, true, 20);
-        assert_eq!(na_few.quantile(0.5), na_many.quantile(0.5));
-    }
-
-    #[test]
-    fn time_after_last_increases_with_queries() {
-        // Figure 9(b): positive correlation with query count.
-        let p = BehaviorParams::default();
-        let m1 = p
-            .time_after_last(Region::NorthAmerica, true, LastQueryClass::One)
-            .median();
-        let m2 = p
-            .time_after_last(Region::NorthAmerica, true, LastQueryClass::TwoToSeven)
-            .median();
-        let m3 = p
-            .time_after_last(Region::NorthAmerica, true, LastQueryClass::Gt7)
-            .median();
-        assert!(m1 < m2 && m2 < m3);
-        // Asia closes faster (Figure 9(a)).
-        let asia = p
-            .time_after_last(Region::Asia, true, LastQueryClass::TwoToSeven)
-            .ccdf(1000.0);
-        let na = p
-            .time_after_last(Region::NorthAmerica, true, LastQueryClass::TwoToSeven)
-            .ccdf(1000.0);
-        assert!(asia < na);
-    }
-
-    #[test]
-    fn time_to_first_query_region_effects() {
-        let p = BehaviorParams::default();
-        // Asia's tail is lighter.
-        let asia = p.time_to_first_query(Region::Asia, true, FirstQueryClass::Lt3);
-        let na = p.time_to_first_query(Region::NorthAmerica, true, FirstQueryClass::Lt3);
-        assert!(asia.quantile(0.9) < na.quantile(0.9));
-        // Conditioning: more queries ⇒ later first query allowed (Fig 7(b)).
-        let lt3 = p.time_to_first_query(Region::NorthAmerica, true, FirstQueryClass::Lt3);
-        let gt3 = p.time_to_first_query(Region::NorthAmerica, true, FirstQueryClass::Gt3);
-        assert!(gt3.quantile(0.9) > lt3.quantile(0.9));
     }
 
     #[test]

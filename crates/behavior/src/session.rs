@@ -8,10 +8,11 @@
 
 use crate::clients::ClientPopulation;
 use crate::files::SharedFilesModel;
-use crate::params::{BehaviorParams, FirstQueryClass, LastQueryClass};
+use crate::params::BehaviorParams;
 use crate::vocabulary::Vocabulary;
 use geoip::{DiurnalModel, Region};
 use gnutella::QueryId;
+use model::{ModelLaws, WorkloadModel};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -106,8 +107,10 @@ pub struct SessionPlan {
 /// Draws session plans from the behavior model.
 #[derive(Debug, Clone)]
 pub struct SessionPlanner {
-    /// User-behavior parameters.
+    /// Connection-level parameters the paper's model does not describe.
     pub params: BehaviorParams,
+    /// The user layer: the paper's passive fraction and session laws.
+    pub laws: ModelLaws,
     /// Client-software population.
     pub clients: ClientPopulation,
     /// Query vocabulary (shared across the population).
@@ -119,10 +122,14 @@ pub struct SessionPlanner {
 }
 
 impl SessionPlanner {
-    /// Planner with all paper defaults.
+    /// Planner with all paper defaults; its user layer draws from
+    /// [`WorkloadModel::paper_default`].
     pub fn paper_default(vocab: Arc<Vocabulary>) -> SessionPlanner {
         SessionPlanner {
             params: BehaviorParams::default(),
+            laws: WorkloadModel::paper_default()
+                .laws()
+                .expect("the paper's model builds"),
             clients: ClientPopulation::paper_default(),
             vocab,
             files: SharedFilesModel::default(),
@@ -161,7 +168,7 @@ impl SessionPlanner {
             return self.plan_quick(base, day, rng);
         }
         // 2. Passive or active?
-        if rng.gen::<f64>() < self.params.passive_prob(region) {
+        if self.laws.draw_passive(region, rng) {
             self.plan_passive(base, rng)
         } else {
             self.plan_active(base, client, day, rng)
@@ -202,13 +209,9 @@ impl SessionPlanner {
     }
 
     fn plan_passive(&self, mut plan: SessionPlan, rng: &mut StdRng) -> SessionPlan {
-        use stats::dist::Continuous;
         plan.kind = SessionKind::Passive;
-        let d = self.params.passive_duration(plan.region, plan.peak);
-        // §4.4: the longest observed sessions run 17–50 hours; cap the
-        // generative support at 50 h so immortal sessions cannot pin the
-        // measurement peer's 200 connection slots forever.
-        plan.duration = SimDuration::from_secs_f64(d.sample(rng).min(50.0 * 3600.0));
+        let secs = self.laws.draw_passive_duration(plan.region, plan.peak, rng);
+        plan.duration = SimDuration::from_secs_f64(secs);
         plan
     }
 
@@ -219,34 +222,24 @@ impl SessionPlanner {
         day: usize,
         rng: &mut StdRng,
     ) -> SessionPlan {
-        use stats::dist::Continuous;
         plan.kind = SessionKind::Active;
         let region = plan.region;
         let peak = plan.peak;
 
         // --- User layer -------------------------------------------------
-        let n_user = (self.params.queries_per_session(region).sample(rng).ceil() as u32)
-            .clamp(1, BehaviorParams::MAX_USER_QUERIES);
+        let laws = &self.laws;
+        let n_user = laws.draw_queries(region, rng);
         plan.user_query_count = n_user;
 
-        let t_first = self
-            .params
-            .time_to_first_query(region, peak, FirstQueryClass::of(n_user))
-            .sample(rng)
-            .min(100_000.0);
-        let ia = self.params.interarrival(region, peak, n_user);
+        let t_first = laws.draw_first_query(region, peak, n_user, rng);
         let mut times = Vec::with_capacity(n_user as usize);
         let mut t = t_first;
         times.push(t);
         for _ in 1..n_user {
-            t += ia.sample(rng).min(20_000.0);
+            t += laws.draw_interarrival(region, peak, n_user, rng);
             times.push(t);
         }
-        let t_after = self
-            .params
-            .time_after_last(region, peak, LastQueryClass::of(n_user))
-            .sample(rng)
-            .min(100_000.0);
+        let t_after = laws.draw_time_after_last(region, peak, n_user, rng);
         let duration = t + t_after;
         plan.duration = SimDuration::from_secs_f64(duration);
 

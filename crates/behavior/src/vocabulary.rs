@@ -25,101 +25,14 @@
 
 use geoip::Region;
 use gnutella::QueryId;
+use model::{QueryClass, RankLaw};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use stats::dist::{Discrete, TwoPieceZipf, Zipf};
+use stats::dist::{TwoPieceZipf, Zipf};
 use stats::rank::drifted_hot_set;
 use stats::rng::SeedSequence;
 use std::sync::OnceLock;
-
-/// The seven disjoint geographic query classes of §4.6.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub enum QueryClass {
-    /// Issued only by North American peers.
-    NaOnly,
-    /// Issued only by European peers.
-    EuOnly,
-    /// Issued only by Asian peers.
-    AsOnly,
-    /// Issued by both North American and European peers.
-    NaEu,
-    /// Issued by both North American and Asian peers.
-    NaAs,
-    /// Issued by both European and Asian peers.
-    EuAs,
-    /// Issued by peers from all three regions.
-    All,
-}
-
-impl QueryClass {
-    /// All seven classes in a fixed order.
-    pub const ALL7: [QueryClass; 7] = [
-        QueryClass::NaOnly,
-        QueryClass::EuOnly,
-        QueryClass::AsOnly,
-        QueryClass::NaEu,
-        QueryClass::NaAs,
-        QueryClass::EuAs,
-        QueryClass::All,
-    ];
-
-    /// Dense index.
-    pub fn index(self) -> usize {
-        match self {
-            QueryClass::NaOnly => 0,
-            QueryClass::EuOnly => 1,
-            QueryClass::AsOnly => 2,
-            QueryClass::NaEu => 3,
-            QueryClass::NaAs => 4,
-            QueryClass::EuAs => 5,
-            QueryClass::All => 6,
-        }
-    }
-
-    /// Which regions issue queries of this class.
-    pub fn regions(self) -> &'static [Region] {
-        use Region::*;
-        match self {
-            QueryClass::NaOnly => &[NorthAmerica],
-            QueryClass::EuOnly => &[Europe],
-            QueryClass::AsOnly => &[Asia],
-            QueryClass::NaEu => &[NorthAmerica, Europe],
-            QueryClass::NaAs => &[NorthAmerica, Asia],
-            QueryClass::EuAs => &[Europe, Asia],
-            QueryClass::All => &[NorthAmerica, Europe, Asia],
-        }
-    }
-
-    /// Short label used in reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            QueryClass::NaOnly => "NA-only",
-            QueryClass::EuOnly => "EU-only",
-            QueryClass::AsOnly => "AS-only",
-            QueryClass::NaEu => "NA∩EU",
-            QueryClass::NaAs => "NA∩AS",
-            QueryClass::EuAs => "EU∩AS",
-            QueryClass::All => "NA∩EU∩AS",
-        }
-    }
-}
-
-/// Per-class rank-popularity law.
-#[derive(Debug, Clone)]
-enum RankLaw {
-    Zipf(Zipf),
-    TwoPiece(TwoPieceZipf),
-}
-
-impl RankLaw {
-    fn sample(&self, rng: &mut StdRng) -> u64 {
-        match self {
-            RankLaw::Zipf(z) => z.sample(rng),
-            RankLaw::TwoPiece(z) => z.sample(rng),
-        }
-    }
-}
 
 /// Vocabulary construction parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]

@@ -60,7 +60,7 @@ pub fn fig02(ctx: &ExperimentContext) -> String {
 pub fn fig03(ctx: &ExperimentContext) -> String {
     let mut out = String::new();
     for region in Region::CHARACTERIZED {
-        let p = load::query_load_by_time(&ctx.ft, region);
+        let p = ctx.load.panel(region);
         out.push_str(&format!(
             "{} — {} filtered queries, peak bin at {:.1} h:\n",
             region.name(),

@@ -40,7 +40,6 @@ use geoip::Region;
 use rand::rngs::StdRng;
 use rand::Rng;
 use simnet::{SimDuration, SimTime};
-use stats::dist::Continuous;
 use stats::rank::drifted_hot_set;
 use stats::rng::SeedSequence;
 use std::collections::{BinaryHeap, VecDeque};
@@ -269,7 +268,7 @@ impl WorkloadGenerator {
         let region = self.model.diurnal.sample_region(hour, &mut rng);
         let peak = self.model.diurnal.is_peak(region, hour);
         // Step 2: passive or active.
-        let passive = rng.gen::<f64>() < self.model.passive_prob[region.index()];
+        let passive = self.laws.draw_passive(region, &mut rng);
 
         let q = &mut self.pending[idx];
         q.clear();
@@ -282,43 +281,28 @@ impl WorkloadGenerator {
 
         if passive {
             // Step 3: connected session length.
-            // §4.4: observed passive sessions top out at 17–50 hours.
-            let d = self
-                .laws
-                .passive_duration(region, peak)
-                .sample(&mut rng)
-                .min(50.0 * 3_600.0);
+            let d = self.laws.draw_passive_duration(region, peak, &mut rng);
             q.push_back(WorkloadEvent::SessionEnd {
                 peer,
                 at: t0 + SimDuration::from_secs_f64(d),
             });
         } else {
             // Step 4(a): number of queries.
-            let n = (self.laws.queries(region).sample(&mut rng).ceil() as u32)
-                .clamp(1, self.model.max_queries);
+            let n = self.laws.draw_queries(region, &mut rng);
             // Step 4(b): time until first query.
-            let mut t = self
-                .laws
-                .first_query(region, peak, n)
-                .sample(&mut rng)
-                .min(100_000.0);
-            let ia = *self.laws.interarrival(region, peak, n);
+            let mut t = self.laws.draw_first_query(region, peak, n, &mut rng);
             let mut events = Vec::with_capacity(n as usize + 1);
             for k in 0..n {
                 if k > 0 {
                     // Step 4(c)(i): interarrival time.
-                    t += ia.sample(&mut rng).min(20_000.0);
+                    t += self.laws.draw_interarrival(region, peak, n, &mut rng);
                 }
                 let at = t0 + SimDuration::from_secs_f64(t);
                 let query = self.pick_query(region, day, &mut rng);
                 events.push(WorkloadEvent::Query { peer, at, query });
             }
             // Step 4(d): time after the last query.
-            let after = self
-                .laws
-                .time_after_last(region, peak, n)
-                .sample(&mut rng)
-                .min(100_000.0);
+            let after = self.laws.draw_time_after_last(region, peak, n, &mut rng);
             let end = t0 + SimDuration::from_secs_f64(t + after);
             let q = &mut self.pending[idx];
             for e in events {
@@ -650,6 +634,16 @@ mod tests {
             ),
             "generated event stream changed"
         );
+    }
+
+    /// A model that allows no query per session fails at construction,
+    /// naming the cell, not at its first active session.
+    #[test]
+    #[should_panic(expected = "invalid workload model: max_queries: ")]
+    fn zero_max_queries_fails_at_construction() {
+        let mut model = WorkloadModel::paper_default();
+        model.max_queries = 0;
+        let _ = WorkloadGenerator::new(&model, small_cfg(1));
     }
 
     /// The laws are built when the generator is: a bad North America

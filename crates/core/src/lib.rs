@@ -53,8 +53,9 @@
 pub mod calibrate;
 pub mod events;
 pub mod generator;
-pub mod model;
 pub mod replay;
+
+pub use ::model;
 
 pub use calibrate::{calibrate, CalibrationReport};
 pub use events::{collect_sessions, PeerId, QueryRef, SessionSummary, WorkloadEvent};

@@ -101,11 +101,6 @@ impl DiurnalModel {
         self.fractions(hour)[region.index()]
     }
 
-    /// Mean fraction of `region` over the day.
-    pub fn mean_fraction(&self, region: Region) -> f64 {
-        (0..24).map(|h| self.fraction(region, h)).sum::<f64>() / 24.0
-    }
-
     /// Draw the region of a newly arriving peer at `hour`.
     pub fn sample_region<R: Rng + ?Sized>(&self, hour: u32, rng: &mut R) -> Region {
         let f = self.fractions(hour);
@@ -138,14 +133,6 @@ impl DiurnalModel {
             Region::Europe => (11..=23).contains(&h),
             Region::Asia => (7..=15).contains(&h),
         }
-    }
-
-    /// Relative session-arrival weight for `region` at `hour`. Arrival
-    /// rates are proportional to the connected-peer fractions (session
-    /// durations are short relative to an hour for the vast majority of
-    /// peers, so the connected mix tracks the arrival mix).
-    pub fn arrival_weight(&self, region: Region, hour: u32) -> f64 {
-        self.fraction(region, hour)
     }
 
     /// The key period starting at `hour`, if any.

@@ -59,18 +59,6 @@ impl Region {
         }
     }
 
-    /// Representative UTC offset (hours) of the region's population center,
-    /// used by the diurnal model. The measurement node is in Dortmund,
-    /// Germany (UTC+1, matching the trace period's CET).
-    pub fn utc_offset_hours(self) -> i32 {
-        match self {
-            Region::NorthAmerica => -6, // population-weighted US/Canada
-            Region::Europe => 1,
-            Region::Asia => 8,
-            Region::Other => 0,
-        }
-    }
-
     /// Index into dense per-region arrays.
     pub fn index(self) -> usize {
         match self {

@@ -333,7 +333,6 @@ pub mod conformance {
     pub const SAMPLE_INTERVAL: u64 = 256;
 
     static FRAME_COUNTER: AtomicU64 = AtomicU64::new(0);
-    static CHECKED: AtomicU64 = AtomicU64::new(0);
 
     /// True when conformance sampling is active for this process.
     pub fn enabled() -> bool {
@@ -361,7 +360,6 @@ pub mod conformance {
             encoded.is_empty(),
             "trailing bytes after conformance decode"
         );
-        CHECKED.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Sampling entry point used by the typed send path.
@@ -376,11 +374,6 @@ pub mod conformance {
         {
             check_frame(msg);
         }
-    }
-
-    /// Number of frames conformance-checked so far in this process.
-    pub fn frames_checked() -> u64 {
-        CHECKED.load(Ordering::Relaxed)
     }
 }
 

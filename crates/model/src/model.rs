@@ -2,15 +2,18 @@
 //!
 //! [`WorkloadModel`] is a plain, serializable parameter set; call
 //! [`WorkloadModel::paper_default`] for the appendix-table values, load
-//! one from JSON, or derive one from a trace with [`crate::calibrate()`].
+//! one from JSON, or derive one from a trace with `p2pq::calibrate()`.
 //! [`WorkloadModel::laws`] builds every Table A.1–A.5 law once, one per
 //! region × period × query-count-class cell, and is where a model's
 //! session laws are validated; the popularity rank laws are built by
 //! [`ClassPopularity::build_law`].
 
 use geoip::{DiurnalModel, Region};
+use rand::Rng;
 use serde::{Deserialize, Serialize};
-use stats::dist::{BodyTail, Lognormal, Pareto, Truncated, TwoPieceZipf, Weibull, Zipf};
+use stats::dist::{
+    BodyTail, Continuous, Lognormal, Pareto, Truncated, TwoPieceZipf, Weibull, Zipf,
+};
 use stats::StatsError;
 use std::fmt;
 
@@ -176,9 +179,10 @@ impl QueryClass {
         QueryClass::All,
     ];
 
-    /// Dense index.
+    /// Dense index: the position in [`QueryClass::ALL7`], which lists the
+    /// variants in declaration order.
     pub fn index(self) -> usize {
-        Self::ALL7.iter().position(|&c| c == self).unwrap()
+        self as usize
     }
 
     /// Report label.
@@ -226,7 +230,7 @@ pub enum RankLaw {
 
 impl RankLaw {
     /// Draw a 1-based rank.
-    pub fn sample<R: rand::Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         use stats::dist::Discrete;
         match self {
             RankLaw::Zipf(z) => z.sample(rng),
@@ -561,6 +565,16 @@ impl WorkloadModel {
     /// query-count-class cell. Fails on the first cell whose parameters
     /// are invalid, naming it.
     pub fn laws(&self) -> Result<ModelLaws, LawError> {
+        if self.max_queries == 0 {
+            return Err(LawError {
+                cell: "max_queries".into(),
+                source: StatsError::BadParameter {
+                    name: "max_queries",
+                    value: 0.0,
+                    constraint: "must be ≥ 1",
+                },
+            });
+        }
         let passive = |r: usize, p: usize| {
             let c = &self.passive_duration[r][p];
             let body = Truncated::new(c.body.dist()?, self.min_session_secs, c.split)?;
@@ -582,6 +596,8 @@ impl WorkloadModel {
             BodyTail::new(body, ia.tail[p].dist()?, ia.split, ia.body_weight[r])
         };
         Ok(ModelLaws {
+            passive_prob: self.passive_prob,
+            max_queries: self.max_queries,
             passive_duration: cells(|r| {
                 cells(|p| {
                     passive(r, p).map_err(|e| LawError::at("passive_duration", r, Some(p), None, e))
@@ -611,10 +627,23 @@ impl WorkloadModel {
     }
 }
 
-/// Every Table A.1–A.5 law of a [`WorkloadModel`], built once by
-/// [`WorkloadModel::laws`] and looked up by `(region, peak, n_queries)`.
+/// Longest passive session, seconds. §4.4's longest observed sessions run
+/// 17–50 h; the cap keeps one draw from holding a measurement slot for
+/// good.
+const MAX_PASSIVE_SECS: f64 = 50.0 * 3_600.0;
+/// Longest time before the first query and after the last, seconds.
+const MAX_EDGE_SECS: f64 = 100_000.0;
+/// Longest query interarrival, seconds.
+const MAX_GAP_SECS: f64 = 20_000.0;
+
+/// The session laws of a [`WorkloadModel`] (Figure 4, Tables A.1–A.5),
+/// built once by [`WorkloadModel::laws`]. Its `draw_*` methods sample one
+/// session step each, conditioned on `(region, peak, n_queries)`, and
+/// apply the model's caps; each makes exactly one draw from `rng`.
 #[derive(Debug, Clone)]
 pub struct ModelLaws {
+    passive_prob: [f64; 4],
+    max_queries: u32,
     passive_duration: [[BodyTail<Truncated<Lognormal>, Lognormal>; 2]; 4],
     queries: [Lognormal; 4],
     first_query: [[[BodyTail<Weibull, Lognormal>; FIRST_QUERY_CLASSES]; 2]; 4],
@@ -625,9 +654,74 @@ pub struct ModelLaws {
 }
 
 impl ModelLaws {
+    /// Whether a session in `region` is passive (Figure 4).
+    pub fn draw_passive<R: Rng + ?Sized>(&self, region: Region, rng: &mut R) -> bool {
+        rng.gen::<f64>() < self.passive_prob[region.index()]
+    }
+
+    /// A passive session's duration in seconds (Table A.1), at most 50 h.
+    pub fn draw_passive_duration<R: Rng + ?Sized>(
+        &self,
+        region: Region,
+        peak: bool,
+        rng: &mut R,
+    ) -> f64 {
+        self.passive_duration(region, peak)
+            .sample(rng)
+            .min(MAX_PASSIVE_SECS)
+    }
+
+    /// The number of queries of an active session (Table A.2): the
+    /// continuous draw rounded up, within `[1, max_queries]`.
+    pub fn draw_queries<R: Rng + ?Sized>(&self, region: Region, rng: &mut R) -> u32 {
+        (self.queries(region).sample(rng).ceil() as u32).clamp(1, self.max_queries)
+    }
+
+    /// Seconds from connect to the first query (Table A.3), at most
+    /// 100 000 s.
+    pub fn draw_first_query<R: Rng + ?Sized>(
+        &self,
+        region: Region,
+        peak: bool,
+        n_queries: u32,
+        rng: &mut R,
+    ) -> f64 {
+        self.first_query(region, peak, n_queries)
+            .sample(rng)
+            .min(MAX_EDGE_SECS)
+    }
+
+    /// Seconds between two queries (Table A.4 with the Figure 8
+    /// conditioning), at most 20 000 s.
+    pub fn draw_interarrival<R: Rng + ?Sized>(
+        &self,
+        region: Region,
+        peak: bool,
+        n_queries: u32,
+        rng: &mut R,
+    ) -> f64 {
+        self.interarrival(region, peak, n_queries)
+            .sample(rng)
+            .min(MAX_GAP_SECS)
+    }
+
+    /// Seconds from the last query to disconnect (Table A.5), at most
+    /// 100 000 s.
+    pub fn draw_time_after_last<R: Rng + ?Sized>(
+        &self,
+        region: Region,
+        peak: bool,
+        n_queries: u32,
+        rng: &mut R,
+    ) -> f64 {
+        self.time_after_last(region, peak, n_queries)
+            .sample(rng)
+            .min(MAX_EDGE_SECS)
+    }
+
     /// Passive session duration (seconds, Table A.1), body additionally
     /// truncated at [`WorkloadModel::min_session_secs`].
-    pub fn passive_duration(
+    fn passive_duration(
         &self,
         region: Region,
         peak: bool,
@@ -635,13 +729,13 @@ impl ModelLaws {
         &self.passive_duration[region.index()][period_index(peak)]
     }
 
-    /// Queries per active session (Table A.2; continuous, round up).
-    pub fn queries(&self, region: Region) -> &Lognormal {
+    /// Queries per active session (Table A.2; continuous).
+    fn queries(&self, region: Region) -> &Lognormal {
         &self.queries[region.index()]
     }
 
     /// Time until the first query (seconds, Table A.3).
-    pub fn first_query(
+    fn first_query(
         &self,
         region: Region,
         peak: bool,
@@ -652,7 +746,7 @@ impl ModelLaws {
 
     /// Query interarrival time (seconds, Table A.4 with the Figure 8
     /// conditioning).
-    pub fn interarrival(
+    fn interarrival(
         &self,
         region: Region,
         peak: bool,
@@ -662,7 +756,7 @@ impl ModelLaws {
     }
 
     /// Time after the last query (seconds, Table A.5).
-    pub fn time_after_last(&self, region: Region, peak: bool, n_queries: u32) -> &Lognormal {
+    fn time_after_last(&self, region: Region, peak: bool, n_queries: u32) -> &Lognormal {
         &self.time_after_last[region.index()][period_index(peak)][last_query_class(n_queries)]
     }
 }
@@ -741,7 +835,7 @@ impl std::error::Error for LawError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stats::dist::Continuous;
+    use rand::SeedableRng;
 
     /// Every cell of every table builds: all of them at once in
     /// `laws()`, and each rank law.
@@ -767,6 +861,12 @@ mod tests {
         assert!(e
             .to_string()
             .starts_with("first_query[Asia][non-peak][n > 3]: "));
+        // A session must be allowed one query.
+        let mut m = WorkloadModel::paper_default();
+        m.max_queries = 0;
+        let e = m.laws().unwrap_err();
+        assert_eq!(e.cell, "max_queries");
+        assert!(e.to_string().starts_with("max_queries: "));
     }
 
     #[test]
@@ -781,6 +881,7 @@ mod tests {
         // Figure 8(a): P(interarrival < 103 s).
         let ia = |r| laws.interarrival(r, true, 5).cdf(103.0);
         assert!((ia(Region::Europe) - 0.90).abs() < 1e-9);
+        assert!((ia(Region::Asia) - 0.80).abs() < 1e-9);
         assert!((ia(Region::NorthAmerica) - 0.70).abs() < 1e-9);
         // Figure 6(a): Europe issues more queries.
         assert!(
@@ -806,7 +907,9 @@ mod tests {
 
     #[test]
     fn count_class_mapping() {
+        assert_eq!(first_query_class(0), 0);
         assert_eq!(first_query_class(1), 0);
+        assert_eq!(first_query_class(2), 0);
         assert_eq!(first_query_class(3), 1);
         assert_eq!(first_query_class(4), 2);
         assert_eq!(last_query_class(1), 0);
@@ -838,6 +941,82 @@ mod tests {
         let na_few = laws.interarrival(Region::NorthAmerica, true, 2);
         let na_many = laws.interarrival(Region::NorthAmerica, true, 20);
         assert_eq!(na_few.quantile(0.5), na_many.quantile(0.5));
+    }
+
+    #[test]
+    fn passive_durations_keep_the_64s_floor() {
+        // Shorter connections are quick disconnects (rule 3), outside the
+        // model.
+        let laws = WorkloadModel::paper_default().laws().unwrap();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        for r in Region::ALL {
+            for peak in [true, false] {
+                for _ in 0..500 {
+                    let x = laws.draw_passive_duration(r, peak, &mut rng);
+                    assert!(x >= 64.0, "{r} {peak}: duration {x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn passive_duration_long_tail_exists() {
+        // §4.4: sessions of 17–50 h make up ≈1 % in every region.
+        let laws = WorkloadModel::paper_default().laws().unwrap();
+        for r in Region::CHARACTERIZED {
+            let frac_over_17h = laws.passive_duration(r, false).ccdf(17.0 * 3600.0);
+            assert!(
+                frac_over_17h > 0.002 && frac_over_17h < 0.08,
+                "{r}: {frac_over_17h}"
+            );
+        }
+    }
+
+    #[test]
+    fn queries_per_session_region_ordering() {
+        // Figure 6(a): fraction issuing <5 queries — Asia 92 %, NA 80 %,
+        // EU 70 %. With ceil() discretization, X ≤ 4 ⟺ sample ≤ 4; the
+        // Table A.2 lognormals land a few points above the paper's quoted
+        // CCDF values (the paper's own Figure A.1(a) fit shows the same
+        // offset), so the bands here are generous.
+        let laws = WorkloadModel::paper_default().laws().unwrap();
+        let lt5 = |r: Region| laws.queries(r).cdf(4.0);
+        let (asia, na, eu) = (
+            lt5(Region::Asia),
+            lt5(Region::NorthAmerica),
+            lt5(Region::Europe),
+        );
+        assert!((asia - 0.92).abs() < 0.05, "AS {asia}");
+        assert!((na - 0.83).abs() < 0.05, "NA {na}");
+        assert!((eu - 0.72).abs() < 0.06, "EU {eu}");
+        // Ordering: EU issues most queries.
+        assert!(
+            laws.queries(Region::Europe).mean().unwrap()
+                > laws.queries(Region::NorthAmerica).mean().unwrap()
+        );
+    }
+
+    #[test]
+    fn time_after_last_increases_with_queries() {
+        // Figure 9(b): positive correlation with query count, over the
+        // Table A.5 classes n = 1, 2–7 and > 7.
+        let laws = WorkloadModel::paper_default().laws().unwrap();
+        let median = |n| laws.time_after_last(Region::NorthAmerica, true, n).median();
+        assert!(median(1) < median(4) && median(4) < median(8));
+        // Asia closes faster (Figure 9(a)).
+        let ccdf = |r| laws.time_after_last(r, true, 4).ccdf(1000.0);
+        assert!(ccdf(Region::Asia) < ccdf(Region::NorthAmerica));
+    }
+
+    #[test]
+    fn first_query_region_effects() {
+        let laws = WorkloadModel::paper_default().laws().unwrap();
+        let q90 = |r, n| laws.first_query(r, true, n).quantile(0.9);
+        // Asia's tail is lighter (Figure 7(a)).
+        assert!(q90(Region::Asia, 1) < q90(Region::NorthAmerica, 1));
+        // Conditioning: more queries ⇒ later first query allowed (Figure
+        // 7(b)); n = 1 is in class `< 3`, n = 5 in `> 3`.
+        assert!(q90(Region::NorthAmerica, 5) > q90(Region::NorthAmerica, 1));
     }
 
     #[test]

@@ -249,22 +249,6 @@ impl<M: 'static> Simulator<M> {
             .and_then(|slot| slot.as_deref())
     }
 
-    /// Mutable access to a node.
-    pub fn node_mut(&mut self, id: NodeId) -> Option<&mut (dyn Actor<Msg = M> + 'static)> {
-        match self.nodes.get_mut(id.0 as usize) {
-            Some(Some(b)) => Some(b.as_mut()),
-            _ => None,
-        }
-    }
-
-    /// Take a node out of the simulation entirely (post-run extraction of
-    /// results, e.g. the measurement peer's trace).
-    pub fn take_node(&mut self, id: NodeId) -> Option<Box<dyn Actor<Msg = M>>> {
-        self.nodes
-            .get_mut(id.0 as usize)
-            .and_then(|slot| slot.take())
-    }
-
     fn run_on_start(&mut self, id: NodeId) {
         self.dispatch_with(id, |actor, ctx| actor.on_start(ctx));
     }

@@ -135,11 +135,6 @@ impl SimDuration {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / MILLIS_PER_SEC as f64
     }
-
-    /// Fractional minutes.
-    pub fn as_mins_f64(self) -> f64 {
-        self.0 as f64 / MILLIS_PER_MIN as f64
-    }
 }
 
 impl Add<SimDuration> for SimTime {

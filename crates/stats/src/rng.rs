@@ -61,20 +61,6 @@ impl SeedSequence {
             root: self.derive_seed(label),
         }
     }
-
-    /// Derive a labeled + indexed child `SeedSequence` (e.g. one per
-    /// campaign shard). Uses the same mixing as [`rng_indexed`], so the
-    /// children are independent of each other and of [`child`] streams.
-    ///
-    /// [`rng_indexed`]: SeedSequence::rng_indexed
-    /// [`child`]: SeedSequence::child
-    pub fn child_indexed(&self, label: &str, index: u64) -> SeedSequence {
-        let mut h = fnv1a(label.as_bytes());
-        h ^= self.root;
-        h = h.wrapping_add(index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        splitmix64(&mut h);
-        SeedSequence { root: h }
-    }
 }
 
 /// One standard normal variate by Box–Muller: two uniform draws, the

@@ -89,11 +89,6 @@ impl Summary {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Minimum observation (∞ when empty).
     pub fn min(&self) -> f64 {
         self.min
