@@ -59,6 +59,36 @@ impl BehaviorParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::SessionPlanner;
+    use crate::vocabulary::{Vocabulary, VocabularyConfig};
+    use geoip::Region;
+    use model::{first_query_class, last_query_class, ModelLaws};
+    use stats::dist::Continuous;
+    use std::sync::Arc;
+
+    /// The user layer the ground truth draws its sessions from.
+    fn planner_laws() -> ModelLaws {
+        let cfg = VocabularyConfig {
+            daily_sizes: [30, 28, 6, 3, 3, 3, 2],
+            n_days: 1,
+            ..Default::default()
+        };
+        SessionPlanner::paper_default(Arc::new(Vocabulary::build(1, cfg))).laws
+    }
+
+    #[test]
+    fn first_query_classes() {
+        // The classes the ground truth conditions its first-query delay on
+        // (Table A.3: n < 3, n = 3, n > 3) and its time after the last
+        // query (Table A.5: n = 1, n 2–7, n > 7).
+        assert_eq!(first_query_class(0), 0);
+        assert_eq!(first_query_class(2), 0);
+        assert_eq!(first_query_class(3), 1);
+        assert_eq!(first_query_class(4), 2);
+        assert_eq!(last_query_class(1), 0);
+        assert_eq!(last_query_class(7), 1);
+        assert_eq!(last_query_class(8), 2);
+    }
 
     #[test]
     fn quick_disconnect_mixture_normalizes() {
@@ -68,6 +98,29 @@ mod tests {
         for (_, lo, hi) in p.quick_disconnect_mixture() {
             assert!(lo < hi && hi < 64.0);
         }
+    }
+
+    #[test]
+    fn interarrival_region_ordering() {
+        // Figure 8(a): P(interarrival < 100 s) ≈ 0.9 EU / 0.8 Asia / 0.7 NA.
+        let laws = planner_laws();
+        let below = |r| laws.interarrival(r, true, 5).cdf(103.0);
+        assert!((below(Region::Europe) - 0.90).abs() < 1e-9);
+        assert!((below(Region::Asia) - 0.80).abs() < 1e-9);
+        assert!((below(Region::NorthAmerica) - 0.70).abs() < 1e-9);
+    }
+
+    #[test]
+    fn eu_interarrival_conditioned_on_query_count() {
+        // Figure 8(b): many-query EU sessions have shorter interarrivals.
+        let laws = planner_laws();
+        let few = laws.interarrival(Region::Europe, true, 2);
+        let many = laws.interarrival(Region::Europe, true, 20);
+        assert!(few.quantile(0.5) > many.quantile(0.5));
+        // NA is NOT conditioned (paper's explicit finding).
+        let na_few = laws.interarrival(Region::NorthAmerica, true, 2);
+        let na_many = laws.interarrival(Region::NorthAmerica, true, 20);
+        assert_eq!(na_few.quantile(0.5), na_many.quantile(0.5));
     }
 
     #[test]

@@ -745,8 +745,9 @@ impl ModelLaws {
     }
 
     /// Query interarrival time (seconds, Table A.4 with the Figure 8
-    /// conditioning).
-    fn interarrival(
+    /// conditioning), before the cap that [`Self::draw_interarrival`]
+    /// applies.
+    pub fn interarrival(
         &self,
         region: Region,
         peak: bool,
