@@ -6,7 +6,7 @@
 //!   behavior from Gnutella client automation, producing the Table 2
 //!   accounting and per-session filtered views;
 //! * [`representative`] — the one-hop representativeness checks of §3.4
-//!   (Figures 1 and 2);
+//!   (Figures 1 and 2), folded from the record stream;
 //! * [`load`] — query load vs time of day (Figure 3);
 //! * [`characterize`] — the conditional distributions of §4.3–§4.5
 //!   (Figures 4–9) and the appendix model fits (Tables A.1–A.5);
@@ -14,7 +14,8 @@
 //!   (Table 3), hot-set drift (Figure 10), and per-day Zipf fits
 //!   (Figure 11);
 //! * [`hitrate`] — the §5 future work: query hit rates attributed by
-//!   GUID, per region, with the hit-rate / query-count correlation;
+//!   GUID, per region, with the hit-rate / query-count correlation,
+//!   folded from the record stream;
 //! * [`correlations`] — the §4.5 headline correlations: session duration
 //!   vs #queries (present), interarrival vs #queries (absent for NA);
 //! * [`streaming`] — the one analysis pass: a pipeline that filters each
@@ -23,7 +24,8 @@
 //!   need not materialize the message trace, or over a retained trace
 //!   through [`analyze_retained`]; both front ends share its close path.
 //!
-//! The pipeline's input is a [`trace::Trace`]; region resolution uses the
+//! The input is the collector's record stream: the pipeline and the
+//! two folds above are [`trace::TraceSink`]s. Region resolution uses the
 //! same [`geoip::GeoDb`] the generator allocated addresses from, exactly
 //! as the paper resolved real addresses with MaxMind.
 

@@ -10,12 +10,17 @@
 //! PONG/QUERYHIT addresses for the "all peers" population so the two
 //! curves are independent observations, and hop-1 PONGs for the one-hop
 //! shared-files curve.
+//!
+//! Both figures are tallied by one [`trace::TraceSink`] fold,
+//! [`RepresentativenessFold`], while the campaign records.
 
 use geoip::{GeoDb, Region};
+use simnet::SimTime;
 use stats::histogram::Histogram;
 use stats::Series;
 use std::collections::HashMap;
-use trace::{RecordedPayload, Trace};
+use std::net::Ipv4Addr;
+use trace::{ConnectionRecord, MessageRecord, RecordedPayload, SessionId, TraceSink};
 
 /// One Figure 1 panel: one-hop vs all-peers fraction per hour for a region.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,55 +29,6 @@ pub struct GeoPanel {
     pub one_hop: Series,
     /// Fraction of all (remote) peers from the region, by hour.
     pub all_peers: Series,
-}
-
-/// Compute the Figure 1 panels for all characterized regions.
-pub fn geo_representativeness(trace: &Trace, db: &GeoDb) -> Vec<(Region, GeoPanel)> {
-    // One-hop: connections by (hour, region).
-    let mut one_hop = [[0u64; 24]; 4];
-    for c in &trace.connections {
-        let h = c.start.hour_of_day() as usize;
-        one_hop[db.lookup(c.addr).index()][h] += 1;
-    }
-    // All peers: hops ≥ 2 PONG / QUERYHIT addresses by (hour, region).
-    let mut all = [[0u64; 24]; 4];
-    for m in &trace.messages {
-        if m.hops < 2 {
-            continue;
-        }
-        let addr = match &m.payload {
-            RecordedPayload::Pong { addr, .. } => *addr,
-            RecordedPayload::QueryHit { addr, .. } => *addr,
-            _ => continue,
-        };
-        let h = m.at.hour_of_day() as usize;
-        all[db.lookup(addr).index()][h] += 1;
-    }
-    let hours: Vec<f64> = (0..24).map(|h| h as f64 + 0.5).collect();
-    let fraction = |table: &[[u64; 24]; 4], region: Region| -> Vec<f64> {
-        (0..24)
-            .map(|h| {
-                let total: u64 = (0..4).map(|r| table[r][h]).sum();
-                if total == 0 {
-                    0.0
-                } else {
-                    table[region.index()][h] as f64 / total as f64
-                }
-            })
-            .collect()
-    };
-    Region::CHARACTERIZED
-        .iter()
-        .map(|&r| {
-            (
-                r,
-                GeoPanel {
-                    one_hop: Series::labeled("1-hop Peers", hours.clone(), fraction(&one_hop, r)),
-                    all_peers: Series::labeled("All Peers", hours.clone(), fraction(&all, r)),
-                },
-            )
-        })
-        .collect()
 }
 
 /// Figure 2: fraction of peers advertising each shared-file count
@@ -85,35 +41,113 @@ pub struct SharedFilesPanel {
     pub all_peers: Series,
 }
 
-/// Compute the Figure 2 comparison.
-pub fn shared_files_representativeness(trace: &Trace) -> SharedFilesPanel {
-    let mut one_hop_seen: HashMap<std::net::Ipv4Addr, u32> = HashMap::new();
-    let mut all_seen: HashMap<std::net::Ipv4Addr, u32> = HashMap::new();
-    for m in &trace.messages {
-        if let RecordedPayload::Pong { addr, shared_files } = &m.payload {
-            if m.hops == 1 {
-                one_hop_seen.entry(*addr).or_insert(*shared_files);
-            } else {
-                all_seen.entry(*addr).or_insert(*shared_files);
+/// Figures 1 and 2, as [`RepresentativenessFold::finish`] returns them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Representativeness {
+    /// The Figure 1 panels, one per characterized region.
+    pub geo: Vec<(Region, GeoPanel)>,
+    /// The Figure 2 comparison.
+    pub shared_files: SharedFilesPanel,
+}
+
+/// Folds a campaign's record stream into the Figure 1 and 2 tallies:
+/// connections by (region, hour of start); hops ≥ 2 PONG and QUERYHIT
+/// addresses by (region, hour of arrival); and the first shared-file
+/// count each PONG address advertised, one-hop and remote apart.
+pub struct RepresentativenessFold {
+    db: GeoDb,
+    one_hop: [[u64; 24]; 4],
+    all: [[u64; 24]; 4],
+    one_hop_files: HashMap<Ipv4Addr, u32>,
+    all_files: HashMap<Ipv4Addr, u32>,
+}
+
+impl RepresentativenessFold {
+    /// An empty fold resolving regions with `db`.
+    pub fn new(db: GeoDb) -> RepresentativenessFold {
+        RepresentativenessFold {
+            db,
+            one_hop: [[0; 24]; 4],
+            all: [[0; 24]; 4],
+            one_hop_files: HashMap::new(),
+            all_files: HashMap::new(),
+        }
+    }
+
+    fn count(table: &mut [[u64; 24]; 4], db: &GeoDb, addr: Ipv4Addr, at: SimTime) {
+        table[db.lookup(addr).index()][at.hour_of_day() as usize] += 1;
+    }
+
+    /// The Figure 1 and 2 series.
+    pub fn finish(self) -> Representativeness {
+        let hours: Vec<f64> = (0..24).map(|h| h as f64 + 0.5).collect();
+        let fraction = |table: &[[u64; 24]; 4], region: Region| -> Vec<f64> {
+            (0..24)
+                .map(|h| {
+                    let total: u64 = (0..4).map(|r| table[r][h]).sum();
+                    if total == 0 {
+                        0.0
+                    } else {
+                        table[region.index()][h] as f64 / total as f64
+                    }
+                })
+                .collect()
+        };
+        let panel = |r: Region| GeoPanel {
+            one_hop: Series::labeled("1-hop Peers", hours.clone(), fraction(&self.one_hop, r)),
+            all_peers: Series::labeled("All Peers", hours.clone(), fraction(&self.all, r)),
+        };
+        let geo = Region::CHARACTERIZED
+            .iter()
+            .map(|&r| (r, panel(r)))
+            .collect();
+        let to_series = |map: &HashMap<Ipv4Addr, u32>, label: &str| -> Series {
+            let mut h = Histogram::new(0.0, 101.0, 101).expect("valid histogram");
+            for &files in map.values() {
+                h.add(f64::from(files.min(200)));
+            }
+            // Bin centers land on k + 0.5; shift to integer file counts.
+            let xs: Vec<f64> = (0..=100).map(f64::from).collect();
+            Series::labeled(label, xs, h.fraction_series().ys().to_vec())
+        };
+        Representativeness {
+            geo,
+            shared_files: SharedFilesPanel {
+                one_hop: to_series(&self.one_hop_files, "1-hop Peers"),
+                all_peers: to_series(&self.all_files, "All Peers"),
+            },
+        }
+    }
+}
+
+impl TraceSink for RepresentativenessFold {
+    fn on_connect(&mut self, rec: ConnectionRecord) {
+        Self::count(&mut self.one_hop, &self.db, rec.addr, rec.start);
+    }
+
+    fn on_batch(&mut self, records: &[MessageRecord], _wire_lens: &[u32]) {
+        for m in records {
+            match m.payload {
+                RecordedPayload::Pong { addr, shared_files } => {
+                    let seen = if m.hops == 1 {
+                        &mut self.one_hop_files
+                    } else {
+                        &mut self.all_files
+                    };
+                    seen.entry(addr).or_insert(shared_files);
+                    if m.hops >= 2 {
+                        Self::count(&mut self.all, &self.db, addr, m.at);
+                    }
+                }
+                RecordedPayload::QueryHit { addr, .. } if m.hops >= 2 => {
+                    Self::count(&mut self.all, &self.db, addr, m.at);
+                }
+                _ => {}
             }
         }
     }
-    let to_series = |map: &HashMap<std::net::Ipv4Addr, u32>, label: &str| -> Series {
-        let mut h = Histogram::new(0.0, 101.0, 101).expect("valid histogram");
-        for &files in map.values() {
-            h.add(f64::from(files.min(200)));
-        }
-        let mut s = h.fraction_series();
-        // Bin centers land on k + 0.5; shift to integer file counts.
-        let xs: Vec<f64> = (0..=100).map(f64::from).collect();
-        let ys = s.ys().to_vec();
-        s = Series::labeled(label, xs, ys);
-        s
-    };
-    SharedFilesPanel {
-        one_hop: to_series(&one_hop_seen, "1-hop Peers"),
-        all_peers: to_series(&all_seen, "All Peers"),
-    }
+
+    fn on_close(&mut self, _id: SessionId, _end: SimTime, _by_probe: bool) {}
 }
 
 /// Mean absolute difference between one-hop and all-peers fractions — the
@@ -132,31 +166,30 @@ pub fn geo_divergence(panel: &GeoPanel) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::SimTime;
-    use std::net::Ipv4Addr;
-    use trace::{ConnectionRecord, MessageRecord, SessionId};
 
     fn test_guid() -> gnutella::Guid {
         gnutella::Guid([7; 16])
     }
 
-    fn trace_with_mix() -> Trace {
-        let mut t = Trace::new();
+    fn fold_with_mix() -> Representativeness {
+        let mut f = RepresentativenessFold::new(GeoDb::synthetic());
         // 3 NA + 1 EU connections at hour 2.
         for (i, first_octet) in [24u8, 63, 66, 82].iter().enumerate() {
-            t.connections.push(ConnectionRecord {
+            f.on_connect(ConnectionRecord {
                 id: SessionId(i as u64),
                 addr: Ipv4Addr::new(*first_octet, 1, 1, 1),
                 user_agent: "X".into(),
                 ultrapeer: false,
                 start: SimTime::from_secs(2 * 3600 + i as u64),
-                end: Some(SimTime::from_secs(2 * 3600 + 100)),
+                end: None,
                 closed_by_probe: false,
             });
         }
         // Remote pongs at hour 2: 2 NA, 2 EU.
-        for (i, first_octet) in [24u8, 66, 82, 91].iter().enumerate() {
-            t.messages.push(MessageRecord {
+        let mut records: Vec<MessageRecord> = [24u8, 66, 82, 91]
+            .iter()
+            .enumerate()
+            .map(|(i, first_octet)| MessageRecord {
                 session: SessionId(0),
                 guid: test_guid(),
                 at: SimTime::from_secs(2 * 3600 + 10 + i as u64),
@@ -166,10 +199,10 @@ mod tests {
                     addr: Ipv4Addr::new(*first_octet, 2, 2, 2),
                     shared_files: 10 * (i as u32 + 1),
                 },
-            });
-        }
+            })
+            .collect();
         // A hop-1 pong (probe response) from the first connection.
-        t.messages.push(MessageRecord {
+        records.push(MessageRecord {
             session: SessionId(0),
             guid: test_guid(),
             at: SimTime::from_secs(2 * 3600 + 50),
@@ -180,14 +213,16 @@ mod tests {
                 shared_files: 7,
             },
         });
-        t
+        f.on_batch(&records, &vec![0; records.len()]);
+        for i in 0..4 {
+            f.on_close(SessionId(i), SimTime::from_secs(2 * 3600 + 100), false);
+        }
+        f.finish()
     }
 
     #[test]
     fn geo_fractions() {
-        let t = trace_with_mix();
-        let db = GeoDb::synthetic();
-        let panels = geo_representativeness(&t, &db);
+        let panels = fold_with_mix().geo;
         let (region, na) = &panels[0];
         assert_eq!(*region, Region::NorthAmerica);
         // Hour 2: one-hop NA fraction = 3/4; all-peers NA fraction = 2/4.
@@ -201,8 +236,7 @@ mod tests {
 
     #[test]
     fn shared_files_split_by_hops() {
-        let t = trace_with_mix();
-        let p = shared_files_representativeness(&t);
+        let p = fold_with_mix().shared_files;
         // One-hop: a single peer with 7 files.
         assert!((p.one_hop.ys()[7] - 1.0).abs() < 1e-12);
         // All peers: 4 peers with 10, 20, 30, 40.
@@ -214,11 +248,8 @@ mod tests {
 
     #[test]
     fn empty_trace_is_fine() {
-        let t = Trace::new();
-        let db = GeoDb::synthetic();
-        let panels = geo_representativeness(&t, &db);
-        assert_eq!(panels.len(), 3);
-        let p = shared_files_representativeness(&t);
-        assert_eq!(p.one_hop.ys().iter().sum::<f64>(), 0.0);
+        let r = RepresentativenessFold::new(GeoDb::synthetic()).finish();
+        assert_eq!(r.geo.len(), 3);
+        assert_eq!(r.shared_files.one_hop.ys().iter().sum::<f64>(), 0.0);
     }
 }

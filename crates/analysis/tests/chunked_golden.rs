@@ -1,11 +1,11 @@
 //! Golden round-trip: the chunked store's JSONL export is byte-identical
-//! across chunk configurations, including spill-to-disk.
+//! across chunk configurations.
 //!
 //! The JSONL interchange format is frozen (the unit-level golden literal
 //! lives in `trace::store`); this test pins the property end-to-end at
 //! smoke scale: a real campaign trace, re-encoded into deliberately tiny
-//! spilled chunks, must export the very same bytes the default
-//! 64k-chunk in-memory store exports.
+//! chunks, must export the very same bytes the default 64k-chunk store
+//! exports.
 
 use behavior::{run_population, PopulationConfig};
 use trace::{MessageColumns, Trace};
@@ -16,11 +16,9 @@ fn jsonl_export_is_byte_identical_across_chunk_configs() {
     let mut golden = Vec::new();
     trace.write_jsonl(&mut golden).unwrap();
 
-    // Re-encode the message columns into tiny chunks spilled to disk.
-    let spill_dir = std::env::temp_dir().join(format!("p2pq-chunk-golden-{}", std::process::id()));
-    std::fs::create_dir_all(&spill_dir).unwrap();
+    // Re-encode the message columns into tiny chunks.
     let mut rebuilt = MessageColumns::new();
-    rebuilt.configure_chunks(4_096, Some(spill_dir.clone()));
+    rebuilt.configure_chunks(4_096);
     let mut cur = trace.messages.cursor();
     while let Some((m, wire)) = cur.next_with_wire() {
         rebuilt.push_with_wire(m, wire);
@@ -30,25 +28,15 @@ fn jsonl_export_is_byte_identical_across_chunk_configs() {
         "re-encoding must seal many chunks ({} messages)",
         rebuilt.len()
     );
-    assert!(
-        rebuilt.spill_bytes_written() > 0,
-        "spill must engage (dir {})",
-        spill_dir.display()
-    );
-    assert_eq!(
-        rebuilt.retained_chunk_bytes(),
-        0,
-        "all sealed chunks should live on disk"
-    );
     assert_eq!(rebuilt, trace.messages, "store equality across configs");
 
-    let spilled = Trace {
+    let rechunked = Trace {
         connections: trace.connections.clone(),
         messages: rebuilt,
         wire_bytes: trace.wire_bytes,
     };
     let mut export = Vec::new();
-    spilled.write_jsonl(&mut export).unwrap();
+    rechunked.write_jsonl(&mut export).unwrap();
     assert!(
         export == golden,
         "JSONL export diverged across chunk configs ({} vs {} bytes)",
@@ -59,6 +47,4 @@ fn jsonl_export_is_byte_identical_across_chunk_configs() {
     // And the frozen format still reads back into the identical trace.
     let back = Trace::read_jsonl(golden.as_slice()).unwrap();
     assert_eq!(back, trace);
-
-    let _ = std::fs::remove_dir_all(&spill_dir);
 }

@@ -402,8 +402,15 @@ mod tests {
     #[test]
     fn smoke_run_produces_plausible_trace() {
         let cfg = PopulationConfig::smoke();
-        let trace = run_population(&cfg);
-        let stats = trace.stats();
+        // Retain the trace and fold its Table 1 counts from one stream.
+        let trace = Arc::new(parking_lot::Mutex::new(Trace::new()));
+        let stats = Arc::new(parking_lot::Mutex::new(trace::TraceStats::default()));
+        let mut fanout = trace::Fanout::new();
+        fanout.register(trace.clone());
+        fanout.register(stats.clone());
+        run_population_into(&cfg, Arc::new(parking_lot::Mutex::new(fanout)));
+        let trace = unwrap_trace(trace);
+        let stats = *stats.lock();
 
         // Expected ≈ 0.25 day × 2000/day = 500 connections.
         assert!(

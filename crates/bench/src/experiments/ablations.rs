@@ -3,12 +3,88 @@
 use crate::render::compare;
 use crate::ExperimentContext;
 use analysis::popularity::{self, GeoClass};
-use geoip::Region;
+use geoip::{GeoDb, Region};
 use gnutella::QueryId;
 use simnet::SimTime;
 use stats::fit::fit_zipf;
 use stats::ks::ks_two_sample;
 use std::collections::HashMap;
+use trace::{ConnectionRecord, MessageRecord, RecordedPayload, SessionId, TraceSink};
+
+/// Ranks averaged in the unfiltered popularity curve.
+const MAX_RANK: usize = 100;
+
+/// Folds the raw hop-1 queries of North American peers — no filter
+/// rule applied, so repeats, SHA1-with-keywords and quick-session
+/// traffic are all counted — into per-day counts per query string: the
+/// unfiltered half of [`filters_onoff`].
+pub struct RawNaQueries {
+    db: GeoDb,
+    /// Whether each session's peer is North American, by session id.
+    na: Vec<bool>,
+    per_day: Vec<HashMap<QueryId, u64>>,
+}
+
+impl RawNaQueries {
+    /// An empty fold resolving regions with `db`.
+    pub fn new(db: GeoDb) -> RawNaQueries {
+        RawNaQueries {
+            db,
+            na: Vec::new(),
+            per_day: Vec::new(),
+        }
+    }
+
+    /// Each day's query shares by rank (top 100), averaged over the
+    /// days with queries — the same curve Figure 11 fits.
+    pub fn finish(self) -> Vec<f64> {
+        let mut sums = vec![0.0f64; MAX_RANK];
+        let mut days = 0usize;
+        for counts in &self.per_day {
+            if counts.is_empty() {
+                continue;
+            }
+            days += 1;
+            let total: u64 = counts.values().sum();
+            let mut v: Vec<(&QueryId, &u64)> = counts.iter().collect();
+            v.sort_by(|a, b| b.1.cmp(a.1).then_with(|| a.0.cmp(b.0)));
+            for (rank, (_, n)) in v.into_iter().take(MAX_RANK).enumerate() {
+                sums[rank] += *n as f64 / total as f64;
+            }
+        }
+        sums.iter().map(|s| s / days.max(1) as f64).collect()
+    }
+}
+
+impl TraceSink for RawNaQueries {
+    fn on_connect(&mut self, rec: ConnectionRecord) {
+        debug_assert_eq!(rec.id.0 as usize, self.na.len());
+        self.na
+            .push(self.db.lookup(rec.addr) == Region::NorthAmerica);
+    }
+
+    fn on_batch(&mut self, records: &[MessageRecord], _wire_lens: &[u32]) {
+        for m in records {
+            let RecordedPayload::Query { text, .. } = m.payload else {
+                continue;
+            };
+            if m.hops != 1 || !self.na.get(m.session.0 as usize).copied().unwrap_or(false) {
+                continue;
+            }
+            let key = text.canonical();
+            if key.is_empty() {
+                continue;
+            }
+            let day = (m.at.as_millis() / 86_400_000) as usize;
+            if self.per_day.len() <= day {
+                self.per_day.resize_with(day + 1, HashMap::new);
+            }
+            *self.per_day[day].entry(key).or_insert(0) += 1;
+        }
+    }
+
+    fn on_close(&mut self, _id: SessionId, _end: SimTime, _by_probe: bool) {}
+}
 
 /// Ablation 1 — what happens to the popularity exponent if the filter
 /// rules are NOT applied (the paper's headline claim: automated re-queries
@@ -20,49 +96,9 @@ pub fn filters_onoff(ctx: &ExperimentContext) -> String {
     let filtered = popularity::per_day_popularity(&ctx.obs, GeoClass::NaOnly, 100);
     let filtered_fit = popularity::fit_popularity(&filtered);
 
-    // Unfiltered: recount popularity from *raw* hop-1 queries (no rules at
-    // all — repeats, SHA1-with-keywords and quick-session traffic included),
-    // restricted to NA peers, per day, then averaged by rank like Fig 11.
-    let na: Vec<bool> = ctx
-        .trace
-        .connections
-        .iter()
-        .map(|c| ctx.db.lookup(c.addr) == Region::NorthAmerica)
-        .collect();
-    let mut per_day: Vec<HashMap<QueryId, u64>> = Vec::new();
-    ctx.trace
-        .messages
-        .for_each_one_hop_query(|sid, at, text, _sha1| {
-            if !na.get(sid.0 as usize).copied().unwrap_or(false) {
-                return;
-            }
-            let key = text.canonical();
-            if key.is_empty() {
-                return;
-            }
-            let day = (at.as_millis() / 86_400_000) as usize;
-            while per_day.len() <= day {
-                per_day.push(HashMap::new());
-            }
-            *per_day[day].entry(key).or_insert(0) += 1;
-        });
-    let max_rank = 100;
-    let mut sums = vec![0.0f64; max_rank];
-    let mut days = 0usize;
-    for counts in &per_day {
-        if counts.is_empty() {
-            continue;
-        }
-        days += 1;
-        let total: u64 = counts.values().sum();
-        let mut v: Vec<(&QueryId, &u64)> = counts.iter().collect();
-        v.sort_by(|a, b| b.1.cmp(a.1).then_with(|| a.0.cmp(b.0)));
-        for (rank, (_, n)) in v.into_iter().take(max_rank).enumerate() {
-            sums[rank] += *n as f64 / total as f64;
-        }
-    }
-    let unfiltered: Vec<f64> = sums.iter().map(|s| s / days.max(1) as f64).collect();
-    let unfiltered_fit = fit_zipf(&unfiltered);
+    // Unfiltered: popularity recounted from *raw* hop-1 queries of NA
+    // peers, per day, then averaged by rank like Fig 11.
+    let unfiltered_fit = fit_zipf(&ctx.raw_na_popularity);
 
     match (filtered_fit, unfiltered_fit) {
         (Ok(f), Ok(u)) => {

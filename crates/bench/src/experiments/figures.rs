@@ -13,8 +13,7 @@ use geoip::Region;
 /// Figure 1 — geographic distribution of one-hop vs all peers, hourly.
 pub fn fig01(ctx: &ExperimentContext) -> String {
     let mut out = String::new();
-    let panels = representative::geo_representativeness(&ctx.trace, &ctx.db);
-    for (region, panel) in &panels {
+    for (region, panel) in &ctx.peers.geo {
         out.push_str(&format!("{} (fraction of peers by hour):\n", region.name()));
         out.push_str(&tod_series(&panel.one_hop, 4));
         out.push_str(&tod_series(&panel.all_peers, 4));
@@ -30,7 +29,7 @@ pub fn fig01(ctx: &ExperimentContext) -> String {
 
 /// Figure 2 — shared-file counts of one-hop vs all peers.
 pub fn fig02(ctx: &ExperimentContext) -> String {
-    let p = representative::shared_files_representativeness(&ctx.trace);
+    let p = &ctx.peers.shared_files;
     let mut out = String::new();
     out.push_str("Fraction of peers sharing k files (log-scale in the paper):\n");
     out.push_str(&probes_header(

@@ -109,9 +109,8 @@ pub fn generator_validation(ctx: &ExperimentContext) -> String {
 
 /// §5 future work — query hit-rate characterization.
 pub fn hit_rate_extension(ctx: &crate::ExperimentContext) -> String {
-    use analysis::hitrate;
     let mut out = String::new();
-    let a = hitrate::hit_rate(&ctx.trace, &ctx.db);
+    let a = &ctx.hits;
     out.push_str(&format!(
         "one-hop queries: {}; answered: {} ({:.1} %); hits relayed: {}\n\n",
         a.overall.queries,

@@ -6,7 +6,7 @@ use analysis::popularity::{class_sizes, render_table3};
 
 /// Table 1 — overall trace characteristics.
 pub fn table1(ctx: &ExperimentContext) -> String {
-    let s = ctx.trace.stats();
+    let s = &ctx.stats;
     let mut out = String::new();
     out.push_str(&s.render_table());
     out.push('\n');

@@ -2,10 +2,10 @@
 //!
 //! Every experiment is a pure function `fn(&ExperimentContext) -> String`
 //! registered in [`registry`]; the `exp` binary runs one by id, and
-//! `all_experiments` runs the full set and assembles the EXPERIMENTS.md
-//! data. The context — a simulated measurement campaign plus its filtered
-//! and popularity views — is built once per process at a scale set by the
-//! `P2PQ_SCALE` environment variable (`smoke`, `default`, `cap200`,
+//! `all_experiments` runs the full set in order and assembles the
+//! EXPERIMENTS.md data. The context — the folds of one simulated
+//! measurement campaign — is built once per process at a scale set by
+//! the `P2PQ_SCALE` environment variable (`smoke`, `default`, `cap200`,
 //! `full`, or `mega`).
 
 #![warn(missing_docs)]
@@ -14,25 +14,30 @@
 pub mod experiments;
 pub mod render;
 
-use analysis::analyze_retained;
 use analysis::filter::FilteredTrace;
+use analysis::hitrate::{HitRateAnalysis, HitRateFold};
 use analysis::load::LoadAccumulator;
 use analysis::popularity::DailyObservations;
-use behavior::{run_population, PopulationConfig};
+use analysis::representative::{Representativeness, RepresentativenessFold};
+use analysis::StreamingPipeline;
+use behavior::{run_population_into, Fidelity, PopulationConfig};
+use experiments::ablations::RawNaQueries;
 use geoip::{DiurnalModel, GeoDb};
-use trace::Trace;
+use parking_lot::Mutex;
+use std::sync::Arc;
+use trace::{Fanout, TraceStats};
 
 /// Scale of the simulated measurement campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// A fast sanity scale (CI-sized).
     Smoke,
-    /// The default experiment scale (minutes of wall time).
+    /// The default experiment scale (seconds of wall time).
     Default,
     /// Ten days at the paper's arrival rate with the faithful 200-slot
     /// admission cap (the cap-bound regime the real node operated in).
     Cap200,
-    /// A 40-day, paper-sized campaign (long, memory-heavy).
+    /// A 40-day, paper-sized campaign (long).
     Full,
     /// A flood-regime stress scale: two million arrivals/day against the
     /// faithful 200-slot cap. The observed trace stays cap-bound and
@@ -42,20 +47,46 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Read the scale from `P2PQ_SCALE`.
-    pub fn from_env() -> Scale {
-        match std::env::var("P2PQ_SCALE").as_deref() {
-            Ok("smoke") => Scale::Smoke,
-            Ok("cap200") => Scale::Cap200,
-            Ok("full") => Scale::Full,
-            Ok("mega") => Scale::Mega,
-            _ => Scale::Default,
-        }
+    /// Every scale under its `P2PQ_SCALE` name.
+    pub const NAMES: [(&'static str, Scale); 5] = [
+        ("smoke", Scale::Smoke),
+        ("default", Scale::Default),
+        ("cap200", Scale::Cap200),
+        ("full", Scale::Full),
+        ("mega", Scale::Mega),
+    ];
+
+    /// The scale a `P2PQ_SCALE` value names: `None` (unset) is
+    /// `default`, and a name outside [`Scale::NAMES`] is an error that
+    /// lists the accepted ones.
+    pub fn parse(value: Option<&str>) -> Result<Scale, String> {
+        let Some(value) = value else {
+            return Ok(Scale::Default);
+        };
+        Scale::NAMES
+            .iter()
+            .find(|(name, _)| *name == value)
+            .map(|&(_, scale)| scale)
+            .ok_or_else(|| {
+                let names: Vec<&str> = Scale::NAMES.iter().map(|(name, _)| *name).collect();
+                format!(
+                    "unknown P2PQ_SCALE `{value}`; expected one of: {}",
+                    names.join(", ")
+                )
+            })
     }
 
-    /// The population configuration at this scale.
+    /// Read the scale from `P2PQ_SCALE` (see [`Scale::parse`]).
+    pub fn from_env() -> Result<Scale, String> {
+        let value = std::env::var_os("P2PQ_SCALE");
+        Scale::parse(value.as_ref().map(|v| v.to_str().unwrap_or("<not UTF-8>")))
+    }
+
+    /// The population configuration at this scale. Every scale runs at
+    /// hybrid fidelity, which records the same trace as full fidelity
+    /// (the oracle, see `tests/hybrid_equivalence.rs`) with less work.
     pub fn population(self) -> PopulationConfig {
-        match self {
+        let cfg = match self {
             Scale::Smoke => PopulationConfig {
                 seed: 1964,
                 days: 0.5,
@@ -97,23 +128,35 @@ impl Scale {
                 max_connections: 200,
                 ..PopulationConfig::default()
             },
+        };
+        PopulationConfig {
+            fidelity: Fidelity::Hybrid,
+            ..cfg
         }
     }
 }
 
-/// Everything the experiments read: the raw trace, the filtered view, the
-/// per-day popularity observations and query load, and the shared models.
+/// Everything the experiments read: the folds of one campaign's record
+/// stream — Table 1 counts, Figures 1–2, the hit-rate extension, the
+/// unfiltered popularity curve, and the pipeline's filtered sessions,
+/// popularity observations and query load — plus the shared models.
+/// The record stream itself is never kept.
 pub struct ExperimentContext {
-    /// The simulated measurement trace.
-    pub trace: Trace,
+    /// Table 1: message and connection counts.
+    pub stats: TraceStats,
+    /// Figures 1 and 2: one-hop vs all peers.
+    pub peers: Representativeness,
+    /// The §5 hit-rate extension.
+    pub hits: HitRateAnalysis,
+    /// Per-day popularity by rank of raw, unfiltered hop-1 queries from
+    /// North American peers (see [`RawNaQueries`]).
+    pub raw_na_popularity: Vec<f64>,
     /// Rules 1–5 applied.
     pub ft: FilteredTrace,
     /// Per-day popularity observations.
     pub obs: DailyObservations,
     /// Query load by time of day (Figure 3).
     pub load: LoadAccumulator,
-    /// The GeoIP database used for region resolution.
-    pub db: GeoDb,
     /// The diurnal model (peak periods).
     pub diurnal: DiurnalModel,
     /// The scale the context was built at.
@@ -121,7 +164,8 @@ pub struct ExperimentContext {
 }
 
 impl ExperimentContext {
-    /// Build a context at the given scale (simulates the campaign).
+    /// Build a context at the given scale: one campaign streamed through
+    /// the folds and the analysis pipeline side by side.
     pub fn build(scale: Scale) -> ExperimentContext {
         let cfg = scale.population();
         telemetry::info!(
@@ -130,33 +174,52 @@ impl ExperimentContext {
             cfg.sessions_per_day
         );
         let t0 = std::time::Instant::now();
-        let trace = run_population(&cfg);
         let db = GeoDb::synthetic();
-        // The one analysis pass: one selective scan of the sealed trace
-        // chunks, then rules 1–5 and the folds per connection.
-        let r = analyze_retained(&trace, &db);
-        let (ft, obs, load) = (r.ft, r.obs, r.load);
+        let stats = shared(TraceStats::default());
+        let peers = shared(RepresentativenessFold::new(db.clone()));
+        let hits = shared(HitRateFold::new(db.clone()));
+        let raw = shared(RawNaQueries::new(db.clone()));
+        let pipeline = shared(StreamingPipeline::new(db, true));
+        let mut fanout = Fanout::new();
+        fanout.register(stats.clone());
+        fanout.register(peers.clone());
+        fanout.register(hits.clone());
+        fanout.register(raw.clone());
+        fanout.register(pipeline.clone());
+        run_population_into(&cfg, shared(fanout));
+
+        let r = unshare(pipeline).finish();
+        let ctx = ExperimentContext {
+            stats: unshare(stats),
+            peers: unshare(peers).finish(),
+            hits: unshare(hits).finish(),
+            raw_na_popularity: unshare(raw).finish(),
+            ft: r.ft,
+            obs: r.obs,
+            load: r.load,
+            diurnal: DiurnalModel::paper_default(),
+            scale,
+        };
         telemetry::info!(
             "[bench] context ready in {:.1?}: {} connections, {} filtered sessions",
             t0.elapsed(),
-            trace.connections.len(),
-            ft.sessions.len()
+            ctx.stats.direct_connections,
+            ctx.ft.sessions.len()
         );
-        ExperimentContext {
-            trace,
-            ft,
-            obs,
-            load,
-            db,
-            diurnal: DiurnalModel::paper_default(),
-            scale,
-        }
+        ctx
     }
+}
 
-    /// Build at the environment-selected scale.
-    pub fn from_env() -> ExperimentContext {
-        ExperimentContext::build(Scale::from_env())
-    }
+fn shared<S>(sink: S) -> Arc<Mutex<S>> {
+    Arc::new(Mutex::new(sink))
+}
+
+/// A sink back out of its handle once the campaign has dropped its own.
+fn unshare<S>(sink: Arc<Mutex<S>>) -> S {
+    Arc::try_unwrap(sink)
+        .ok()
+        .expect("the campaign released its sinks")
+        .into_inner()
 }
 
 /// One registered experiment.
@@ -330,10 +393,23 @@ mod tests {
 
     #[test]
     fn scale_from_env_defaults() {
-        // Without the env var set, the default scale applies.
-        std::env::remove_var("P2PQ_SCALE");
-        assert_eq!(Scale::from_env(), Scale::Default);
+        // Unset is the default scale; every name parses to its scale.
+        assert_eq!(Scale::parse(None), Ok(Scale::Default));
+        for (name, scale) in Scale::NAMES {
+            assert_eq!(Scale::parse(Some(name)), Ok(scale));
+        }
         let cfg = Scale::Smoke.population();
         assert!(cfg.days < 1.0);
+    }
+
+    #[test]
+    fn unknown_scale_is_rejected_naming_the_accepted_ones() {
+        for typo in ["Smoke", "cap-200", ""] {
+            let err = Scale::parse(Some(typo)).unwrap_err();
+            assert!(err.contains(&format!("`{typo}`")), "{err}");
+            for (name, _) in Scale::NAMES {
+                assert!(err.contains(name), "{err} does not name {name}");
+            }
+        }
     }
 }

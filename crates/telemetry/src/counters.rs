@@ -30,10 +30,6 @@ pub enum Counter {
     SinkRecords,
     /// Trace-store tail seals into compressed chunks.
     ChunkSeals,
-    /// Compressed chunk bytes appended to the spill file.
-    SpillBytesWritten,
-    /// Spill I/O failures that degraded the store to in-memory chunks.
-    SpillDegraded,
     /// Hierarchical-wheel level-down moves (L2→L1/L0, L1→L0) as
     /// simulated time entered an event's chunk or frame.
     WheelCascades,
@@ -50,8 +46,6 @@ impl Counter {
         Counter::SinkBatches,
         Counter::SinkRecords,
         Counter::ChunkSeals,
-        Counter::SpillBytesWritten,
-        Counter::SpillDegraded,
         Counter::WheelCascades,
     ];
 
@@ -66,15 +60,13 @@ impl Counter {
             Counter::SinkBatches => "sink_batches",
             Counter::SinkRecords => "sink_records",
             Counter::ChunkSeals => "chunk_seals",
-            Counter::SpillBytesWritten => "spill_bytes_written",
-            Counter::SpillDegraded => "spill_degraded",
             Counter::WheelCascades => "wheel_cascades",
         }
     }
 }
 
 /// Number of [`Counter`] ids.
-pub const NUM_COUNTERS: usize = 11;
+pub const NUM_COUNTERS: usize = 9;
 
 /// High-water marks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

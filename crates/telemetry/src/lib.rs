@@ -8,8 +8,8 @@
 //!   ([`Registry`]) over relaxed atomics. Each campaign owns one and
 //!   reports its [`Snapshot`] in the campaign statistics. A
 //!   process-global registry ([`global`]) serves components that are not
-//!   naturally per-campaign (the trace store's chunk seals and spill
-//!   accounting, and the peak trace bytes gauge).
+//!   naturally per-campaign (the trace store's chunk seals and the
+//!   peak trace bytes gauge).
 //! * [`profile`] — a hierarchical stage-attribution profiler built from
 //!   cheap RAII scopes (`scope!("campaign/run")`). Each scope records
 //!   inclusive wall time against a `/`-separated path (nesting extends

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
 pub enum Level {
     /// Nothing is logged.
     Off = 0,
-    /// Degradations and surprises (e.g. spill fallback to memory).
+    /// Degradations and surprises.
     Warn = 1,
     /// Progress and status lines (default).
     Info = 2,

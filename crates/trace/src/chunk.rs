@@ -737,96 +737,6 @@ pub(crate) fn decode_query_scan<'a>(bytes: &'a [u8], out: &mut QueryScan) -> Que
     }
 }
 
-// ---------------------------------------------------------------------
-// Spill-to-disk backing
-// ---------------------------------------------------------------------
-
-use parking_lot::Mutex;
-use std::fs::{File, OpenOptions};
-use std::io::{Read as _, Seek, SeekFrom, Write as _};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Append-only spill file shared by a trace's clones.
-///
-/// Sealed chunk buffers are appended under an internal lock (seek +
-/// write, so independent appenders get disjoint extents) and re-read by
-/// offset. On Unix the file is unlinked immediately after creation —
-/// the space is reclaimed by the kernel when the trace drops, and a
-/// crashed run leaks nothing.
-pub(crate) struct SpillFile {
-    file: Mutex<File>,
-    len: AtomicU64,
-    /// Retained only where unlink-on-create is unavailable; removed on
-    /// drop instead.
-    path: Option<PathBuf>,
-}
-
-impl std::fmt::Debug for SpillFile {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpillFile")
-            .field("len", &self.len.load(Ordering::Relaxed))
-            .finish()
-    }
-}
-
-impl SpillFile {
-    /// Create a fresh spill file under `dir` (created if missing).
-    pub fn create(dir: &Path) -> std::io::Result<SpillFile> {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        std::fs::create_dir_all(dir)?;
-        let name = format!(
-            "p2pq-trace-{}-{}.spill",
-            std::process::id(),
-            NEXT.fetch_add(1, Ordering::Relaxed)
-        );
-        let path = dir.join(name);
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create_new(true)
-            .open(&path)?;
-        #[cfg(unix)]
-        let path = {
-            let _ = std::fs::remove_file(&path);
-            None
-        };
-        #[cfg(not(unix))]
-        let path = Some(path);
-        Ok(SpillFile {
-            file: Mutex::new(file),
-            len: AtomicU64::new(0),
-            path,
-        })
-    }
-
-    /// Append `bytes`, returning the offset they landed at.
-    pub fn append(&self, bytes: &[u8]) -> std::io::Result<u64> {
-        let mut f = self.file.lock();
-        let off = self.len.load(Ordering::Relaxed);
-        f.seek(SeekFrom::Start(off))?;
-        f.write_all(bytes)?;
-        self.len.store(off + bytes.len() as u64, Ordering::Relaxed);
-        Ok(off)
-    }
-
-    /// Read `len` bytes at `off` into `buf` (resized to fit).
-    pub fn read_into(&self, off: u64, len: usize, buf: &mut Vec<u8>) -> std::io::Result<()> {
-        buf.resize(len, 0);
-        let mut f = self.file.lock();
-        f.seek(SeekFrom::Start(off))?;
-        f.read_exact(buf)
-    }
-}
-
-impl Drop for SpillFile {
-    fn drop(&mut self) {
-        if let Some(path) = &self.path {
-            let _ = std::fs::remove_file(path);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -899,21 +809,5 @@ mod tests {
             assert_eq!(get_varint(&buf, &mut pos), v);
             assert_eq!(pos, buf.len());
         }
-    }
-
-    #[test]
-    fn spill_file_round_trips_disjoint_extents() {
-        let dir = std::env::temp_dir().join("p2pq-chunk-test-spill");
-        let spill = SpillFile::create(&dir).unwrap();
-        let a = vec![0xAAu8; 300];
-        let b = vec![0xBBu8; 77];
-        let off_a = spill.append(&a).unwrap();
-        let off_b = spill.append(&b).unwrap();
-        assert_ne!(off_a, off_b);
-        let mut buf = Vec::new();
-        spill.read_into(off_b, b.len(), &mut buf).unwrap();
-        assert_eq!(buf, b);
-        spill.read_into(off_a, a.len(), &mut buf).unwrap();
-        assert_eq!(buf, a);
     }
 }

@@ -15,14 +15,17 @@
 //!   record and close sessions through the same code;
 //! * [`record`] — the trace record types (connections and messages) and
 //!   the one-hop query observation the filter rules read;
-//! * [`store::Trace`] — in-memory trace with JSONL (de)serialization,
+//! * [`store::Trace`] — the retained trace with JSONL (de)serialization,
 //!   backed by the column store [`store::MessageColumns`] (sealed
-//!   per-column-compressed chunks + flat tail, optional disk spill via
-//!   `P2PQ_TRACE_SPILL` — codec in [`chunk`]);
+//!   per-column-compressed chunks + flat tail — codec in [`chunk`]). It
+//!   has two duties: it is the oracle of the retained ≡ live and
+//!   full ≡ hybrid tests, and it is what perfbench's `paper_repro`
+//!   workload measures. Experiments and examples fold the stream
+//!   instead;
 //! * [`sink`] — the streaming consumer API: the collector delivers its
 //!   record stream to any [`sink::TraceSink`], so campaigns can retain
 //!   the full trace, fold it into online aggregates, or both;
-//! * [`stats`] — Table 1-style overall trace characteristics.
+//! * [`stats`] — the Table 1 counts, folded as a [`sink::TraceSink`].
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

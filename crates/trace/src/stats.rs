@@ -1,9 +1,15 @@
 //! Overall trace characteristics — the Table 1 reproduction.
 
-use crate::store::{MsgKind, Trace};
+use crate::record::{ConnectionRecord, MessageRecord, RecordedPayload, SessionId};
+use crate::sink::TraceSink;
 use serde::{Deserialize, Serialize};
+use simnet::SimTime;
 
 /// Counters matching Table 1 of the paper.
+///
+/// A fold over the collector's record stream: register a default value
+/// as a [`TraceSink`]. It keeps nothing but these counters, and every
+/// field is final once the campaign has delivered its last event.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceStats {
     /// Number of QUERY messages received.
@@ -20,47 +26,16 @@ pub struct TraceStats {
     pub hop1_queries: u64,
     /// Connections whose handshake declared ultrapeer mode.
     pub ultrapeer_connections: u64,
-    /// Trace span in whole days (rounded up).
+    /// Trace span in whole days (rounded up) up to the last connect,
+    /// close or message seen.
     pub trace_days: u64,
 }
 
 impl TraceStats {
-    /// Count a trace.
-    pub fn of(trace: &Trace) -> TraceStats {
-        let mut s = TraceStats {
-            direct_connections: trace.connections.len() as u64,
-            ..TraceStats::default()
-        };
-        s.ultrapeer_connections = trace.connections.iter().filter(|c| c.ultrapeer).count() as u64;
-        let mut last_ms = 0u64;
-        for c in &trace.connections {
-            last_ms = last_ms.max(c.end.unwrap_or(c.start).as_millis());
-        }
-        // Chunk-at-a-time pass: each decoded batch is counted
-        // with branch-light per-column loops (a 5-bucket histogram over
-        // the kind column, a fused compare-and-sum for hop-1 queries, a
-        // max-reduce over the timestamps) instead of a per-row match —
-        // the loops autovectorize and each sealed chunk is decoded once.
-        let mut kind_counts = [0u64; 5];
-        trace.messages.for_each_batch(|b| {
-            for &k in &b.kind {
-                kind_counts[k as usize] += 1;
-            }
-            let query = MsgKind::Query as u8;
-            s.hop1_queries += b
-                .kind
-                .iter()
-                .zip(&b.hops)
-                .map(|(&k, &h)| u64::from(k == query && h == 1))
-                .sum::<u64>();
-            last_ms = last_ms.max(b.at_ms.iter().copied().max().unwrap_or(0));
-        });
-        s.ping_messages = kind_counts[MsgKind::Ping as usize];
-        s.pong_messages = kind_counts[MsgKind::Pong as usize];
-        s.query_messages = kind_counts[MsgKind::Query as usize];
-        s.queryhit_messages = kind_counts[MsgKind::QueryHit as usize];
-        s.trace_days = last_ms.div_ceil(24 * 3600 * 1000);
-        s
+    /// Extend the trace span to cover `at`.
+    fn saw(&mut self, at: SimTime) {
+        let days = at.as_millis().div_ceil(24 * 3600 * 1000);
+        self.trace_days = self.trace_days.max(days);
     }
 
     /// Fraction of connections in ultrapeer mode (paper: ≈40 %).
@@ -109,11 +84,39 @@ impl TraceStats {
     }
 }
 
+impl TraceSink for TraceStats {
+    fn on_connect(&mut self, rec: ConnectionRecord) {
+        self.direct_connections += 1;
+        self.ultrapeer_connections += u64::from(rec.ultrapeer);
+        self.saw(rec.start);
+    }
+
+    fn on_batch(&mut self, records: &[MessageRecord], _wire_lens: &[u32]) {
+        for m in records {
+            match m.payload {
+                RecordedPayload::Query { .. } => {
+                    self.query_messages += 1;
+                    self.hop1_queries += u64::from(m.hops == 1);
+                }
+                RecordedPayload::QueryHit { .. } => self.queryhit_messages += 1,
+                RecordedPayload::Ping => self.ping_messages += 1,
+                RecordedPayload::Pong { .. } => self.pong_messages += 1,
+                RecordedPayload::Bye => {}
+            }
+        }
+        if let Some(last) = records.iter().map(|m| m.at).max() {
+            self.saw(last);
+        }
+    }
+
+    fn on_close(&mut self, _id: SessionId, end: SimTime, _by_probe: bool) {
+        self.saw(end);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{ConnectionRecord, MessageRecord, RecordedPayload, SessionId};
-    use simnet::SimTime;
     use std::net::Ipv4Addr;
 
     fn test_guid() -> gnutella::Guid {
@@ -122,14 +125,14 @@ mod tests {
 
     #[test]
     fn counts_by_kind_and_hops() {
-        let mut t = Trace::new();
-        t.connections.push(ConnectionRecord {
+        let mut s = TraceStats::default();
+        s.on_connect(ConnectionRecord {
             id: SessionId(0),
             addr: Ipv4Addr::new(24, 0, 0, 1),
             user_agent: "A".into(),
             ultrapeer: true,
             start: SimTime::from_secs(0),
-            end: Some(SimTime::from_secs(100)),
+            end: None,
             closed_by_probe: false,
         });
         let mk = |payload, hops| MessageRecord {
@@ -140,38 +143,41 @@ mod tests {
             ttl: 5,
             payload,
         };
-        t.messages.push(mk(
-            RecordedPayload::Query {
-                text: "a".into(),
-                sha1: false,
-            },
-            1,
-        ));
-        t.messages.push(mk(
-            RecordedPayload::Query {
-                text: "b".into(),
-                sha1: false,
-            },
-            4,
-        ));
-        t.messages.push(mk(RecordedPayload::Ping, 1));
-        t.messages.push(mk(
-            RecordedPayload::Pong {
-                addr: Ipv4Addr::new(82, 0, 0, 1),
-                shared_files: 12,
-            },
-            3,
-        ));
-        t.messages.push(mk(
-            RecordedPayload::QueryHit {
-                addr: Ipv4Addr::new(202, 0, 0, 1),
-                results: 2,
-            },
-            5,
-        ));
-        t.messages.push(mk(RecordedPayload::Bye, 1));
+        let records = [
+            mk(
+                RecordedPayload::Query {
+                    text: "a".into(),
+                    sha1: false,
+                },
+                1,
+            ),
+            mk(
+                RecordedPayload::Query {
+                    text: "b".into(),
+                    sha1: false,
+                },
+                4,
+            ),
+            mk(RecordedPayload::Ping, 1),
+            mk(
+                RecordedPayload::Pong {
+                    addr: Ipv4Addr::new(82, 0, 0, 1),
+                    shared_files: 12,
+                },
+                3,
+            ),
+            mk(
+                RecordedPayload::QueryHit {
+                    addr: Ipv4Addr::new(202, 0, 0, 1),
+                    results: 2,
+                },
+                5,
+            ),
+            mk(RecordedPayload::Bye, 1),
+        ];
+        s.on_batch(&records, &[0; 6]);
+        s.on_close(SessionId(0), SimTime::from_secs(100), false);
 
-        let s = t.stats();
         assert_eq!(s.query_messages, 2);
         assert_eq!(s.hop1_queries, 1);
         assert_eq!(s.ping_messages, 1);
@@ -188,7 +194,7 @@ mod tests {
 
     #[test]
     fn empty_trace() {
-        let s = Trace::new().stats();
+        let s = TraceStats::default();
         assert_eq!(s.direct_connections, 0);
         assert_eq!(s.ultrapeer_fraction(), 0.0);
         assert_eq!(s.trace_days, 0);

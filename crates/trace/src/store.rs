@@ -1,4 +1,11 @@
-//! In-memory trace store with JSONL (de)serialization.
+//! The retained trace store, with JSONL (de)serialization.
+//!
+//! A [`Trace`] holds a whole campaign in memory. The experiments and
+//! examples never build one: they fold the record stream as it arrives
+//! (see [`crate::sink`]). The store keeps two duties. It is the oracle
+//! the retained ≡ live and full ≡ hybrid tests compare against, and it
+//! is what perfbench's `paper_repro` workload measures, which makes that
+//! workload the chunk codec's one user outside tests and benches.
 //!
 //! Messages live in [`MessageColumns`]: an uncompressed
 //! structure-of-arrays *tail* that absorbs appends, sealed into
@@ -7,10 +14,7 @@
 //! bit-packed timestamps/session ids/wire lengths, dictionary-coded
 //! `QueryId`s against the process-global interner, bit-packed
 //! kinds/hops/TTL, entropy-elided GUIDs). A row costs ~39 bytes flat
-//! and ~20–24 bytes sealed; with `P2PQ_TRACE_SPILL=dir` set, sealed
-//! chunks are written to an (unlinked) spill file and re-read on
-//! demand, so a paper-scale retained trace holds only the tail, the
-//! chunk directory, and one decoded batch in memory.
+//! and ~20–24 bytes sealed.
 //!
 //! The public API stays record-shaped: [`MessageColumns::push`] takes a
 //! [`MessageRecord`], iteration yields [`MessageRecord`]s by value
@@ -23,16 +27,13 @@
 //! consumers (export, equality, tests) use [`MessageColumns::cursor`],
 //! which decodes each chunk exactly once into its own scratch buffer.
 
-use crate::chunk::{self, ChunkBatch, SpillFile};
+use crate::chunk::{self, ChunkBatch};
 use crate::record::{ConnectionRecord, MessageRecord, RecordedPayload, SessionId};
-use crate::stats::TraceStats;
 use gnutella::{Guid, QueryId};
 use serde::{Deserialize, Serialize};
 use simnet::SimTime;
 use std::io::{self, BufRead, Write};
 use std::net::Ipv4Addr;
-use std::path::PathBuf;
-use std::sync::Arc;
 use telemetry::{Counter, Gauge};
 
 /// Rows per sealed chunk. A power of two that is a whole multiple of the
@@ -304,41 +305,24 @@ impl FlatColumns {
     }
 }
 
-/// One sealed chunk: encoded bytes in memory, or an extent of the spill
-/// file. Every sealed chunk holds exactly `chunk_rows` rows, so row →
-/// chunk mapping is a division.
-#[derive(Debug, Clone)]
-enum SealedChunk {
-    Mem(Vec<u8>),
-    Spilled { offset: u64, len: u32 },
-}
-
 /// Column store for messages: sealed compressed chunks plus a flat tail.
 ///
 /// Rows are addressed by insertion index; the `wire_len` column is
 /// in-memory provenance (like [`Trace::wire_bytes`]): it does not
 /// survive the JSONL interchange format and does not participate in
-/// equality. Spill-to-disk is controlled by the `P2PQ_TRACE_SPILL`
-/// environment variable (a directory path) read at construction, or
-/// per-store via [`MessageColumns::configure_chunks`].
+/// equality.
 pub struct MessageColumns {
     chunk_rows: usize,
-    sealed: Vec<SealedChunk>,
+    /// Encoded chunks. Every sealed chunk holds exactly `chunk_rows`
+    /// rows, so row → chunk mapping is a division.
+    sealed: Vec<Vec<u8>>,
     /// Rows covered by `sealed` — always `sealed.len() * chunk_rows`.
     rows_sealed: usize,
     tail: FlatColumns,
-    spill_dir: Option<PathBuf>,
-    /// Lazily created on first seal; shared by clones (extents are
-    /// immutable once written, appends take disjoint offsets).
-    spill: Option<Arc<SpillFile>>,
-    /// Set after an I/O error: stop retrying, keep chunks in memory.
-    spill_failed: bool,
     raw_sealed_bytes: u64,
     encoded_sealed_bytes: u64,
-    spilled_bytes: u64,
-    /// Reusable seal-time scratch (timestamp millis + encode output).
+    /// Reusable seal-time scratch (timestamp millis).
     encode_ms_scratch: Vec<u64>,
-    encode_buf: Vec<u8>,
 }
 
 impl Default for MessageColumns {
@@ -348,22 +332,11 @@ impl Default for MessageColumns {
             sealed: Vec::new(),
             rows_sealed: 0,
             tail: FlatColumns::default(),
-            spill_dir: env_spill_dir(),
-            spill: None,
-            spill_failed: false,
             raw_sealed_bytes: 0,
             encoded_sealed_bytes: 0,
-            spilled_bytes: 0,
             encode_ms_scratch: Vec::new(),
-            encode_buf: Vec::new(),
         }
     }
-}
-
-fn env_spill_dir() -> Option<PathBuf> {
-    std::env::var_os("P2PQ_TRACE_SPILL")
-        .filter(|v| !v.is_empty())
-        .map(PathBuf::from)
 }
 
 impl Clone for MessageColumns {
@@ -373,14 +346,9 @@ impl Clone for MessageColumns {
             sealed: self.sealed.clone(),
             rows_sealed: self.rows_sealed,
             tail: self.tail.clone(),
-            spill_dir: self.spill_dir.clone(),
-            spill: self.spill.clone(),
-            spill_failed: self.spill_failed,
             raw_sealed_bytes: self.raw_sealed_bytes,
             encoded_sealed_bytes: self.encoded_sealed_bytes,
-            spilled_bytes: self.spilled_bytes,
             encode_ms_scratch: Vec::new(),
-            encode_buf: Vec::new(),
         }
     }
 }
@@ -392,7 +360,6 @@ impl std::fmt::Debug for MessageColumns {
             .field("sealed_chunks", &self.sealed.len())
             .field("chunk_rows", &self.chunk_rows)
             .field("encoded_sealed_bytes", &self.encoded_sealed_bytes)
-            .field("spilled_bytes", &self.spilled_bytes)
             .finish()
     }
 }
@@ -435,20 +402,17 @@ impl MessageColumns {
         cols
     }
 
-    /// Override chunk size and spill directory (tests and tools). Only
-    /// valid on an empty store — sealed chunks are uniform.
+    /// Override the chunk size (tests and tools). Only valid on an
+    /// empty store — sealed chunks are uniform.
     ///
     /// Panics if the store already holds rows or `chunk_rows` is 0.
-    pub fn configure_chunks(&mut self, chunk_rows: usize, spill_dir: Option<PathBuf>) {
+    pub fn configure_chunks(&mut self, chunk_rows: usize) {
         assert!(
             self.is_empty() && self.sealed.is_empty(),
             "configure_chunks requires an empty store"
         );
         assert!(chunk_rows > 0, "chunk_rows must be positive");
         self.chunk_rows = chunk_rows;
-        self.spill_dir = spill_dir;
-        self.spill = None;
-        self.spill_failed = false;
     }
 
     /// Number of rows.
@@ -500,7 +464,7 @@ impl MessageColumns {
     fn seal_tail(&mut self) {
         telemetry::scope!("seal");
         debug_assert_eq!(self.tail.len(), self.chunk_rows);
-        let mut bytes = std::mem::take(&mut self.encode_buf);
+        let mut bytes = Vec::new();
         chunk::encode_chunk(
             &self.tail.as_chunk_source(),
             &mut self.encode_ms_scratch,
@@ -508,92 +472,14 @@ impl MessageColumns {
         );
         self.raw_sealed_bytes += self.tail.filled_bytes();
         self.encoded_sealed_bytes += bytes.len() as u64;
-
-        let mut stored = None;
-        if let Some(dir) = &self.spill_dir {
-            if !self.spill_failed && self.spill.is_none() {
-                match SpillFile::create(dir) {
-                    Ok(f) => self.spill = Some(Arc::new(f)),
-                    Err(e) => {
-                        telemetry::warn!(
-                            "trace spill disabled: cannot create spill file in {}: {e} \
-                             (degrading to in-memory chunks)",
-                            dir.display()
-                        );
-                        telemetry::global().incr(Counter::SpillDegraded);
-                        self.spill_failed = true;
-                    }
-                }
-            }
-            if !self.spill_failed {
-                if let Some(f) = &self.spill {
-                    match f.append(&bytes) {
-                        Ok(offset) => {
-                            self.spilled_bytes += bytes.len() as u64;
-                            stored = Some(SealedChunk::Spilled {
-                                offset,
-                                len: bytes.len() as u32,
-                            });
-                        }
-                        Err(e) => {
-                            telemetry::warn!(
-                                "trace spill disabled after write error: {e} \
-                                 (degrading to in-memory chunks)"
-                            );
-                            telemetry::global().incr(Counter::SpillDegraded);
-                            self.spill_failed = true;
-                        }
-                    }
-                }
-            }
-        }
-        let spilled = stored.is_some();
-        match stored {
-            Some(s) => {
-                self.sealed.push(s);
-                self.encode_buf = bytes; // reuse next seal
-            }
-            None => {
-                bytes.shrink_to_fit();
-                self.sealed.push(SealedChunk::Mem(bytes));
-            }
-        }
+        bytes.shrink_to_fit();
+        self.sealed.push(bytes);
         self.rows_sealed += self.tail.len();
         self.tail.clear();
 
         let reg = telemetry::global();
         reg.incr(Counter::ChunkSeals);
-        if spilled {
-            // One add per seal; the value is the bytes appended.
-            reg.add(
-                Counter::SpillBytesWritten,
-                self.sealed.last().map_or(0, |c| match c {
-                    SealedChunk::Spilled { len, .. } => u64::from(*len),
-                    SealedChunk::Mem(_) => 0,
-                }),
-            );
-        }
-        // Resident encoded bytes = all sealed minus spilled extents.
-        reg.gauge_max(
-            Gauge::PeakTraceBytes,
-            self.encoded_sealed_bytes - self.spilled_bytes,
-        );
-    }
-
-    /// Fetch chunk `idx`'s encoded bytes: borrowed in place for resident
-    /// chunks, read from the spill file into `file_buf` otherwise.
-    fn chunk_data<'a>(&'a self, idx: usize, file_buf: &'a mut Vec<u8>) -> &'a [u8] {
-        match &self.sealed[idx] {
-            SealedChunk::Mem(b) => b,
-            SealedChunk::Spilled { offset, len } => {
-                self.spill
-                    .as_ref()
-                    .expect("spilled chunk without spill file")
-                    .read_into(*offset, *len as usize, file_buf)
-                    .expect("trace spill read failed");
-                file_buf
-            }
-        }
+        reg.gauge_max(Gauge::PeakTraceBytes, self.encoded_sealed_bytes);
     }
 
     /// Sequential reader with its own decode scratch: decodes each
@@ -605,7 +491,6 @@ impl MessageColumns {
             next: 0,
             chunk: usize::MAX,
             batch: ChunkBatch::default(),
-            file_buf: Vec::new(),
         }
     }
 
@@ -621,9 +506,7 @@ impl MessageColumns {
     /// this.
     pub fn for_each_batch(&self, mut f: impl FnMut(&ChunkBatch)) {
         let mut batch = ChunkBatch::default();
-        let mut file_buf = Vec::new();
-        for idx in 0..self.sealed.len() {
-            let bytes = self.chunk_data(idx, &mut file_buf);
+        for bytes in &self.sealed {
             chunk::decode_chunk(bytes, &mut batch);
             f(&batch);
         }
@@ -640,9 +523,7 @@ impl MessageColumns {
     /// without being touched).
     pub fn for_each_one_hop_query(&self, mut f: impl FnMut(SessionId, SimTime, QueryId, bool)) {
         let mut scan = chunk::QueryScan::default();
-        let mut file_buf = Vec::new();
-        for idx in 0..self.sealed.len() {
-            let bytes = self.chunk_data(idx, &mut file_buf);
+        for bytes in &self.sealed {
             let view = chunk::decode_query_scan(bytes, &mut scan);
             let mut q = 0usize;
             let mut i = 0usize;
@@ -677,43 +558,18 @@ impl MessageColumns {
         }
     }
 
-    /// Resident bytes: the flat tail at capacity, sealed chunks that are
-    /// held in memory (spilled extents cost nothing here), the chunk
-    /// directory, and the encode scratch buffers.
+    /// Resident bytes: the flat tail at capacity, the sealed chunks, the
+    /// chunk directory, and the encode scratch buffer.
     pub fn mem_bytes(&self) -> u64 {
-        let mem_chunks: u64 = self
-            .sealed
-            .iter()
-            .map(|c| match c {
-                SealedChunk::Mem(b) => b.capacity() as u64,
-                SealedChunk::Spilled { .. } => 0,
-            })
-            .sum();
-        let directory = (self.sealed.capacity() * std::mem::size_of::<SealedChunk>()) as u64;
-        let scratch = (self.encode_ms_scratch.capacity() * 8 + self.encode_buf.capacity()) as u64;
-        self.tail.mem_bytes() + mem_chunks + directory + scratch
+        let chunks: u64 = self.sealed.iter().map(|b| b.capacity() as u64).sum();
+        let directory = (self.sealed.capacity() * std::mem::size_of::<Vec<u8>>()) as u64;
+        let scratch = (self.encode_ms_scratch.capacity() * 8) as u64;
+        self.tail.mem_bytes() + chunks + directory + scratch
     }
 
     /// Number of sealed (compressed) chunks.
     pub fn sealed_chunks(&self) -> usize {
         self.sealed.len()
-    }
-
-    /// Encoded bytes of sealed chunks currently resident in memory
-    /// (excludes spilled extents).
-    pub fn retained_chunk_bytes(&self) -> u64 {
-        self.sealed
-            .iter()
-            .map(|c| match c {
-                SealedChunk::Mem(b) => b.len() as u64,
-                SealedChunk::Spilled { .. } => 0,
-            })
-            .sum()
-    }
-
-    /// Total encoded bytes written to the spill file.
-    pub fn spill_bytes_written(&self) -> u64 {
-        self.spilled_bytes
     }
 
     /// Flat-column bytes per encoded byte over all sealed chunks
@@ -731,7 +587,6 @@ impl MessageColumns {
     /// copies don't carry dead capacity.
     pub fn compact(&mut self) {
         self.encode_ms_scratch = Vec::new();
-        self.encode_buf = Vec::new();
         self.tail.shrink_to_fit();
     }
 }
@@ -744,14 +599,12 @@ pub struct MessageCursor<'a> {
     /// Chunk index currently decoded into `batch` (`usize::MAX`: none).
     chunk: usize,
     batch: ChunkBatch,
-    file_buf: Vec<u8>,
 }
 
 impl MessageCursor<'_> {
     fn ensure_chunk(&mut self, idx: usize) {
         if self.chunk != idx {
-            let bytes = self.cols.chunk_data(idx, &mut self.file_buf);
-            chunk::decode_chunk(bytes, &mut self.batch);
+            chunk::decode_chunk(&self.cols.sealed[idx], &mut self.batch);
             self.chunk = idx;
         }
     }
@@ -897,14 +750,9 @@ impl Trace {
         self.connections.get(id.0 as usize)
     }
 
-    /// Overall characteristics (the Table 1 reproduction).
-    pub fn stats(&self) -> TraceStats {
-        TraceStats::of(self)
-    }
-
     /// Resident bytes held by this trace: the message store (tail,
     /// resident chunks, scratch) plus the connection records and their
-    /// heap strings. Spilled chunk extents are on disk and not counted.
+    /// heap strings.
     pub fn mem_bytes(&self) -> u64 {
         let conns = (self.connections.capacity() * std::mem::size_of::<ConnectionRecord>()) as u64
             + self
@@ -1247,7 +1095,7 @@ mod tests {
         let records = varied_records(1_000);
         for chunk_rows in [1usize, 3, 16, 256] {
             let mut cols = MessageColumns::new();
-            cols.configure_chunks(chunk_rows, None);
+            cols.configure_chunks(chunk_rows);
             for (i, r) in records.iter().enumerate() {
                 cols.push_with_wire(*r, (i % 97) as u32);
             }
@@ -1281,33 +1129,6 @@ mod tests {
             });
             assert_eq!(n, records.len());
         }
-    }
-
-    #[test]
-    fn spilled_chunks_read_back_identically() {
-        let dir = std::env::temp_dir().join("p2pq-store-test-spill");
-        let records = varied_records(500);
-        let mut plain = MessageColumns::new();
-        plain.configure_chunks(64, None);
-        let mut spilled = MessageColumns::new();
-        spilled.configure_chunks(64, Some(dir));
-        for r in &records {
-            plain.push(*r);
-            spilled.push(*r);
-        }
-        assert!(spilled.spill_bytes_written() > 0);
-        assert_eq!(spilled.retained_chunk_bytes(), 0);
-        assert!(spilled.mem_bytes() < plain.mem_bytes());
-        assert_eq!(plain, spilled);
-        let a: Vec<MessageRecord> = plain.iter().collect();
-        let b: Vec<MessageRecord> = spilled.iter().collect();
-        assert_eq!(a, b);
-        assert_eq!(a, records);
-
-        // Clones share the spill file and stay readable side by side.
-        let cloned = spilled.clone();
-        let c: Vec<MessageRecord> = cloned.iter().collect();
-        assert_eq!(c, records);
     }
 
     #[test]
@@ -1351,7 +1172,7 @@ mod tests {
     fn one_hop_query_visitor_crosses_chunk_boundaries() {
         let records = varied_records(300);
         let mut cols = MessageColumns::new();
-        cols.configure_chunks(7, None);
+        cols.configure_chunks(7);
         for r in &records {
             cols.push(*r);
         }
@@ -1380,7 +1201,7 @@ mod tests {
     fn compact_drops_scratch_capacity() {
         let records = varied_records(200);
         let mut cols = MessageColumns::new();
-        cols.configure_chunks(32, None);
+        cols.configure_chunks(32);
         for r in &records {
             cols.push(*r);
         }

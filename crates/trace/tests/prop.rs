@@ -4,7 +4,9 @@ use gnutella::Guid;
 use proptest::prelude::*;
 use simnet::SimTime;
 use std::net::Ipv4Addr;
-use trace::{ConnectionRecord, MessageRecord, RecordedPayload, SessionId, Trace};
+use trace::{
+    ConnectionRecord, MessageRecord, RecordedPayload, SessionId, Trace, TraceSink, TraceStats,
+};
 
 fn arb_payload() -> impl Strategy<Value = RecordedPayload> {
     prop_oneof![
@@ -145,25 +147,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(100))]
 
     /// The chunked store must agree with the flat (never-sealing) store
-    /// on every access path, for any chunk size, with and without disk
-    /// spill, under adversarial column values.
+    /// on every access path, for any chunk size, under adversarial
+    /// column values.
     #[test]
     fn chunked_store_matches_flat_on_adversarial_columns(
         records in arb_adversarial_records(),
         chunk_rows in 1usize..40,
-        spill in any::<bool>(),
     ) {
         let wire_lens: Vec<u32> = (0..records.len()).map(|i| 23 + i as u32).collect();
         let mut flat = trace::MessageColumns::new();
         let mut chunked = trace::MessageColumns::new();
-        let spill_dir = if spill {
-            let dir = std::env::temp_dir().join("p2pq-prop-spill");
-            std::fs::create_dir_all(&dir).unwrap();
-            Some(dir)
-        } else {
-            None
-        };
-        chunked.configure_chunks(chunk_rows, spill_dir);
+        chunked.configure_chunks(chunk_rows);
         flat.push_batch(&records, &wire_lens);
         chunked.push_batch(&records, &wire_lens);
 
@@ -205,7 +199,17 @@ proptest! {
 
     #[test]
     fn stats_counts_are_conservative(trace in arb_trace()) {
-        let s = trace.stats();
+        let mut s = TraceStats::default();
+        for c in &trace.connections {
+            s.on_connect(c.clone());
+        }
+        let records: Vec<MessageRecord> = trace.messages.iter().collect();
+        s.on_batch(&records, &vec![0; records.len()]);
+        for c in &trace.connections {
+            if let Some(end) = c.end {
+                s.on_close(c.id, end, c.closed_by_probe);
+            }
+        }
         let total = s.query_messages + s.queryhit_messages + s.ping_messages + s.pong_messages;
         // BYE messages are the only uncounted kind.
         prop_assert!(total <= trace.messages.len() as u64);

@@ -9,22 +9,33 @@
 //! cargo run --release -p p2pq-examples --bin calibration_loop
 //! ```
 
-use analysis::analyze_retained;
-use behavior::{run_population, PopulationConfig};
+use analysis::StreamingPipeline;
+use behavior::{run_population_into, Fidelity, PopulationConfig};
 use geoip::{GeoDb, Region};
 use p2pq::{calibrate, collect_sessions, GeneratorConfig, WorkloadGenerator};
+use parking_lot::Mutex;
 use simnet::SimTime;
+use std::sync::Arc;
 
 fn main() {
-    // 1. Measure: simulate a population and collect the trace.
+    // 1. Measure: simulate a population and filter each session as it
+    //    closes.
     println!("1. simulating the measured population…");
-    let trace = run_population(&PopulationConfig {
+    let pipeline = Arc::new(Mutex::new(StreamingPipeline::new(GeoDb::synthetic(), true)));
+    let cfg = PopulationConfig {
         days: 0.5,
         sessions_per_day: 10_000.0,
         seed: 7,
+        fidelity: Fidelity::Hybrid,
         ..PopulationConfig::default()
-    });
-    let ft = analyze_retained(&trace, &GeoDb::synthetic()).ft;
+    };
+    run_population_into(&cfg, pipeline.clone());
+    let ft = Arc::try_unwrap(pipeline)
+        .ok()
+        .expect("the campaign released its sink")
+        .into_inner()
+        .finish()
+        .ft;
     println!(
         "   {} sessions survived filtering ({} raw)",
         ft.report.final_sessions, ft.report.raw_sessions

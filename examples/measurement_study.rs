@@ -9,10 +9,13 @@
 //! cargo run --release -p p2pq-examples --bin measurement_study [days] [sessions_per_day]
 //! ```
 
-use analysis::analyze_retained;
 use analysis::characterize::passive_fraction;
-use behavior::{run_population, PopulationConfig};
+use analysis::StreamingPipeline;
+use behavior::{run_population_into, Fidelity, PopulationConfig};
 use geoip::{GeoDb, Region};
+use parking_lot::Mutex;
+use std::sync::Arc;
+use trace::{Fanout, TraceStats};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -24,12 +27,20 @@ fn main() {
         days,
         sessions_per_day,
         seed: 2004,
+        fidelity: Fidelity::Hybrid,
         ..PopulationConfig::default()
     };
-    let trace = run_population(&cfg);
+    // One campaign, folded as it records: the Table 1 counts and the
+    // filter pipeline side by side. The message trace is never kept.
+    let stats = Arc::new(Mutex::new(TraceStats::default()));
+    let pipeline = Arc::new(Mutex::new(StreamingPipeline::new(GeoDb::synthetic(), true)));
+    let mut fanout = Fanout::new();
+    fanout.register(stats.clone());
+    fanout.register(pipeline.clone());
+    run_population_into(&cfg, Arc::new(Mutex::new(fanout)));
 
     // --- Table 1: overall trace characteristics -------------------------
-    let stats = trace.stats();
+    let stats = *stats.lock();
     println!("\n=== Table 1 — Overall Trace Characteristics ===");
     print!("{}", stats.render_table());
     println!(
@@ -38,7 +49,12 @@ fn main() {
     );
 
     // --- Table 2: filter accounting --------------------------------------
-    let ft = analyze_retained(&trace, &GeoDb::synthetic()).ft;
+    let ft = Arc::try_unwrap(pipeline)
+        .ok()
+        .expect("the campaign released its sinks")
+        .into_inner()
+        .finish()
+        .ft;
     println!("\n=== Table 2 — Filtered Queries ===");
     print!("{}", ft.report.render_table());
 

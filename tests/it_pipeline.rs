@@ -4,18 +4,27 @@
 use analysis::analyze_retained;
 use analysis::characterize::{interarrival, passive_fraction, queries};
 use analysis::popularity::{class_sizes, DailyObservations};
-use behavior::run_population;
+use behavior::{run_population, run_population_into};
 use geoip::{GeoDb, Region};
 use integration_support::it_population;
 use p2pq::{calibrate, collect_sessions, GeneratorConfig, WorkloadGenerator};
+use parking_lot::Mutex;
 use simnet::SimTime;
-use trace::Trace;
+use std::sync::Arc;
+use trace::{Fanout, Trace, TraceStats};
 
 #[test]
 fn full_pipeline_closes_the_loop() {
-    // 1. Simulate the measured population.
-    let trace = run_population(&it_population());
-    let stats = trace.stats();
+    // 1. Simulate the measured population, retaining the trace and
+    //    folding its Table 1 counts from the same stream.
+    let retained = Arc::new(Mutex::new(Trace::new()));
+    let stats = Arc::new(Mutex::new(TraceStats::default()));
+    let mut fanout = Fanout::new();
+    fanout.register(retained.clone());
+    fanout.register(stats.clone());
+    run_population_into(&it_population(), Arc::new(Mutex::new(fanout)));
+    let trace = Arc::try_unwrap(retained).ok().unwrap().into_inner();
+    let stats = *stats.lock();
     assert!(stats.direct_connections > 2_000, "population too small");
     assert!(
         stats.query_messages > stats.hop1_queries,
