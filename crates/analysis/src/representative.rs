@@ -18,7 +18,7 @@ use geoip::{GeoDb, Region};
 use simnet::SimTime;
 use stats::histogram::Histogram;
 use stats::Series;
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::net::Ipv4Addr;
 use trace::{ConnectionRecord, MessageRecord, RecordedPayload, SessionId, TraceSink};
 
@@ -52,14 +52,24 @@ pub struct Representativeness {
 
 /// Folds a campaign's record stream into the Figure 1 and 2 tallies:
 /// connections by (region, hour of start); hops ≥ 2 PONG and QUERYHIT
-/// addresses by (region, hour of arrival); and the first shared-file
-/// count each PONG address advertised, one-hop and remote apart.
+/// addresses by (region, hour of arrival); and a histogram of the first
+/// shared-file count each PONG address advertised, one-hop and remote
+/// apart. Only the addresses already counted are kept, not their counts:
+/// remote PONGs advertise millions of distinct addresses at the default
+/// scale.
 pub struct RepresentativenessFold {
     db: GeoDb,
     one_hop: [[u64; 24]; 4],
     all: [[u64; 24]; 4],
-    one_hop_files: HashMap<Ipv4Addr, u32>,
-    all_files: HashMap<Ipv4Addr, u32>,
+    one_hop_seen: HashSet<Ipv4Addr>,
+    all_seen: HashSet<Ipv4Addr>,
+    one_hop_files: Histogram,
+    all_files: Histogram,
+}
+
+/// Shared-file counts 0–100, one bin each.
+fn files_histogram() -> Histogram {
+    Histogram::new(0.0, 101.0, 101).expect("valid histogram")
 }
 
 impl RepresentativenessFold {
@@ -69,8 +79,10 @@ impl RepresentativenessFold {
             db,
             one_hop: [[0; 24]; 4],
             all: [[0; 24]; 4],
-            one_hop_files: HashMap::new(),
-            all_files: HashMap::new(),
+            one_hop_seen: HashSet::new(),
+            all_seen: HashSet::new(),
+            one_hop_files: files_histogram(),
+            all_files: files_histogram(),
         }
     }
 
@@ -101,11 +113,7 @@ impl RepresentativenessFold {
             .iter()
             .map(|&r| (r, panel(r)))
             .collect();
-        let to_series = |map: &HashMap<Ipv4Addr, u32>, label: &str| -> Series {
-            let mut h = Histogram::new(0.0, 101.0, 101).expect("valid histogram");
-            for &files in map.values() {
-                h.add(f64::from(files.min(200)));
-            }
+        let to_series = |h: &Histogram, label: &str| -> Series {
             // Bin centers land on k + 0.5; shift to integer file counts.
             let xs: Vec<f64> = (0..=100).map(f64::from).collect();
             Series::labeled(label, xs, h.fraction_series().ys().to_vec())
@@ -129,12 +137,14 @@ impl TraceSink for RepresentativenessFold {
         for m in records {
             match m.payload {
                 RecordedPayload::Pong { addr, shared_files } => {
-                    let seen = if m.hops == 1 {
-                        &mut self.one_hop_files
+                    let (seen, files) = if m.hops == 1 {
+                        (&mut self.one_hop_seen, &mut self.one_hop_files)
                     } else {
-                        &mut self.all_files
+                        (&mut self.all_seen, &mut self.all_files)
                     };
-                    seen.entry(addr).or_insert(shared_files);
+                    if seen.insert(addr) {
+                        files.add(f64::from(shared_files.min(200)));
+                    }
                     if m.hops >= 2 {
                         Self::count(&mut self.all, &self.db, addr, m.at);
                     }
