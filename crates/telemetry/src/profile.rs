@@ -261,9 +261,17 @@ pub fn root_child_coverage(tree: &[StageNode], root: &str) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::PoisonError;
+
+    /// The stage table and the enabled flag are process-global, and the
+    /// test harness runs tests on parallel threads: the tests that record
+    /// or drain stages hold this lock, so none drains another's scopes
+    /// or records while another has recording switched off.
+    static STAGES: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
     fn nested_scopes_build_paths() {
+        let _guard = STAGES.lock().unwrap_or_else(PoisonError::into_inner);
         reset_stages();
         {
             scope!("outer");
@@ -285,6 +293,7 @@ mod tests {
 
     #[test]
     fn slash_names_root_anywhere() {
+        let _guard = STAGES.lock().unwrap_or_else(PoisonError::into_inner);
         reset_stages();
         {
             scope!("campaign/run"); // empty stack: name is the path
@@ -335,6 +344,7 @@ mod tests {
 
     #[test]
     fn disabled_scopes_record_nothing() {
+        let _guard = STAGES.lock().unwrap_or_else(PoisonError::into_inner);
         reset_stages();
         set_enabled(false);
         {
