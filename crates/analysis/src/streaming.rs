@@ -244,9 +244,6 @@ impl TraceSink for StreamingPipeline {
     }
 
     fn on_batch(&mut self, records: &[MessageRecord], wire_lens: &[u32]) {
-        // Called from the collector's drain, so this lands at
-        // `campaign/run/drain/analyze` in the stage tree.
-        telemetry::scope!("analyze");
         self.messages_seen += records.len() as u64;
         self.wire_bytes += wire_lens.iter().map(|&w| u64::from(w)).sum::<u64>();
         for rec in records {
@@ -288,7 +285,6 @@ impl StreamingResult {
     /// `peak_bytes`, as if the pipelines had run at once. One result
     /// merges to itself.
     pub fn merge(results: Vec<StreamingResult>) -> StreamingResult {
-        telemetry::scope!("merge");
         let mut it = results.into_iter();
         let mut out = it.next().expect("at least one result");
         for s in it {
@@ -310,7 +306,6 @@ impl StreamingResult {
 /// Unwrap the pipelines after their campaigns and merge their results.
 /// Panics if a pipeline is still shared.
 pub fn finish_shards(sinks: Vec<Arc<Mutex<StreamingPipeline>>>) -> StreamingResult {
-    telemetry::scope!("analysis/finish");
     StreamingResult::merge(
         sinks
             .into_iter()
@@ -337,19 +332,14 @@ pub type RetainedAnalysis = StreamingResult;
 /// that recorded `trace`; `peak_bytes` counts the pipeline's own
 /// retained sessions and aggregates, not the trace.
 pub fn analyze_retained(trace: &Trace, db: &GeoDb) -> RetainedAnalysis {
-    telemetry::scope!("analysis/retained");
     let mut queries: Vec<Vec<QueryObs>> = vec![Vec::new(); trace.connections.len()];
-    {
-        telemetry::scope!("scan");
-        trace
-            .messages
-            .for_each_one_hop_query(|sid, at, text, sha1| {
-                if let Some(v) = queries.get_mut(sid.0 as usize) {
-                    v.push(QueryObs { at, text, sha1 });
-                }
-            });
-    }
-    telemetry::scope!("fold");
+    trace
+        .messages
+        .for_each_one_hop_query(|sid, at, text, sha1| {
+            if let Some(v) = queries.get_mut(sid.0 as usize) {
+                v.push(QueryObs { at, text, sha1 });
+            }
+        });
     let mut p = StreamingPipeline::new(db.clone(), true);
     p.sessions_seen = trace.connections.len() as u64;
     p.messages_seen = trace.messages.len() as u64;

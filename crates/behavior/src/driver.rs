@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 use simnet::{Actor, Context, LatencyModel, NodeId, SimDuration, SimStats, SimTime, Simulator};
 use stats::rng::SeedSequence;
 use std::sync::Arc;
-use telemetry::{Counter, Gauge, Registry, Snapshot};
+use telemetry::{Counter, Registry, Snapshot};
 use trace::{CollectorConfig, MeasurementPeer, SharedSink, Trace};
 
 /// Simulation fidelity of a campaign.
@@ -100,7 +100,7 @@ impl PopulationConfig {
 }
 
 /// Engine-level statistics of a whole campaign.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CampaignStats {
     /// Events popped off the simulator queue.
     pub events_popped: u64,
@@ -117,15 +117,12 @@ pub struct CampaignStats {
     /// Messages a hybrid-fidelity run elided entirely (zero for full
     /// fidelity). `elided / (elided + modeled)` is the fraction of
     /// message work the far-cloud model avoided.
-    #[serde(default)]
     pub hybrid_elided_msgs: u64,
     /// Peer→collector messages a hybrid-fidelity run still modeled as
     /// events (zero for full fidelity).
-    #[serde(default)]
     pub hybrid_modeled_msgs: u64,
-    /// The campaign registry's counters plus the engine-level quantities
-    /// above.
-    #[serde(default)]
+    /// The campaign registry's sink counters plus the event queue's
+    /// far-heap spills and wheel cascades.
     pub telemetry: Snapshot,
 }
 
@@ -133,22 +130,17 @@ impl CampaignStats {
     /// Statistics of a finished campaign: the engine's statistics `sim`,
     /// the hybrid engine's elided and modeled message counts (zero for
     /// full fidelity), and the final snapshot of the campaign registry.
-    /// The engine's plain counters are folded into the snapshot here —
-    /// the one place engine statistics and registry counters meet, for
-    /// either fidelity.
+    /// The queue's spill and cascade counts are folded into the snapshot
+    /// here — the one place engine statistics and registry counters
+    /// meet, for either fidelity.
     pub(crate) fn of(
         sim: SimStats,
         elided_msgs: u64,
         modeled_msgs: u64,
         mut telemetry: Snapshot,
     ) -> CampaignStats {
-        telemetry.add_counter(Counter::EventsPopped, sim.events_popped);
         telemetry.add_counter(Counter::HeapSpills, sim.heap_spills);
-        telemetry.add_counter(Counter::HeapMigrations, sim.heap_migrations);
         telemetry.add_counter(Counter::WheelCascades, sim.wheel_cascades);
-        telemetry.add_counter(Counter::HybridElided, elided_msgs);
-        telemetry.add_counter(Counter::HybridModeled, modeled_msgs);
-        telemetry.max_gauge(Gauge::PeakQueueLen, sim.peak_queue_len);
         CampaignStats {
             events_popped: sim.events_popped,
             peak_queue_len: sim.peak_queue_len,
@@ -352,26 +344,15 @@ pub fn run_population_with_stats(cfg: &PopulationConfig) -> (Trace, CampaignStat
 /// Builds, runs and finishes the campaign at the configured fidelity,
 /// deriving every stream from the root seed.
 pub fn run_population_into(cfg: &PopulationConfig, sink: SharedSink) -> CampaignStats {
-    telemetry::scope!("campaign");
     let seq = SeedSequence::new(cfg.seed);
-    let vocab = {
-        telemetry::scope!("build");
-        Arc::new(build_vocabulary(cfg, &seq))
-    };
+    let vocab = Arc::new(build_vocabulary(cfg, &seq));
     // One registry per campaign: single-writer relaxed atomics on the
     // hot path, snapshotted at finish.
     let registry = Arc::new(Registry::new());
     match cfg.fidelity {
         Fidelity::Full => {
-            let (mut sim, horizon) = {
-                telemetry::scope!("build");
-                build_full(cfg, vocab, seq, sink, Arc::clone(&registry))
-            };
-            {
-                telemetry::scope!("run");
-                sim.run_until(horizon);
-            }
-            telemetry::scope!("finish");
+            let (mut sim, horizon) = build_full(cfg, vocab, seq, sink, Arc::clone(&registry));
+            sim.run_until(horizon);
             let stats = sim.stats();
             // Dropping the simulator drops the measurement peer, whose
             // recorder drains its pending record buffer into the sink —
@@ -381,15 +362,8 @@ pub fn run_population_into(cfg: &PopulationConfig, sink: SharedSink) -> Campaign
             CampaignStats::of(stats, 0, 0, registry.snapshot())
         }
         Fidelity::Hybrid => {
-            let mut campaign = {
-                telemetry::scope!("build");
-                HybridCampaign::new(cfg, vocab, seq, sink, registry)
-            };
-            {
-                telemetry::scope!("run");
-                campaign.run_until(campaign.horizon());
-            }
-            telemetry::scope!("finish");
+            let mut campaign = HybridCampaign::new(cfg, vocab, seq, sink, registry);
+            campaign.run_until(campaign.horizon());
             campaign.finish()
         }
     }

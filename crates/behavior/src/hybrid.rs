@@ -280,7 +280,6 @@ impl HybridCampaign {
             events_popped: self.pops,
             peak_queue_len: self.queue.peak_len() as u64,
             heap_spills: self.queue.far_pushed(),
-            heap_migrations: self.queue.migrated(),
             wheel_cascades: self.queue.cascades(),
         };
         CampaignStats::of(

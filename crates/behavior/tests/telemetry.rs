@@ -1,46 +1,15 @@
-//! Telemetry integration: the instrumentation must be provably free
-//! (identical traces with profiling on and off) and the counters must
-//! agree with the campaign's own ground truth.
+//! Telemetry integration: the campaign registry's sink counters must
+//! agree with the campaign's own ground truth, and with each other
+//! across fidelities.
 
-use behavior::{run_population, run_population_with_stats, Fidelity, PopulationConfig};
-use telemetry::{Counter, Gauge};
-
-/// Serialize the tests that toggle the process-global profiling flag or
-/// read the global stage table, so they cannot race each other.
-static PROFILE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-#[test]
-fn trace_identical_with_profiling_on_and_off() {
-    let _guard = PROFILE_LOCK.lock().unwrap();
-    let cfg = PopulationConfig::smoke();
-    telemetry::profile::set_enabled(true);
-    let on = run_population(&cfg);
-    telemetry::profile::set_enabled(false);
-    let off = run_population(&cfg);
-    telemetry::profile::set_enabled(true);
-    telemetry::profile::reset_stages();
-    assert_eq!(
-        on, off,
-        "stage profiling must not perturb the observed trace"
-    );
-}
-
-#[test]
-fn stage_tree_covers_campaign() {
-    let _guard = PROFILE_LOCK.lock().unwrap();
-    telemetry::profile::set_enabled(true);
-    telemetry::profile::reset_stages();
-    let cfg = PopulationConfig::smoke();
-    let _ = run_population_with_stats(&cfg);
-    let stages = telemetry::profile::take_stages();
-    let tree = telemetry::stage_tree(&stages);
-    let coverage = telemetry::profile::root_child_coverage(&tree, "campaign")
-        .expect("campaign root must be recorded");
-    assert!(
-        coverage >= 0.9,
-        "campaign children must cover ≥90 % of the campaign scope, got {coverage}"
-    );
-}
+use behavior::{
+    run_population_into, run_population_with_stats, CampaignStats, Fidelity, PopulationConfig,
+};
+use parking_lot::Mutex;
+use simnet::SimTime;
+use std::sync::Arc;
+use telemetry::Counter;
+use trace::{ConnectionRecord, Fanout, MessageRecord, SessionId, Trace, TraceSink};
 
 #[test]
 fn campaign_counters_match_ground_truth() {
@@ -53,11 +22,6 @@ fn campaign_counters_match_ground_truth() {
         "every recorded message passes the sink-batch boundary exactly once"
     );
     assert!(t.counter(Counter::SinkBatches) > 0);
-    assert_eq!(t.counter(Counter::EventsPopped), stats.events_popped);
-    assert_eq!(t.gauge(Gauge::PeakQueueLen), stats.peak_queue_len);
-    // The batch-size histogram holds one observation per batch.
-    let batches: u64 = t.hist(telemetry::Hist::SinkBatchSize).iter().sum();
-    assert_eq!(batches, t.counter(Counter::SinkBatches));
 }
 
 /// Fixed-seed smoke-campaign regression: the event queue's pop order
@@ -102,26 +66,60 @@ const PINNED_CONNECTIONS: u64 = 504;
 const PINNED_MESSAGES: u64 = 62_714;
 const PINNED_MESSAGE_DIGEST: u64 = 15_634_722_281_550_164_242;
 
+/// Records the length of every batch the collector drains.
+#[derive(Default)]
+struct BatchLens(Vec<usize>);
+
+impl TraceSink for BatchLens {
+    fn on_connect(&mut self, _: ConnectionRecord) {}
+
+    fn on_batch(&mut self, records: &[MessageRecord], _: &[u32]) {
+        self.0.push(records.len());
+    }
+
+    fn on_close(&mut self, _: SessionId, _: SimTime, _: bool) {}
+}
+
+/// One smoke campaign at `fidelity`: its retained trace, the length of
+/// each sink batch in drain order, and its statistics.
+fn smoke_campaign(fidelity: Fidelity) -> (Trace, Vec<usize>, CampaignStats) {
+    let cfg = PopulationConfig {
+        fidelity,
+        ..PopulationConfig::smoke()
+    };
+    let trace = Arc::new(Mutex::new(Trace::new()));
+    let lens = Arc::new(Mutex::new(BatchLens::default()));
+    let mut fanout = Fanout::new();
+    fanout.register(trace.clone());
+    fanout.register(lens.clone());
+    let stats = run_population_into(&cfg, Arc::new(Mutex::new(fanout)));
+    let trace = std::mem::take(&mut *trace.lock());
+    let lens = std::mem::take(&mut lens.lock().0);
+    (trace, lens, stats)
+}
+
 #[test]
 fn full_and_hybrid_sink_counters_agree() {
-    let mut cfg = PopulationConfig::smoke();
-    cfg.fidelity = Fidelity::Full;
-    let (full_trace, full) = run_population_with_stats(&cfg);
-    cfg.fidelity = Fidelity::Hybrid;
-    let (hybrid_trace, hybrid) = run_population_with_stats(&cfg);
+    let (full_trace, full_lens, full) = smoke_campaign(Fidelity::Full);
+    let (hybrid_trace, hybrid_lens, hybrid) = smoke_campaign(Fidelity::Hybrid);
     assert_eq!(full_trace, hybrid_trace);
     // Sink batch boundaries are part of the observed-trace contract, so
-    // the sink-layer counters must match across fidelities too.
-    for c in [Counter::SinkRecords, Counter::SinkBatches] {
+    // both fidelities must drain the same batches in the same order, and
+    // the sink-layer counters must count exactly those batches.
+    assert_eq!(full_lens, hybrid_lens, "sink batch sequence differs");
+    for (label, lens, stats) in [
+        ("full", &full_lens, &full),
+        ("hybrid", &hybrid_lens, &hybrid),
+    ] {
         assert_eq!(
-            full.telemetry.counter(c),
-            hybrid.telemetry.counter(c),
-            "{} must match across fidelities",
-            c.name()
+            stats.telemetry.counter(Counter::SinkBatches),
+            lens.len() as u64,
+            "{label}: SinkBatches"
+        );
+        assert_eq!(
+            stats.telemetry.counter(Counter::SinkRecords),
+            lens.iter().sum::<usize>() as u64,
+            "{label}: SinkRecords"
         );
     }
-    assert_eq!(
-        full.telemetry.hist(telemetry::Hist::SinkBatchSize),
-        hybrid.telemetry.hist(telemetry::Hist::SinkBatchSize)
-    );
 }

@@ -143,6 +143,7 @@ pub fn fig06(ctx: &ExperimentContext) -> String {
     }
     out.push_str("\n(c) by region, rules 4/5 NOT applied:\n");
     let probes_c = [1.0, 4.0, 10.0, 100.0];
+    out.push_str(&probes_header("#queries", &probes_c, ""));
     for s in queries::ccdf_by_region_unfiltered45(&ctx.ft) {
         out.push_str(&series_probes(&s, &probes_c, ""));
     }

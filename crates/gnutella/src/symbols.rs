@@ -17,7 +17,7 @@
 //! * **Canonical keyword sets are precomputed.** §3.2 treats two queries
 //!   as identical when they contain the same keyword set. At intern time
 //!   the table computes the canonical form (lowercased, sorted,
-//!   de-duplicated — exactly [`QueryKey`](crate::QueryKey)) once and
+//!   de-duplicated — exactly [`QueryKey`]) once and
 //!   records the id of the canonical entry, so the filter and popularity
 //!   pipelines compare keyword sets by integer id with no per-message
 //!   allocation or re-normalization.
@@ -184,7 +184,7 @@ impl QueryId {
     }
 
     /// Byte length of the resolved text, without taking the interner
-    /// lock (hot in wire-size accounting; see [`LenTable`]).
+    /// lock (hot in wire-size accounting; see `LenTable`).
     #[inline]
     pub fn text_len(self) -> usize {
         LEN_TABLE.get(self.0)

@@ -54,7 +54,7 @@ enum Event<M> {
 }
 
 /// Execution statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Messages delivered to live nodes.
     pub delivered: u64,
@@ -73,16 +73,10 @@ pub struct SimStats {
     /// actually exerted.
     pub peak_queue_len: u64,
     /// Pushes that overflowed every hierarchical-wheel level (≳ 37
-    /// hours out) into the 4-ary far heap (telemetry: wheel pops vs
-    /// heap spills).
-    #[serde(default)]
+    /// hours out) into the 4-ary far heap.
     pub heap_spills: u64,
-    /// Far-heap events migrated into wheel buckets as time advanced.
-    #[serde(default)]
-    pub heap_migrations: u64,
     /// Hierarchical-wheel level-down moves (L2→L1/L0, L1→L0) as time
     /// entered an event's chunk or frame.
-    #[serde(default)]
     pub wheel_cascades: u64,
 }
 
@@ -221,7 +215,6 @@ impl<M: 'static> Simulator<M> {
             events_popped: self.queue.popped(),
             peak_queue_len: self.queue.peak_len() as u64,
             heap_spills: self.queue.far_pushed(),
-            heap_migrations: self.queue.migrated(),
             wheel_cascades: self.queue.cascades(),
             ..self.stats
         }

@@ -23,7 +23,7 @@
 //! hit ~a third of all popped events.
 //!
 //! [`SimTime`] has millisecond resolution, so the near future is
-//! discretized exactly. Three levels of [`WHEEL_SLOTS`] buckets each
+//! discretized exactly. Three levels of `WHEEL_SLOTS` buckets each
 //! cover geometrically wider horizons:
 //!
 //! - **L0**: 1 ms per bucket — the window `[start, start + 512 ms)`.

@@ -1,10 +1,9 @@
 //! Tiny leveled stderr logger.
 //!
-//! `P2PQ_LOG=off|warn|info|debug` selects the level (default `info`,
-//! which keeps the `[bench]` status lines visible). The level is
-//! parsed once and cached in an atomic, so a
-//! disabled [`warn!`](crate::warn)/[`info!`](crate::info)/
-//! [`debug!`](crate::debug) costs one relaxed load and a branch — no
+//! `P2PQ_LOG=off|warn|info` selects the level (default `info`, which
+//! keeps the `[bench]` status lines visible). The level is parsed once
+//! and cached in an atomic, so a disabled [`warn!`](crate::warn)/
+//! [`info!`](crate::info) costs one relaxed load and a branch — no
 //! formatting.
 
 use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
@@ -19,8 +18,6 @@ pub enum Level {
     Warn = 1,
     /// Progress and status lines (default).
     Info = 2,
-    /// Per-phase diagnostics.
-    Debug = 3,
 }
 
 const UNPARSED: u8 = u8::MAX;
@@ -31,13 +28,12 @@ fn parse_env() -> Level {
     match std::env::var("P2PQ_LOG").as_deref() {
         Ok("off") | Ok("none") => Level::Off,
         Ok("warn") => Level::Warn,
-        Ok("debug") => Level::Debug,
         _ => Level::Info,
     }
 }
 
 /// The active level (parsing `P2PQ_LOG` on first call).
-pub fn level() -> Level {
+fn level() -> Level {
     match LEVEL.load(Relaxed) {
         UNPARSED => {
             let l = parse_env();
@@ -46,14 +42,8 @@ pub fn level() -> Level {
         }
         0 => Level::Off,
         1 => Level::Warn,
-        2 => Level::Info,
-        _ => Level::Debug,
+        _ => Level::Info,
     }
-}
-
-/// Override the level programmatically (tests, tools).
-pub fn set_level(l: Level) {
-    LEVEL.store(l as u8, Relaxed);
 }
 
 /// Whether messages at `l` are emitted.
@@ -82,31 +72,23 @@ macro_rules! info {
     };
 }
 
-/// Log at debug level (`[debug]` prefix on stderr).
-#[macro_export]
-macro_rules! debug {
-    ($($t:tt)*) => {
-        if $crate::log::enabled($crate::log::Level::Debug) {
-            eprintln!("[debug] {}", format_args!($($t)*));
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn set_level(l: Level) {
+        LEVEL.store(l as u8, Relaxed);
+    }
 
     #[test]
     fn level_ordering_gates() {
         set_level(Level::Warn);
         assert!(enabled(Level::Warn));
         assert!(!enabled(Level::Info));
-        assert!(!enabled(Level::Debug));
         set_level(Level::Off);
         assert!(!enabled(Level::Warn));
-        set_level(Level::Debug);
-        assert!(enabled(Level::Info));
-        // Restore the default for other tests in the process.
         set_level(Level::Info);
+        assert!(enabled(Level::Warn));
+        assert!(enabled(Level::Info));
     }
 }

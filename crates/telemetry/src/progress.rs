@@ -33,7 +33,7 @@ fn process_start() -> Instant {
 }
 
 /// Whether the reporter is active (`P2PQ_PROGRESS=1`, parsed once).
-pub fn enabled() -> bool {
+fn enabled() -> bool {
     match ENABLED.load(Relaxed) {
         UNPARSED => {
             let on = matches!(
@@ -45,11 +45,6 @@ pub fn enabled() -> bool {
         }
         v => v != 0,
     }
-}
-
-/// Force the reporter on or off (tools/tests).
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on as u8, Relaxed);
 }
 
 /// Report `n` freshly drained records at virtual time `virtual_secs`.
@@ -88,7 +83,7 @@ pub fn record_batch(n: u64, virtual_secs: f64) {
 }
 
 /// Human-readable count (`38.2M`, `612k`, `97`).
-pub fn fmt_count(n: u64) -> String {
+fn fmt_count(n: u64) -> String {
     if n >= 10_000_000 {
         format!("{:.1}M", n as f64 / 1e6)
     } else if n >= 10_000 {
@@ -99,7 +94,7 @@ pub fn fmt_count(n: u64) -> String {
 }
 
 /// Human-readable byte count (`29.3 MiB`).
-pub fn fmt_bytes(n: u64) -> String {
+fn fmt_bytes(n: u64) -> String {
     const MIB: f64 = 1024.0 * 1024.0;
     let f = n as f64;
     if f >= MIB * 1024.0 {
@@ -113,7 +108,7 @@ pub fn fmt_bytes(n: u64) -> String {
 
 /// Current resident set size from `/proc/self/status` (`None` off
 /// Linux or on parse failure).
-pub fn vm_rss_bytes() -> Option<u64> {
+fn vm_rss_bytes() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     for line in status.lines() {
         if let Some(rest) = line.strip_prefix("VmRSS:") {
@@ -130,7 +125,7 @@ mod tests {
 
     #[test]
     fn disabled_reporter_is_inert() {
-        set_enabled(false);
+        ENABLED.store(0, Relaxed);
         let before = RECORDS.load(Relaxed);
         record_batch(8_192, 1_000.0);
         assert_eq!(RECORDS.load(Relaxed), before);

@@ -32,7 +32,7 @@
 //! Varints appear only in cold spots (PONG shared-file counts).
 //!
 //! Every section is length-prefixed, so a decoder can skip columns it
-//! does not need — [`decode_query_scan`] reads 4 of the 10 sections and
+//! does not need — `decode_query_scan` reads 4 of the 10 sections and
 //! powers the filter/popularity fast path.
 
 use crate::record::{MessageRecord, RecordedPayload, SessionId};
@@ -526,7 +526,7 @@ fn decode_query_section(sec: &[u8], ids: &mut Vec<u32>, sha1: &mut Vec<bool>) {
     }
 }
 
-/// Decode every column of a chunk produced by [`encode_chunk`] into a
+/// Decode every column of a chunk produced by `encode_chunk` into a
 /// reusable [`ChunkBatch`].
 pub fn decode_chunk(bytes: &[u8], out: &mut ChunkBatch) {
     out.clear();

@@ -58,7 +58,7 @@ use rand::SeedableRng;
 use simnet::{Actor, Context, LatencyModel, NodeId, SimTime};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
-use telemetry::{Counter, Hist, Registry};
+use telemetry::{Counter, Registry};
 
 /// Measurement peer configuration.
 #[derive(Debug, Clone)]
@@ -269,7 +269,6 @@ impl<T: Copy> Recorder<T> {
         if self.pending.is_empty() {
             return;
         }
-        telemetry::scope!("drain");
         let n = self.pending.len() as u64;
         let virtual_secs = self.pending.last().map_or(0.0, |r| r.at.as_secs_f64());
         self.sink.lock().on_batch(&self.pending, &self.pending_wire);
@@ -277,7 +276,6 @@ impl<T: Copy> Recorder<T> {
         self.pending_wire.clear();
         self.registry.incr(Counter::SinkBatches);
         self.registry.add(Counter::SinkRecords, n);
-        self.registry.observe(Hist::SinkBatchSize, n);
         telemetry::progress::record_batch(n, virtual_secs);
     }
 

@@ -462,7 +462,6 @@ impl MessageColumns {
 
     /// Encode the full tail into a sealed chunk and reset it.
     fn seal_tail(&mut self) {
-        telemetry::scope!("seal");
         debug_assert_eq!(self.tail.len(), self.chunk_rows);
         let mut bytes = Vec::new();
         chunk::encode_chunk(
@@ -743,11 +742,6 @@ impl Trace {
             messages: MessageColumns::with_capacity(messages),
             wire_bytes: 0,
         }
-    }
-
-    /// Look up a connection record.
-    pub fn connection(&self, id: SessionId) -> Option<&ConnectionRecord> {
-        self.connections.get(id.0 as usize)
     }
 
     /// Resident bytes held by this trace: the message store (tail,
@@ -1311,12 +1305,5 @@ mod tests {
     #[test]
     fn read_rejects_garbage() {
         assert!(Trace::read_jsonl("not json\n".as_bytes()).is_err());
-    }
-
-    #[test]
-    fn connection_lookup() {
-        let t = sample_trace();
-        assert_eq!(t.connection(SessionId(1)).unwrap().user_agent, "Client/1");
-        assert!(t.connection(SessionId(99)).is_none());
     }
 }
