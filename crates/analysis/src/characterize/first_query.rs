@@ -26,7 +26,7 @@ impl CountClass {
     pub const ALL: [CountClass; 3] = [CountClass::Lt3, CountClass::Eq3, CountClass::Gt3];
 
     /// Classify a count.
-    pub fn of(n: u32) -> CountClass {
+    pub(crate) fn of(n: u32) -> CountClass {
         match n {
             0..=2 => CountClass::Lt3,
             3 => CountClass::Eq3,
@@ -45,7 +45,7 @@ impl CountClass {
 }
 
 /// Time-to-first-query samples (seconds) for active sessions of a region.
-pub fn first_query_delays(ft: &FilteredTrace, region: Region) -> Vec<f64> {
+pub(crate) fn first_query_delays(ft: &FilteredTrace, region: Region) -> Vec<f64> {
     in_region(&ft.sessions, region)
         .filter_map(|s| s.time_to_first_query())
         .filter(|&t| t > 0.0)
@@ -98,7 +98,7 @@ pub fn ccdf_by_period(ft: &FilteredTrace, region: Region) -> Vec<Series> {
 
 /// Observation cap for tail fitting (seconds): delays beyond this sit in
 /// sessions long enough to be right-censored at the trace boundary.
-pub const TAIL_FIT_WINDOW_SECS: f64 = 86_400.0;
+pub(crate) const TAIL_FIT_WINDOW_SECS: f64 = 86_400.0;
 
 /// Table A.3: Weibull body ‖ lognormal tail fit, conditioned on period and
 /// query-count class, for a region. The split point follows the paper:

@@ -15,12 +15,12 @@ use stats::histogram::LogHistogram;
 
 /// Log-grid lower bound shared by all measures (seconds / minutes /
 /// counts ≥ 1; smaller samples land in the underflow bin).
-pub const HIST_LO: f64 = 1.0;
+pub(crate) const HIST_LO: f64 = 1.0;
 /// Log-grid upper bound (100k covers 40 days of minutes and the longest
 /// interarrival gaps; larger samples land in the overflow bin).
-pub const HIST_HI: f64 = 100_000.0;
+pub(crate) const HIST_HI: f64 = 100_000.0;
 /// Bins per histogram (12 per decade, matching the paper's log axes).
-pub const HIST_POINTS: usize = 60;
+pub(crate) const HIST_POINTS: usize = 60;
 
 fn empty() -> [LogHistogram; 3] {
     std::array::from_fn(|_| {
@@ -33,19 +33,19 @@ fn empty() -> [LogHistogram; 3] {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionHistograms {
     /// Passive session durations, minutes (§4.3, Figure 5).
-    pub passive_duration_min: [LogHistogram; 3],
+    pub(crate) passive_duration_min: [LogHistogram; 3],
     /// Active session durations, minutes (§4.3).
-    pub active_duration_min: [LogHistogram; 3],
+    pub(crate) active_duration_min: [LogHistogram; 3],
     /// Queries per active session (§4.4, Figure 6).
-    pub queries_per_active: [LogHistogram; 3],
+    pub(crate) queries_per_active: [LogHistogram; 3],
     /// Seconds from session start to first query (§4.5, Figure 7).
-    pub time_to_first_s: [LogHistogram; 3],
+    pub(crate) time_to_first_s: [LogHistogram; 3],
     /// Seconds between consecutive unflagged queries (§4.5, Figure 8).
-    pub interarrival_s: [LogHistogram; 3],
+    pub(crate) interarrival_s: [LogHistogram; 3],
     /// Seconds from last query to session end (§4.5, Figure 9).
-    pub time_after_last_s: [LogHistogram; 3],
+    pub(crate) time_after_last_s: [LogHistogram; 3],
     /// Sessions folded in, per region (passive + active).
-    pub sessions: [u64; 3],
+    pub(crate) sessions: [u64; 3],
 }
 
 impl Default for SessionHistograms {
@@ -56,7 +56,7 @@ impl Default for SessionHistograms {
 
 impl SessionHistograms {
     /// Empty histogram set.
-    pub fn new() -> SessionHistograms {
+    pub(crate) fn new() -> SessionHistograms {
         SessionHistograms {
             passive_duration_min: empty(),
             active_duration_min: empty(),
@@ -70,7 +70,7 @@ impl SessionHistograms {
 
     /// Fold one filtered session in. Sessions from [`Region::Other`] are
     /// skipped — the paper characterizes the three major regions only.
-    pub fn add_session(&mut self, s: &FilteredSession) {
+    pub(crate) fn add_session(&mut self, s: &FilteredSession) {
         let Some(i) = Region::CHARACTERIZED.iter().position(|r| *r == s.region) else {
             return;
         };
@@ -102,7 +102,7 @@ impl SessionHistograms {
     }
 
     /// Absorb another histogram set (shard merge).
-    pub fn merge(&mut self, other: &SessionHistograms) {
+    pub(crate) fn merge(&mut self, other: &SessionHistograms) {
         let pairs = [
             (&mut self.passive_duration_min, &other.passive_duration_min),
             (&mut self.active_duration_min, &other.active_duration_min),

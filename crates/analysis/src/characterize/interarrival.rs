@@ -12,7 +12,7 @@ const POINTS: usize = 50;
 
 /// Query-count class of Figure 8(b): `= 2`, `3–7`, `> 7` queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CountClass {
+pub(crate) enum CountClass {
     /// Exactly two queries (one gap).
     Two,
     /// Three to seven queries.
@@ -23,11 +23,12 @@ pub enum CountClass {
 
 impl CountClass {
     /// All classes.
-    pub const ALL: [CountClass; 3] = [CountClass::Two, CountClass::ThreeToSeven, CountClass::Gt7];
+    pub(crate) const ALL: [CountClass; 3] =
+        [CountClass::Two, CountClass::ThreeToSeven, CountClass::Gt7];
 
     /// Classify a session's query count (sessions with < 2 queries have no
     /// interarrival samples).
-    pub fn of(n: u32) -> Option<CountClass> {
+    pub(crate) fn of(n: u32) -> Option<CountClass> {
         match n {
             0 | 1 => None,
             2 => Some(CountClass::Two),
@@ -37,7 +38,7 @@ impl CountClass {
     }
 
     /// Figure label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             CountClass::Two => "= 2 Queries",
             CountClass::ThreeToSeven => "3-7 Queries",

@@ -13,7 +13,7 @@ const POINTS: usize = 60;
 
 /// Query-count class of Figure 9(b): 1, 2, 3–7, 8, > 8 queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FigureClass {
+pub(crate) enum FigureClass {
     /// One query.
     One,
     /// Two queries.
@@ -28,7 +28,7 @@ pub enum FigureClass {
 
 impl FigureClass {
     /// All figure classes.
-    pub const ALL: [FigureClass; 5] = [
+    pub(crate) const ALL: [FigureClass; 5] = [
         FigureClass::One,
         FigureClass::Two,
         FigureClass::ThreeToSeven,
@@ -37,7 +37,7 @@ impl FigureClass {
     ];
 
     /// Classify.
-    pub fn of(n: u32) -> Option<FigureClass> {
+    pub(crate) fn of(n: u32) -> Option<FigureClass> {
         match n {
             0 => None,
             1 => Some(FigureClass::One),
@@ -49,7 +49,7 @@ impl FigureClass {
     }
 
     /// Figure label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             FigureClass::One => "1 Query",
             FigureClass::Two => "2 Queries",
@@ -76,7 +76,7 @@ impl ModelClass {
     pub const ALL: [ModelClass; 3] = [ModelClass::One, ModelClass::TwoToSeven, ModelClass::Gt7];
 
     /// Classify.
-    pub fn of(n: u32) -> Option<ModelClass> {
+    pub(crate) fn of(n: u32) -> Option<ModelClass> {
         match n {
             0 => None,
             1 => Some(ModelClass::One),
@@ -96,7 +96,7 @@ impl ModelClass {
 }
 
 /// Time-after-last-query samples (seconds) for a region.
-pub fn time_after_last_samples(ft: &FilteredTrace, region: Region) -> Vec<f64> {
+pub(crate) fn time_after_last_samples(ft: &FilteredTrace, region: Region) -> Vec<f64> {
     in_region(&ft.sessions, region)
         .filter_map(|s| s.time_after_last_query())
         .filter(|&t| t > 0.0)

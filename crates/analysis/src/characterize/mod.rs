@@ -60,7 +60,7 @@ pub(crate) mod test_util {
     use simnet::SimTime;
 
     /// Build a synthetic filtered session.
-    pub fn session(
+    pub(crate) fn session(
         region: Region,
         start_s: u64,
         dur_s: u64,
@@ -77,7 +77,7 @@ pub(crate) mod test_util {
                 .enumerate()
                 .map(|(i, &off)| FilteredQuery {
                     at: SimTime::from_secs(start_s + off),
-                    key: QueryId::canonical_of(&format!("q{i} word{i}")),
+                    key: QueryId::intern(&format!("q{i} word{i}")).canonical(),
                     flagged45: false,
                 })
                 .collect(),
@@ -94,7 +94,7 @@ mod tests {
         assert!(ccdf_series("x", vec![], 1.0, 10.0, 5).is_none());
         let s = ccdf_series("lbl", vec![1.0, 5.0, 50.0], 1.0, 100.0, 10).unwrap();
         assert_eq!(s.label, "lbl");
-        assert_eq!(s.len(), 10);
+        assert_eq!(s.ys().len(), 10);
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub fn duration_ccdf_by_period(ft: &FilteredTrace, region: Region) -> Vec<Series
 /// still open when the measurement stops and never yield a duration), so
 /// the tail is fitted as a *doubly* truncated lognormal on (2 min, 1 day)
 /// — statistically exact for the fully observed window.
-pub const TAIL_FIT_WINDOW_SECS: f64 = 86_400.0;
+pub(crate) const TAIL_FIT_WINDOW_SECS: f64 = 86_400.0;
 
 /// Table A.1: fit the bimodal lognormal‖lognormal model (split at 2
 /// minutes) to passive durations in peak or non-peak hours of `region`.

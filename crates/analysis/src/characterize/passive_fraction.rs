@@ -14,9 +14,9 @@ pub struct PassiveFractionPanel {
     /// Per-hour average across days.
     pub average: Series,
     /// Per-hour minimum across days.
-    pub min: Series,
+    pub(crate) min: Series,
     /// Per-hour maximum across days.
-    pub max: Series,
+    pub(crate) max: Series,
     /// Overall passive fraction (all hours pooled).
     pub overall: f64,
 }

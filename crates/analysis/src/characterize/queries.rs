@@ -21,7 +21,7 @@ pub fn query_counts(ft: &FilteredTrace, region: Region) -> Vec<f64> {
 
 /// Per-session query counts with rules 4/5 NOT applied (Figure 6(c));
 /// sessions are "active" here if they have any post-rule-2 query.
-pub fn query_counts_unfiltered45(ft: &FilteredTrace, region: Region) -> Vec<f64> {
+pub(crate) fn query_counts_unfiltered45(ft: &FilteredTrace, region: Region) -> Vec<f64> {
     in_region(&ft.sessions, region)
         .filter(|s| s.n_queries_unflagged45() > 0)
         .map(|s| f64::from(s.n_queries_unflagged45()))
@@ -145,7 +145,7 @@ mod tests {
         for i in 0..5 {
             s.queries.push(FilteredQuery {
                 at: SimTime::from_millis(20_000 + i * 500),
-                key: QueryId::canonical_of(&format!("f{i}")),
+                key: QueryId::intern(&format!("f{i}")).canonical(),
                 flagged45: true,
             });
         }

@@ -12,11 +12,10 @@
 
 use crate::filter::FilteredTrace;
 use geoip::Region;
-use serde::{Deserialize, Serialize};
 use stats::correlation::spearman;
 
 /// Correlation findings for one region.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CorrelationFindings {
     /// Spearman(session duration, #queries) over active sessions.
     pub duration_vs_queries: Option<f64>,
@@ -85,7 +84,7 @@ mod tests {
             let queries = (0..n)
                 .map(|k| FilteredQuery {
                     at: SimTime::from_secs(i * 100_000 + 100 + u64::from(k) * gap),
-                    key: QueryId::canonical_of(&format!("q{i} k{k}")),
+                    key: QueryId::intern(&format!("q{i} k{k}")).canonical(),
                     flagged45: false,
                 })
                 .collect::<Vec<_>>();

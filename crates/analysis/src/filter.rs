@@ -20,12 +20,11 @@
 
 use geoip::{GeoDb, Region};
 use gnutella::QueryId;
-use serde::{Deserialize, Serialize};
 use simnet::SimTime;
 use trace::{ConnectionRecord, QueryObs};
 
 /// Table 2: queries/sessions removed by each rule.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FilterReport {
     /// Raw connected sessions (with an observed end).
     pub raw_sessions: u64,
@@ -57,7 +56,7 @@ impl FilterReport {
     /// Absorb another report's counters (shard merge). Every field is a
     /// plain event count, so summing per-shard reports is exactly the
     /// report a single filter pass over the union would produce.
-    pub fn merge(&mut self, other: &FilterReport) {
+    pub(crate) fn merge(&mut self, other: &FilterReport) {
         self.raw_sessions += other.raw_sessions;
         self.unfinished_sessions += other.unfinished_sessions;
         self.raw_queries += other.raw_queries;
@@ -125,32 +124,32 @@ impl FilterReport {
 }
 
 /// One query surviving rules 1–3.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FilteredQuery {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct FilteredQuery {
     /// Arrival time.
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// Canonical keyword set (interned).
-    pub key: QueryId,
+    pub(crate) key: QueryId,
     /// Flagged by rule 4 or 5 (excluded from interarrival and, in the
     /// main analysis, from the per-session query count).
-    pub flagged45: bool,
+    pub(crate) flagged45: bool,
 }
 
 /// One session surviving rule 3, with region resolved.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FilteredSession {
     /// Region of the peer (GeoIP of the connection address).
     pub region: Region,
     /// Ultrapeer-mode connection.
-    pub ultrapeer: bool,
+    pub(crate) ultrapeer: bool,
     /// Client `User-Agent`.
-    pub user_agent: String,
+    pub(crate) user_agent: String,
     /// Session start.
-    pub start: SimTime,
+    pub(crate) start: SimTime,
     /// Session end.
-    pub end: SimTime,
+    pub(crate) end: SimTime,
     /// Queries surviving rules 1–2 (with rule-4/5 flags).
-    pub queries: Vec<FilteredQuery>,
+    pub(crate) queries: Vec<FilteredQuery>,
 }
 
 impl FilteredSession {
@@ -165,7 +164,7 @@ impl FilteredSession {
     }
 
     /// Day index of the session start.
-    pub fn start_day(&self) -> u64 {
+    pub(crate) fn start_day(&self) -> u64 {
         self.start.day()
     }
 
@@ -175,7 +174,7 @@ impl FilteredSession {
     }
 
     /// Number of queries with rules 4/5 *not* applied (Figure 6(c)).
-    pub fn n_queries_unflagged45(&self) -> u32 {
+    pub(crate) fn n_queries_unflagged45(&self) -> u32 {
         self.queries.len() as u32
     }
 
@@ -197,14 +196,14 @@ impl FilteredSession {
     }
 
     /// Seconds from the last (unflagged) query to session end.
-    pub fn time_after_last_query(&self) -> Option<f64> {
+    pub(crate) fn time_after_last_query(&self) -> Option<f64> {
         self.main_query_times()
             .last()
             .map(|t| self.end.since(t).as_secs_f64())
     }
 
     /// Hour of day at which the last (unflagged) query was sent.
-    pub fn last_query_hour(&self) -> Option<u32> {
+    pub(crate) fn last_query_hour(&self) -> Option<u32> {
         self.main_query_times().last().map(|t| t.hour_of_day())
     }
 
@@ -220,7 +219,7 @@ impl FilteredSession {
 }
 
 /// The filtered trace: surviving sessions plus the Table 2 accounting.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FilteredTrace {
     /// Sessions surviving rule 3, in start order.
     pub sessions: Vec<FilteredSession>,
@@ -229,9 +228,9 @@ pub struct FilteredTrace {
 }
 
 /// Minimum session duration (rule 3).
-pub const MIN_SESSION_SECS: f64 = 64.0;
+pub(crate) const MIN_SESSION_SECS: f64 = 64.0;
 /// Rule 4 threshold (milliseconds).
-pub const RULE4_THRESHOLD_MS: u64 = 1_000;
+pub(crate) const RULE4_THRESHOLD_MS: u64 = 1_000;
 /// Correction subtracted from probe-closed session ends (milliseconds).
 ///
 /// §3.2: when a peer vanishes silently, the measurement node probes after
@@ -241,7 +240,7 @@ pub const RULE4_THRESHOLD_MS: u64 = 1_000;
 /// delay. Without this correction, silent sessions whose true duration is
 /// 90–120 s pile up just past the 2-minute body/tail split and visibly
 /// distort the Table A.1 tail fit.
-pub const PROBE_CLOSE_CORRECTION_MS: u64 = 30_000;
+pub(crate) const PROBE_CLOSE_CORRECTION_MS: u64 = 30_000;
 
 /// Run rules 1–5 on one *completed* session that ended at `end`,
 /// updating the Table 2 accounting in `report`. Returns the surviving
@@ -366,7 +365,7 @@ mod tests {
     }
 
     fn base_trace() -> Trace {
-        Trace::new()
+        Trace::default()
     }
 
     fn add_session(
@@ -386,7 +385,7 @@ mod tests {
             closed_by_probe: false,
         });
         for &(off, text, sha1) in queries {
-            t.messages.push(MessageRecord {
+            t.messages.extend([MessageRecord {
                 session: id,
                 guid: test_guid(),
                 at: SimTime::from_secs(start_s + off),
@@ -396,7 +395,7 @@ mod tests {
                     text: text.into(),
                     sha1,
                 },
-            });
+            }]);
         }
         id
     }
@@ -412,7 +411,7 @@ mod tests {
         let f = run(&t);
         assert_eq!(f.report.rule1_removed, 1);
         assert_eq!(f.sessions[0].queries.len(), 1);
-        assert_eq!(f.sessions[0].queries[0].key.as_str(), "query real");
+        assert_eq!(f.sessions[0].queries[0].key.resolve(), "query real");
         // SHA1 *with* keywords is NOT removed by rule 1.
         let mut t2 = base_trace();
         add_session(&mut t2, 0, 300, &[(10, "some file", true)]);
@@ -459,7 +458,7 @@ mod tests {
         assert_eq!(f.report.rule3_queries_removed, 1);
         assert_eq!(f.report.final_sessions, 1);
         assert_eq!(f.sessions.len(), 1);
-        assert_eq!(f.sessions[0].queries[0].key.as_str(), "kept");
+        assert_eq!(f.sessions[0].queries[0].key.resolve(), "kept");
     }
 
     #[test]
@@ -482,7 +481,7 @@ mod tests {
             (10_800, "c three"),
             (30_000, "d four"),
         ] {
-            t.messages.push(MessageRecord {
+            t.messages.extend([MessageRecord {
                 session: id,
                 guid: test_guid(),
                 at: SimTime::from_millis(ms),
@@ -492,7 +491,7 @@ mod tests {
                     text: text.into(),
                     sha1: false,
                 },
-            });
+            }]);
         }
         let f = run(&t);
         // Both endpoints of each sub-second gap are flagged: the whole

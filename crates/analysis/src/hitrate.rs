@@ -20,7 +20,6 @@
 
 use geoip::{GeoDb, Region};
 use gnutella::Guid;
-use serde::{Deserialize, Serialize};
 use simnet::SimTime;
 use stats::correlation::spearman;
 use stats::{Ecdf, Series};
@@ -28,7 +27,7 @@ use std::collections::{BTreeMap, HashMap};
 use trace::{ConnectionRecord, MessageRecord, RecordedPayload, SessionId, TraceSink};
 
 /// Hit statistics for one peer class.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct HitRateStats {
     /// One-hop queries considered.
     pub queries: u64,
@@ -37,7 +36,7 @@ pub struct HitRateStats {
     /// QUERYHIT messages attributed to those queries.
     pub hit_messages: u64,
     /// Result records carried by those hits.
-    pub results: u64,
+    pub(crate) results: u64,
 }
 
 impl HitRateStats {

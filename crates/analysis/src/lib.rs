@@ -41,5 +41,4 @@ pub mod popularity;
 pub mod representative;
 pub mod streaming;
 
-pub use filter::{FilterReport, FilteredQuery, FilteredSession, FilteredTrace};
 pub use streaming::{analyze_retained, RetainedAnalysis, StreamingPipeline, StreamingResult};

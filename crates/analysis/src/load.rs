@@ -14,9 +14,9 @@ pub struct LoadPanel {
     /// Per-bin average across days.
     pub average: Series,
     /// Per-bin minimum across days.
-    pub min: Series,
+    pub(crate) min: Series,
     /// Per-bin maximum across days.
-    pub max: Series,
+    pub(crate) max: Series,
     /// Total query count for the region.
     pub total: u64,
 }
@@ -24,7 +24,7 @@ pub struct LoadPanel {
 /// Incremental query-load accumulator: per-region 30-minute time-of-day
 /// bins plus totals, fed one filtered session at a time. The batch
 /// [`query_load_by_time`] and the streaming pipeline both accumulate
-/// through [`LoadAccumulator::add_session`], so their panels are
+/// through `LoadAccumulator::add_session`, so their panels are
 /// bit-identical.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadAccumulator {
@@ -42,7 +42,7 @@ impl Default for LoadAccumulator {
 
 impl LoadAccumulator {
     /// Empty accumulator with the Figure 3 bin width (30 minutes).
-    pub fn new() -> LoadAccumulator {
+    pub(crate) fn new() -> LoadAccumulator {
         LoadAccumulator {
             bins: std::array::from_fn(|_| TimeOfDayBins::new(1_800).expect("1800 s divides a day")),
             totals: [0; 4],
@@ -50,7 +50,7 @@ impl LoadAccumulator {
     }
 
     /// Count one session's unflagged queries into its region's bins.
-    pub fn add_session(&mut self, s: &FilteredSession) {
+    pub(crate) fn add_session(&mut self, s: &FilteredSession) {
         let i = s.region.index();
         for q in s.queries.iter().filter(|q| !q.flagged45) {
             self.bins[i].count_at(q.at.as_secs());
@@ -59,7 +59,7 @@ impl LoadAccumulator {
     }
 
     /// Absorb another accumulator (shard merge).
-    pub fn merge(&mut self, other: &LoadAccumulator) {
+    pub(crate) fn merge(&mut self, other: &LoadAccumulator) {
         for (mine, theirs) in self.bins.iter_mut().zip(&other.bins) {
             mine.merge(theirs).expect("identical bin widths");
         }
@@ -86,7 +86,7 @@ impl LoadAccumulator {
     }
 
     /// Estimated heap footprint in bytes.
-    pub fn mem_bytes(&self) -> u64 {
+    pub(crate) fn mem_bytes(&self) -> u64 {
         self.bins.iter().map(|b| b.mem_bytes()).sum()
     }
 }

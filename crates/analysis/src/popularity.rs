@@ -9,14 +9,13 @@
 use crate::filter::{FilteredSession, FilteredTrace};
 use geoip::Region;
 use gnutella::QueryId;
-use serde::{Deserialize, Serialize};
 use stats::fit::{fit_two_piece_zipf_auto, TwoPieceZipfFit, ZipfFit};
 use stats::Series;
 use std::collections::{HashMap, HashSet};
 
 /// Disjoint geographic query classes, recomputed from the data per
 /// period (§4.6: one per region, one per pair, one for all three).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GeoClass {
     /// Only North American peers issued it.
     NaOnly,
@@ -35,19 +34,8 @@ pub enum GeoClass {
 }
 
 impl GeoClass {
-    /// All seven classes.
-    pub const ALL7: [GeoClass; 7] = [
-        GeoClass::NaOnly,
-        GeoClass::EuOnly,
-        GeoClass::AsOnly,
-        GeoClass::NaEu,
-        GeoClass::NaAs,
-        GeoClass::EuAs,
-        GeoClass::All,
-    ];
-
     /// Classify by the set of regions that issued the query.
-    pub fn of(na: bool, eu: bool, asia: bool) -> Option<GeoClass> {
+    pub(crate) fn of(na: bool, eu: bool, asia: bool) -> Option<GeoClass> {
         match (na, eu, asia) {
             (true, false, false) => Some(GeoClass::NaOnly),
             (false, true, false) => Some(GeoClass::EuOnly),
@@ -96,7 +84,7 @@ impl DailyObservations {
     /// is this applied to every session). All queries count, including
     /// rule-4/5-flagged ones (§3.3: automated re-sends still reflect
     /// user interest).
-    pub fn add_session(&mut self, s: &FilteredSession) {
+    pub(crate) fn add_session(&mut self, s: &FilteredSession) {
         for q in &s.queries {
             let day = q.at.day() as usize;
             while self.days.len() <= day {
@@ -109,7 +97,7 @@ impl DailyObservations {
     /// Absorb another observation set, summing per-(day, region, key)
     /// counts. Counts are order-independent sums, so merging per-shard
     /// observations equals collecting the union of their sessions.
-    pub fn merge(&mut self, other: &DailyObservations) {
+    pub(crate) fn merge(&mut self, other: &DailyObservations) {
         while self.days.len() < other.days.len() {
             self.days.push(Default::default());
         }
@@ -128,7 +116,7 @@ impl DailyObservations {
     }
 
     /// Estimated heap footprint in bytes (hash-map capacity based).
-    pub fn mem_bytes(&self) -> u64 {
+    pub(crate) fn mem_bytes(&self) -> u64 {
         // ~17 bytes per swiss-table slot: 12-byte (QueryId, u64) pair
         // padded to 16 plus one control byte.
         let per_slot = (std::mem::size_of::<(QueryId, u64)>() + 1) as u64;
@@ -140,7 +128,12 @@ impl DailyObservations {
     }
 
     /// Distinct keys issued by `region` during days `[start, start + len)`.
-    pub fn distinct_in_period(&self, region: Region, start: usize, len: usize) -> HashSet<QueryId> {
+    pub(crate) fn distinct_in_period(
+        &self,
+        region: Region,
+        start: usize,
+        len: usize,
+    ) -> HashSet<QueryId> {
         let mut out = HashSet::new();
         for d in start..(start + len).min(self.days.len()) {
             out.extend(self.days[d][region.index()].keys().copied());
@@ -176,10 +169,10 @@ impl DailyObservations {
 }
 
 /// Table 3 row set: distinct-query counts for one period length.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClassSizes {
     /// Period length in days.
-    pub period_days: usize,
+    pub(crate) period_days: usize,
     /// Distinct queries from North American peers.
     pub na: usize,
     /// Distinct queries from European peers.
@@ -268,7 +261,7 @@ pub fn render_table3(rows: &[ClassSizes]) -> String {
 }
 
 /// The day-`n` ranking (most frequent first) of a region's queries.
-pub fn day_ranking(obs: &DailyObservations, region: Region, day: usize) -> Vec<QueryId> {
+pub(crate) fn day_ranking(obs: &DailyObservations, region: Region, day: usize) -> Vec<QueryId> {
     let Some(counts) = obs.day_counts(region, day) else {
         return Vec::new();
     };
@@ -472,7 +465,7 @@ mod tests {
                 .enumerate()
                 .map(|(i, k)| FilteredQuery {
                     at: SimTime::from_secs(day * 86_400 + 3_700 + i as u64 * 30),
-                    key: QueryId::canonical_of(k),
+                    key: QueryId::intern(k).canonical(),
                     flagged45: false,
                 })
                 .collect(),
@@ -523,9 +516,18 @@ mod tests {
         ]);
         let obs = DailyObservations::collect(&t);
         let classes = obs.classify_day(0);
-        assert_eq!(classes[&QueryId::canonical_of("only na")], GeoClass::NaOnly);
-        assert_eq!(classes[&QueryId::canonical_of("only eu")], GeoClass::EuOnly);
-        assert_eq!(classes[&QueryId::canonical_of("both q")], GeoClass::NaEu);
+        assert_eq!(
+            classes[&QueryId::intern("only na").canonical()],
+            GeoClass::NaOnly
+        );
+        assert_eq!(
+            classes[&QueryId::intern("only eu").canonical()],
+            GeoClass::EuOnly
+        );
+        assert_eq!(
+            classes[&QueryId::intern("both q").canonical()],
+            GeoClass::NaEu
+        );
     }
 
     #[test]
@@ -567,7 +569,7 @@ mod tests {
         ]);
         let obs = DailyObservations::collect(&t);
         let ranking = day_ranking(&obs, Region::NorthAmerica, 0);
-        assert_eq!(ranking[0], QueryId::canonical_of("hot q"));
+        assert_eq!(ranking[0], QueryId::intern("hot q").canonical());
         assert_eq!(ranking.len(), 2);
     }
 

@@ -163,7 +163,7 @@ impl TraceSink for RepresentativenessFold {
 /// Mean absolute difference between one-hop and all-peers fractions — the
 /// §3.4 representativeness score (small ⇒ one-hop peers representative).
 pub fn geo_divergence(panel: &GeoPanel) -> f64 {
-    let n = panel.one_hop.len().min(panel.all_peers.len());
+    let n = panel.one_hop.ys().len().min(panel.all_peers.ys().len());
     if n == 0 {
         return 0.0;
     }
@@ -253,7 +253,7 @@ mod tests {
         assert!((p.all_peers.ys()[10] - 0.25).abs() < 1e-12);
         assert!((p.all_peers.ys()[40] - 0.25).abs() < 1e-12);
         assert_eq!(p.all_peers.ys()[7], 0.0);
-        assert_eq!(p.one_hop.xs().len(), 101);
+        assert_eq!(p.one_hop.ys().len(), 101);
     }
 
     #[test]

@@ -467,7 +467,7 @@ mod tests {
     /// Unfinished sessions are counted, not filtered.
     #[test]
     fn open_sessions_count_as_unfinished() {
-        let mut trace = Trace::new();
+        let mut trace = Trace::default();
         trace.connections.push(ConnectionRecord {
             id: SessionId(0),
             addr: Ipv4Addr::new(24, 0, 0, 1),

@@ -94,7 +94,7 @@ proptest! {
     #[test]
     fn session_reconstruction_is_exhaustive(trace in arb_finished_trace()) {
         let r = analyze_retained(&trace, &GeoDb::synthetic());
-        let hop1 = trace.messages.iter().filter(|m| m.is_one_hop_query()).count() as u64;
+        let hop1 = trace.messages.iter().filter(|m| m.hops == 1 && matches!(m.payload, RecordedPayload::Query { .. })).count() as u64;
         prop_assert_eq!(r.ft.report.raw_queries, hop1);
         prop_assert_eq!(r.ft.report.raw_sessions, trace.connections.len() as u64);
         prop_assert_eq!(r.ft.report.unfinished_sessions, 0);

@@ -8,20 +8,19 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use simnet::{SimDuration, SimTime};
 use stats::rng::gaussian;
 
 /// Poisson arrival schedule generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ArrivalProcess {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct ArrivalProcess {
     /// Mean connections per simulated day.
-    pub sessions_per_day: f64,
+    pub(crate) sessions_per_day: f64,
 }
 
 impl ArrivalProcess {
     /// Create with a daily session budget.
-    pub fn new(sessions_per_day: f64) -> ArrivalProcess {
+    pub(crate) fn new(sessions_per_day: f64) -> ArrivalProcess {
         assert!(
             sessions_per_day.is_finite() && sessions_per_day >= 0.0,
             "sessions_per_day must be non-negative"
@@ -30,12 +29,12 @@ impl ArrivalProcess {
     }
 
     /// Mean arrivals per hour.
-    pub fn hourly_rate(&self) -> f64 {
+    pub(crate) fn hourly_rate(&self) -> f64 {
         self.sessions_per_day / 24.0
     }
 
     /// Draw the arrival offsets (within the hour, ascending) for one hour.
-    pub fn arrivals_in_hour(&self, rng: &mut StdRng) -> Vec<SimDuration> {
+    pub(crate) fn arrivals_in_hour(&self, rng: &mut StdRng) -> Vec<SimDuration> {
         let n = poisson(rng, self.hourly_rate());
         let mut offs: Vec<u64> = (0..n).map(|_| rng.gen_range(0..3_600_000u64)).collect();
         offs.sort_unstable();
@@ -53,7 +52,7 @@ impl ArrivalProcess {
 /// `i + 1` is pushed no later than the instant of arrival `i`, so it is
 /// in the queue before anything that would pop after it.
 #[derive(Debug, Default)]
-pub struct HourArrivals {
+pub(crate) struct HourArrivals {
     /// The hour's instants before the campaign end, ascending.
     times: Vec<SimTime>,
     /// Index of the next instant to release.
@@ -64,7 +63,7 @@ impl HourArrivals {
     /// Draw the hour that starts at `now`, keeping the arrivals before
     /// `end`; returns how many were kept. The previous hour must have
     /// been released in full.
-    pub fn draw(
+    pub(crate) fn draw(
         &mut self,
         process: &ArrivalProcess,
         rng: &mut StdRng,
@@ -82,7 +81,7 @@ impl HourArrivals {
 
     /// The next arrival: its index among the hour's kept arrivals, and
     /// its instant.
-    pub fn release(&mut self) -> Option<(usize, SimTime)> {
+    pub(crate) fn release(&mut self) -> Option<(usize, SimTime)> {
         let at = *self.times.get(self.next)?;
         self.next += 1;
         Some((self.next - 1, at))
@@ -90,7 +89,7 @@ impl HourArrivals {
 }
 
 /// Poisson sample: Knuth's method for small λ, normal approximation above.
-pub fn poisson(rng: &mut StdRng, lambda: f64) -> u64 {
+pub(crate) fn poisson(rng: &mut StdRng, lambda: f64) -> u64 {
     if lambda <= 0.0 {
         return 0;
     }

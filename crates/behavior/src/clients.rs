@@ -9,40 +9,39 @@
 use geoip::Region;
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Automation behavior of one client implementation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ClientProfile {
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct ClientProfile {
     /// `User-Agent` string sent in the handshake.
-    pub user_agent: String,
+    pub(crate) user_agent: String,
     /// Probability that an active session issues SHA1 source-search
     /// queries (rule 1 traffic: re-queries for known files during
     /// downloads).
-    pub sha1_session_prob: f64,
+    pub(crate) sha1_session_prob: f64,
     /// Mean number of SHA1 queries in such a session (geometric).
-    pub sha1_mean: f64,
+    pub(crate) sha1_mean: f64,
     /// Probability that each user query is automatically re-sent later in
     /// the session to refresh results (rule 2 traffic).
-    pub repeat_prob: f64,
+    pub(crate) repeat_prob: f64,
     /// Mean number of automatic repeats per repeated query (geometric).
-    pub repeat_mean: f64,
+    pub(crate) repeat_mean: f64,
     /// Probability that a session opens with a sub-second burst re-sending
     /// searches issued before connecting (rule 4 traffic).
-    pub burst_prob: f64,
+    pub(crate) burst_prob: f64,
     /// Burst length bounds (distinct pre-connect searches re-sent).
-    pub burst_len: (u32, u32),
+    pub(crate) burst_len: (u32, u32),
     /// Probability that the client re-sends its search list at a fixed
     /// interval for the whole session (rule 5 traffic).
-    pub periodic_prob: f64,
+    pub(crate) periodic_prob: f64,
     /// The fixed re-query interval in seconds (identical gaps — exactly
     /// what rule 5 detects).
-    pub periodic_interval_secs: f64,
+    pub(crate) periodic_interval_secs: f64,
 }
 
 impl ClientProfile {
     /// A perfectly clean client (no automation) — useful in tests.
-    pub fn clean(user_agent: &str) -> ClientProfile {
+    pub(crate) fn clean(user_agent: &str) -> ClientProfile {
         ClientProfile {
             user_agent: user_agent.to_string(),
             sha1_session_prob: 0.0,
@@ -58,13 +57,13 @@ impl ClientProfile {
 }
 
 /// The simulated client population: profiles plus per-region mix weights.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ClientPopulation {
+#[derive(Debug, Clone)]
+pub(crate) struct ClientPopulation {
     /// The catalogue of client implementations.
-    pub profiles: Vec<ClientProfile>,
+    pub(crate) profiles: Vec<ClientProfile>,
     /// Mix weights per region (rows: NA, EU, Asia, Other), same length as
     /// `profiles`, each row summing to 1.
-    pub region_mix: [Vec<f64>; 4],
+    pub(crate) region_mix: [Vec<f64>; 4],
 }
 
 impl ClientPopulation {
@@ -74,7 +73,7 @@ impl ClientPopulation {
     /// queries, rule 2 ≈64 % of the remainder, rules 4+5 flag ≈53 % of the
     /// post-rule-3 queries; Figure 6(c): Asian sessions show a heavy
     /// unfiltered burst tail (≈4 % of sessions with >100 raw queries).
-    pub fn paper_default() -> ClientPopulation {
+    pub(crate) fn paper_default() -> ClientPopulation {
         let profiles = vec![
             // The measurement client's own lineage: clean.
             ClientProfile::clean("Mutella/0.4.5"),
@@ -150,7 +149,7 @@ impl ClientPopulation {
     }
 
     /// Draw a client profile index for a peer in `region`.
-    pub fn pick(&self, region: Region, rng: &mut StdRng) -> usize {
+    pub(crate) fn pick(&self, region: Region, rng: &mut StdRng) -> usize {
         let weights = &self.region_mix[region.index()];
         let u: f64 = rng.gen();
         let mut acc = 0.0;
@@ -164,7 +163,7 @@ impl ClientPopulation {
     }
 
     /// Profile by index.
-    pub fn profile(&self, idx: usize) -> &ClientProfile {
+    pub(crate) fn profile(&self, idx: usize) -> &ClientProfile {
         &self.profiles[idx]
     }
 }

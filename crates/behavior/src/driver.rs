@@ -14,7 +14,6 @@ use crate::vocabulary::{Vocabulary, VocabularyConfig};
 use geoip::{AddressAllocator, GeoDb};
 use gnutella::net::{NetMsg, Transport};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use simnet::{Actor, Context, LatencyModel, NodeId, SimDuration, SimStats, SimTime, Simulator};
 use stats::rng::SeedSequence;
 use std::sync::Arc;
@@ -26,10 +25,9 @@ use trace::{CollectorConfig, MeasurementPeer, SharedSink, Trace};
 /// `Full` runs every peer as a simulator actor exchanging protocol
 /// messages; `Hybrid` keeps full fidelity for everything the measurement
 /// peer can observe and replaces the rest with flow-level statistical
-/// emission (see [`crate::hybrid`]). The observed trace is bit-identical
+/// emission (see `crate::hybrid`). The observed trace is bit-identical
 /// between the two — `Hybrid` only removes work the trace can't see.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Fidelity {
     /// Full per-message actor simulation.
     #[default]
@@ -39,7 +37,7 @@ pub enum Fidelity {
 }
 
 /// Configuration of a population run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PopulationConfig {
     /// Root seed; everything derives from it.
     pub seed: u64,
@@ -62,7 +60,6 @@ pub struct PopulationConfig {
     pub transport: Transport,
     /// Simulation fidelity; `Hybrid` produces the same observed trace at
     /// a fraction of the per-message cost.
-    #[serde(default)]
     pub fidelity: Fidelity,
 }
 
@@ -109,7 +106,7 @@ pub struct CampaignStats {
     /// Messages delivered to live nodes.
     pub delivered: u64,
     /// Messages dropped because the destination was gone.
-    pub dropped: u64,
+    pub(crate) dropped: u64,
     /// Timer callbacks fired.
     pub timers_fired: u64,
     /// Nodes spawned over the lifetime of the run.
@@ -377,7 +374,7 @@ mod tests {
     fn smoke_run_produces_plausible_trace() {
         let cfg = PopulationConfig::smoke();
         // Retain the trace and fold its Table 1 counts from one stream.
-        let trace = Arc::new(parking_lot::Mutex::new(Trace::new()));
+        let trace = Arc::new(parking_lot::Mutex::new(Trace::default()));
         let stats = Arc::new(parking_lot::Mutex::new(trace::TraceStats::default()));
         let mut fanout = trace::Fanout::new();
         fanout.register(trace.clone());
@@ -423,8 +420,8 @@ mod tests {
         let quick = sessions
             .iter()
             .filter(|s| {
-                s.duration()
-                    .map(|d| d.as_secs_f64() < 64.0)
+                s.end
+                    .map(|e| e.since(s.start).as_secs_f64() < 64.0)
                     .unwrap_or(false)
             })
             .count() as f64;

@@ -7,18 +7,17 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Mixture model for a peer's advertised shared-file count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SharedFilesModel {
     /// Probability of a free rider (0 shared files). Adar & Huberman
     /// measured a substantial fraction; we default to 0.25.
-    pub free_rider_prob: f64,
+    pub(crate) free_rider_prob: f64,
     /// Probability of a small library (1–10 files, uniform).
-    pub small_prob: f64,
+    pub(crate) small_prob: f64,
     /// Probability of a medium library (11–100, log-uniform).
-    pub medium_prob: f64,
+    pub(crate) medium_prob: f64,
     // Remainder: large library (101–1000, log-uniform).
 }
 
@@ -34,7 +33,7 @@ impl Default for SharedFilesModel {
 
 impl SharedFilesModel {
     /// Draw a shared-file count.
-    pub fn sample(&self, rng: &mut StdRng) -> u32 {
+    pub(crate) fn sample(&self, rng: &mut StdRng) -> u32 {
         let u: f64 = rng.gen();
         if u < self.free_rider_prob {
             0
@@ -49,7 +48,7 @@ impl SharedFilesModel {
 
     /// Approximate shared kilobytes for a library of `files` files
     /// (≈4 MB median per file — 2004 MP3s).
-    pub fn kb_for(&self, files: u32, rng: &mut StdRng) -> u32 {
+    pub(crate) fn kb_for(&self, files: u32, rng: &mut StdRng) -> u32 {
         if files == 0 {
             return 0;
         }

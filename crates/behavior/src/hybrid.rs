@@ -147,7 +147,7 @@ struct Session {
 /// A hybrid-fidelity campaign: drop-in replacement for the
 /// full-fidelity `Simulator` campaign, producing a bit-identical
 /// observed trace.
-pub struct HybridCampaign {
+pub(crate) struct HybridCampaign {
     queue: EventQueue<Body>,
     end: SimTime,
     horizon: SimTime,
@@ -199,7 +199,7 @@ pub struct HybridCampaign {
 impl HybridCampaign {
     /// Build a campaign exactly as the full-fidelity driver would: same
     /// seed derivations, same environment, same horizon.
-    pub fn new(
+    pub(crate) fn new(
         cfg: &PopulationConfig,
         vocab: Arc<Vocabulary>,
         seq: SeedSequence,
@@ -250,7 +250,7 @@ impl HybridCampaign {
 
     /// The instant the campaign stops processing (campaign end plus the
     /// settling grace period).
-    pub fn horizon(&self) -> SimTime {
+    pub(crate) fn horizon(&self) -> SimTime {
         self.horizon
     }
 
@@ -261,7 +261,7 @@ impl HybridCampaign {
     /// Run the event loop until the earliest pending event is past
     /// `until`. Events past `until` are never popped, as in
     /// [`simnet::Simulator::run_until`].
-    pub fn run_until(&mut self, until: SimTime) {
+    pub(crate) fn run_until(&mut self, until: SimTime) {
         while let Some((at, body)) = self.queue.pop_at_or_before(until) {
             self.pops += 1;
             self.process(at, body);
@@ -269,7 +269,7 @@ impl HybridCampaign {
     }
 
     /// Finish the campaign: drain buffered records and report statistics.
-    pub fn finish(mut self) -> CampaignStats {
+    pub(crate) fn finish(mut self) -> CampaignStats {
         self.recorder.flush();
         let sim = SimStats {
             delivered: self.delivered,

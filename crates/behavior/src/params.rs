@@ -8,26 +8,24 @@
 //! quick disconnects (§3.3 rule 3), silent vanishing and BYE teardown
 //! (§3.2), ultrapeer mode (Table 1) and keepalive PINGs.
 
-use serde::{Deserialize, Serialize};
-
 /// The connection-level parameter set.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BehaviorParams {
+#[derive(Debug, Clone)]
+pub(crate) struct BehaviorParams {
     /// Probability that a raw connection is a system-level quick
     /// disconnect (§3.3 rule 3: ≈70 % of connections end within 64 s).
-    pub quick_disconnect_prob: f64,
+    pub(crate) quick_disconnect_prob: f64,
     /// Fraction of sessions ending silently (no TCP teardown observed;
     /// the measurement peer probe-closes them ≈30 s later, §3.2).
-    pub vanish_prob: f64,
+    pub(crate) vanish_prob: f64,
     /// Of the sessions that do tear down visibly, the fraction that send a
     /// spec-compliant BYE first — "many Gnutella clients do not terminate
     /// an overlay connection by sending a BYE message" (§3.2), so this is
     /// small.
-    pub bye_prob: f64,
+    pub(crate) bye_prob: f64,
     /// Fraction of connections in ultrapeer mode (Table 1: ≈40 %).
-    pub ultrapeer_prob: f64,
+    pub(crate) ultrapeer_prob: f64,
     /// Client keepalive PING interval bounds, seconds.
-    pub keepalive_secs: (f64, f64),
+    pub(crate) keepalive_secs: (f64, f64),
 }
 
 impl Default for BehaviorParams {
@@ -47,7 +45,7 @@ impl BehaviorParams {
     /// end within 10 s, 32 % within 20–25 s, ~9 % within 25–64 s (the three
     /// weights renormalized within the quick class).
     /// Returns `(weight, lo_secs, hi_secs)` mixture components.
-    pub fn quick_disconnect_mixture(&self) -> [(f64, f64, f64); 3] {
+    pub(crate) fn quick_disconnect_mixture(&self) -> [(f64, f64, f64); 3] {
         [
             (0.29 / 0.70, 1.5, 10.0),
             (0.32 / 0.70, 20.0, 25.0),
@@ -121,13 +119,5 @@ mod tests {
         let na_few = laws.interarrival(Region::NorthAmerica, true, 2);
         let na_many = laws.interarrival(Region::NorthAmerica, true, 20);
         assert_eq!(na_few.quantile(0.5), na_many.quantile(0.5));
-    }
-
-    #[test]
-    fn serde_round_trips() {
-        let p = BehaviorParams::default();
-        let j = serde_json::to_string(&p).unwrap();
-        let back: BehaviorParams = serde_json::from_str(&j).unwrap();
-        assert_eq!(back.quick_disconnect_prob, p.quick_disconnect_prob);
     }
 }

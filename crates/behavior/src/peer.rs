@@ -39,21 +39,20 @@ use gnutella::net::{NetMsg, Transport};
 use gnutella::wire::decode_message;
 use gnutella::{Guid, Handshake, HandshakeResponse};
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use simnet::{Actor, Context, LatencyModel, NodeId, SimDuration, SimTime};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 /// Mean intervals for relayed background traffic emitted by ultrapeer
 /// neighbors (exponential interarrivals).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RelayRates {
     /// Mean seconds between relayed QUERYs per ultrapeer neighbor.
-    pub query_mean_secs: f64,
+    pub(crate) query_mean_secs: f64,
     /// Mean seconds between relayed PONGs.
-    pub pong_mean_secs: f64,
+    pub(crate) pong_mean_secs: f64,
     /// Mean seconds between relayed QUERYHITs.
-    pub hit_mean_secs: f64,
+    pub(crate) hit_mean_secs: f64,
 }
 
 impl Default for RelayRates {
@@ -70,26 +69,26 @@ impl Default for RelayRates {
 
 /// Shared environment handed to every client peer.
 #[derive(Clone)]
-pub struct PeerEnv {
+pub(crate) struct PeerEnv {
     /// Query vocabulary (for relayed query text).
-    pub vocab: Arc<Vocabulary>,
+    pub(crate) vocab: Arc<Vocabulary>,
     /// Diurnal model (for relayed traffic's remote-region mix).
-    pub diurnal: DiurnalModel,
+    pub(crate) diurnal: DiurnalModel,
     /// Address allocator (for relayed remote addresses).
-    pub alloc: Arc<AddressAllocator>,
+    pub(crate) alloc: Arc<AddressAllocator>,
     /// Shared-files model (for relayed PONG advertisements).
-    pub files: SharedFilesModel,
+    pub(crate) files: SharedFilesModel,
     /// Relay traffic rates.
-    pub relay: RelayRates,
+    pub(crate) relay: RelayRates,
     /// Link latency toward the measurement peer.
-    pub latency: LatencyModel,
+    pub(crate) latency: LatencyModel,
     /// How frames travel toward the measurement peer: typed (default,
     /// zero-copy) or byte-encoded (codec exercised on every send).
-    pub transport: Transport,
+    pub(crate) transport: Transport,
 }
 
 /// One simulated client peer session.
-pub struct ClientPeer {
+pub(crate) struct ClientPeer {
     server: NodeId,
     addr: Ipv4Addr,
     plan: SessionPlan,
@@ -106,7 +105,7 @@ pub struct ClientPeer {
 
 impl ClientPeer {
     /// Create a peer that will execute `plan` from address `addr`.
-    pub fn new(
+    pub(crate) fn new(
         server: NodeId,
         addr: Ipv4Addr,
         plan: SessionPlan,

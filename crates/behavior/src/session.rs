@@ -15,12 +15,11 @@ use gnutella::QueryId;
 use model::{ModelLaws, WorkloadModel};
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use simnet::SimDuration;
 use std::sync::Arc;
 
 /// Ground truth for why a query message exists.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryOrigin {
     /// A genuine user search issued during the session.
     User,
@@ -38,19 +37,10 @@ pub enum QueryOrigin {
     AutoQuick,
 }
 
-impl QueryOrigin {
-    /// True for origins whose query text reflects user interest (§3.3:
-    /// rules 4/5 queries count toward popularity and #queries).
-    pub fn reflects_user_interest(self) -> bool {
-        matches!(
-            self,
-            QueryOrigin::User | QueryOrigin::AutoBurst | QueryOrigin::AutoPeriodic
-        )
-    }
-}
+impl QueryOrigin {}
 
 /// One query the peer will send, at `offset` after session start.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlannedQuery {
     /// Offset from session start.
     pub offset: SimDuration,
@@ -63,7 +53,7 @@ pub struct PlannedQuery {
 }
 
 /// Session classification in the generative model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionKind {
     /// System-level quick disconnect (< 64 s, rule 3 target).
     Quick,
@@ -74,14 +64,14 @@ pub enum SessionKind {
 }
 
 /// The complete plan for one connected session.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionPlan {
     /// Peer region.
-    pub region: Region,
+    pub(crate) region: Region,
     /// Index into the client population.
-    pub client_idx: usize,
+    pub(crate) client_idx: usize,
     /// The client's `User-Agent`.
-    pub user_agent: String,
+    pub(crate) user_agent: String,
     /// Session kind (ground truth).
     pub kind: SessionKind,
     /// Planned session duration (connect → teardown/vanish).
@@ -90,31 +80,31 @@ pub struct SessionPlan {
     pub queries: Vec<PlannedQuery>,
     /// True if the peer vanishes silently (no TCP teardown) — the
     /// measurement peer will probe-close ≈30 s later.
-    pub vanish: bool,
+    pub(crate) vanish: bool,
     /// True if the peer sends a spec-compliant BYE before tearing down
     /// (rare in 2004 practice, §3.2).
-    pub send_bye: bool,
+    pub(crate) send_bye: bool,
     /// Connection advertises ultrapeer mode.
     pub ultrapeer: bool,
     /// Shared-file count advertised in PONGs.
-    pub shared_files: u32,
+    pub(crate) shared_files: u32,
     /// Ground-truth number of *user* queries.
     pub user_query_count: u32,
     /// Whether the session started in the region's peak period.
-    pub peak: bool,
+    pub(crate) peak: bool,
 }
 
 /// Draws session plans from the behavior model.
 #[derive(Debug, Clone)]
 pub struct SessionPlanner {
     /// Connection-level parameters the paper's model does not describe.
-    pub params: BehaviorParams,
+    pub(crate) params: BehaviorParams,
     /// The user layer: the paper's passive fraction and session laws.
-    pub laws: ModelLaws,
+    pub(crate) laws: ModelLaws,
     /// Client-software population.
-    pub clients: ClientPopulation,
+    pub(crate) clients: ClientPopulation,
     /// Query vocabulary (shared across the population).
-    pub vocab: Arc<Vocabulary>,
+    pub(crate) vocab: Arc<Vocabulary>,
     /// Shared-files model.
     pub files: SharedFilesModel,
     /// Diurnal model (peak classification).

@@ -6,9 +6,9 @@
 //! stream, in one canonical order. Both execution fidelities consume
 //! this module:
 //!
-//! * **full** ([`crate::peer::ClientPeer`]) turns each draw into a real
+//! * **full** (`crate::peer::ClientPeer`) turns each draw into a real
 //!   [`gnutella::message::Message`] and sends it through `simnet`;
-//! * **hybrid** ([`crate::hybrid`]) turns the same draw into a trace
+//! * **hybrid** (`crate::hybrid`) turns the same draw into a trace
 //!   record plus an analytic wire length, skipping message construction
 //!   entirely.
 //!
@@ -36,20 +36,20 @@ use simnet::{SimDuration, SimTime};
 use std::net::Ipv4Addr;
 
 /// Fixed name of the single result in an answer to a forwarded query.
-pub const ANSWER_FILE_NAME: &str = "match.mp3";
+pub(crate) const ANSWER_FILE_NAME: &str = "match.mp3";
 
 /// Reason text of the BYE a session sends when it closes visibly.
-pub const BYE_REASON: &str = "shutting down";
+pub(crate) const BYE_REASON: &str = "shutting down";
 
 /// Draw an exponential delay with the given mean.
-pub fn exp_delay(rng: &mut StdRng, mean_secs: f64) -> SimDuration {
+pub(crate) fn exp_delay(rng: &mut StdRng, mean_secs: f64) -> SimDuration {
     let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
     SimDuration::from_secs_f64(-mean_secs * u.ln())
 }
 
 /// Received hop counts of relayed traffic: skewed toward the middle of
 /// the 7-hop flood radius. Returns `(hops, ttl)`.
-pub fn relay_header(rng: &mut StdRng) -> (u8, u8) {
+pub(crate) fn relay_header(rng: &mut StdRng) -> (u8, u8) {
     let hops = *[2u8, 2, 3, 3, 3, 4, 4, 5, 5, 6]
         .get(rng.gen_range(0..10))
         .unwrap();
@@ -66,9 +66,9 @@ pub struct RelayQueryDraw {
     /// Received hop count.
     pub hops: u8,
     /// Remaining TTL.
-    pub ttl: u8,
+    pub(crate) ttl: u8,
     /// Message GUID.
-    pub guid: Guid,
+    pub(crate) guid: Guid,
 }
 
 /// Draw a relayed QUERY (region → text → header → GUID).
@@ -94,15 +94,15 @@ pub fn draw_relay_query(
 /// A relayed PONG, fully drawn.
 pub struct RelayPongDraw {
     /// Advertised remote address.
-    pub addr: Ipv4Addr,
+    pub(crate) addr: Ipv4Addr,
     /// Advertised shared-file count.
     pub files: u32,
     /// Advertised shared kilobytes.
-    pub kb: u32,
+    pub(crate) kb: u32,
     /// Received hop count.
-    pub hops: u8,
+    pub(crate) hops: u8,
     /// Remaining TTL.
-    pub ttl: u8,
+    pub(crate) ttl: u8,
     /// Message GUID.
     pub guid: Guid,
 }
@@ -132,33 +132,33 @@ pub fn draw_relay_pong(
 }
 
 /// One drawn result record of a relayed QUERYHIT. The file name on the
-/// wire is `file{num:04}.mp3` — always [`RELAY_HIT_NAME_LEN`] bytes.
+/// wire is `file{num:04}.mp3` — always `RELAY_HIT_NAME_LEN` bytes.
 pub struct RelayHitResultDraw {
     /// File size in bytes.
-    pub size: u32,
+    pub(crate) size: u32,
     /// Four-digit number embedded in the file name.
-    pub name_num: u32,
+    pub(crate) name_num: u32,
 }
 
 /// Byte length of every relayed-hit file name (`fileNNNN.mp3`).
-pub const RELAY_HIT_NAME_LEN: usize = 12;
+pub(crate) const RELAY_HIT_NAME_LEN: usize = 12;
 
 /// A relayed QUERYHIT, fully drawn.
 pub struct RelayHitDraw {
     /// Responder address.
-    pub addr: Ipv4Addr,
+    pub(crate) addr: Ipv4Addr,
     /// Received hop count.
-    pub hops: u8,
+    pub(crate) hops: u8,
     /// Remaining TTL.
-    pub ttl: u8,
+    pub(crate) ttl: u8,
     /// Result records (1..=4).
     pub results: Vec<RelayHitResultDraw>,
     /// Message GUID.
-    pub guid: Guid,
+    pub(crate) guid: Guid,
     /// Responder advertised speed.
     pub speed: u32,
     /// Responder servent GUID.
-    pub servent: Guid,
+    pub(crate) servent: Guid,
 }
 
 /// Draw a relayed QUERYHIT
@@ -194,19 +194,19 @@ pub fn draw_relay_hit(
 /// An answer to a query forwarded by the measurement peer, fully drawn.
 /// The hit reuses the incoming GUID (drawn by the querying peer), so only
 /// the responder-side fields are here.
-pub struct QueryAnswerDraw {
+pub(crate) struct QueryAnswerDraw {
     /// Responder advertised speed.
-    pub speed: u32,
+    pub(crate) speed: u32,
     /// Size of the single matching file.
-    pub size: u32,
+    pub(crate) size: u32,
     /// Responder servent GUID.
-    pub servent: Guid,
+    pub(crate) servent: Guid,
 }
 
 /// Decide whether a session answers a forwarded query, and draw the
 /// answer (p → speed → size → servent). Sessions sharing no files never
 /// answer — and consume no randomness.
-pub fn draw_query_answer(shared_files: u32, rng: &mut StdRng) -> Option<QueryAnswerDraw> {
+pub(crate) fn draw_query_answer(shared_files: u32, rng: &mut StdRng) -> Option<QueryAnswerDraw> {
     if shared_files == 0 {
         return None;
     }

@@ -28,14 +28,13 @@ use gnutella::QueryId;
 use model::{QueryClass, RankLaw};
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use stats::dist::{TwoPieceZipf, Zipf};
 use stats::rank::drifted_hot_set;
 use stats::rng::SeedSequence;
 use std::sync::OnceLock;
 
 /// Vocabulary construction parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VocabularyConfig {
     /// Daily active-set size per class (Table 3, 1-day column, made
     /// disjoint: NA-only 1931, EU-only 1875, AS-only 145, NA∩EU 54,
@@ -59,19 +58,19 @@ pub struct VocabularyConfig {
     /// (§4.7: "for North American peers, a query is in the set of North
     /// American queries with probability 0.97, and with probability 0.03
     /// in the intersection set"). Rows: NA, EU, AS, Other; columns: the
-    /// classes that region participates in, see [`Vocabulary::pick_class`].
+    /// classes that region participates in, see `Vocabulary::pick_class`.
     pub class_mix: ClassMix,
 }
 
 /// Per-region class-selection probabilities.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ClassMix {
     /// NA: (NaOnly, NaEu, NaAs, All).
-    pub na: (f64, f64, f64, f64),
+    pub(crate) na: (f64, f64, f64, f64),
     /// EU: (EuOnly, NaEu, EuAs, All).
-    pub eu: (f64, f64, f64, f64),
+    pub(crate) eu: (f64, f64, f64, f64),
     /// AS: (AsOnly, NaAs, EuAs, All).
-    pub asia: (f64, f64, f64, f64),
+    pub(crate) asia: (f64, f64, f64, f64),
 }
 
 impl Default for VocabularyConfig {
@@ -206,32 +205,8 @@ impl Vocabulary {
         (pool, ranking)
     }
 
-    /// Build with defaults.
-    pub fn paper_default(seed: u64) -> Vocabulary {
-        Vocabulary::build(seed, VocabularyConfig::default())
-    }
-
-    /// The construction parameters.
-    pub fn config(&self) -> &VocabularyConfig {
-        &self.config
-    }
-
-    /// Daily active-set size of a class.
-    pub fn daily_size(&self, class: QueryClass) -> usize {
-        self.classes[class.index()].daily_size
-    }
-
-    /// The day's active set (rank order) as text references.
-    pub fn day_set(&self, class: QueryClass, day: usize) -> Vec<&'static str> {
-        let (pool, ranking) = self.ranked(class, day);
-        ranking
-            .iter()
-            .map(|&i| pool.ids[i as usize].resolve())
-            .collect()
-    }
-
     /// Pick the class for a query issued by a peer in `region`.
-    pub fn pick_class(&self, region: Region, rng: &mut StdRng) -> QueryClass {
+    pub(crate) fn pick_class(&self, region: Region, rng: &mut StdRng) -> QueryClass {
         let mix = &self.config.class_mix;
         let (own, pair_a, pair_b, all, classes): (f64, f64, f64, f64, [QueryClass; 4]) =
             match region {
@@ -292,7 +267,12 @@ impl Vocabulary {
     }
 
     /// Draw a query from a specific class on `day`.
-    pub fn sample_from_class(&self, class: QueryClass, day: usize, rng: &mut StdRng) -> QueryId {
+    pub(crate) fn sample_from_class(
+        &self,
+        class: QueryClass,
+        day: usize,
+        rng: &mut StdRng,
+    ) -> QueryId {
         let (pool, ranking) = self.ranked(class, day);
         let rank = pool.law.sample(rng) as usize; // 1-based
         let idx = ranking[(rank - 1).min(pool.daily_size - 1)];
@@ -305,6 +285,15 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use std::collections::HashSet;
+
+    /// The day's active set (rank order) as text references.
+    fn day_set(v: &Vocabulary, class: QueryClass, day: usize) -> Vec<&'static str> {
+        let (pool, ranking) = v.ranked(class, day);
+        ranking
+            .iter()
+            .map(|&i| pool.ids[i as usize].resolve())
+            .collect()
+    }
 
     fn small_config() -> VocabularyConfig {
         VocabularyConfig {
@@ -330,9 +319,13 @@ mod tests {
     #[test]
     fn day_sets_have_configured_sizes() {
         let v = Vocabulary::build(2, small_config());
-        assert_eq!(v.day_set(QueryClass::NaOnly, 0).len(), 200);
-        assert_eq!(v.day_set(QueryClass::All, 3).len(), 2);
-        assert_eq!(v.daily_size(QueryClass::EuOnly), 180);
+        assert_eq!(day_set(&v, QueryClass::NaOnly, 0).len(), 200);
+        assert_eq!(day_set(&v, QueryClass::All, 3).len(), 2);
+        assert_eq!(v.classes[QueryClass::EuOnly.index()].daily_size, 180);
+        // A day's set never repeats a query.
+        let set = day_set(&v, QueryClass::NaOnly, 1);
+        let uniq: HashSet<&str> = set.iter().copied().collect();
+        assert_eq!(uniq.len(), set.len());
     }
 
     #[test]
@@ -342,13 +335,11 @@ mod tests {
         let v = Vocabulary::build(3, small_config());
         let mut overlaps = Vec::new();
         for day in 0..5 {
-            let top10: HashSet<&str> = v
-                .day_set(QueryClass::NaOnly, day)
+            let top10: HashSet<&str> = day_set(&v, QueryClass::NaOnly, day)
                 .into_iter()
                 .take(10)
                 .collect();
-            let top100: HashSet<&str> = v
-                .day_set(QueryClass::NaOnly, day + 1)
+            let top100: HashSet<&str> = day_set(&v, QueryClass::NaOnly, day + 1)
                 .into_iter()
                 .take(100)
                 .collect();
@@ -386,14 +377,14 @@ mod tests {
     fn sampling_respects_daily_set_and_zipf_head() {
         let v = Vocabulary::build(5, small_config());
         let mut rng = StdRng::seed_from_u64(7);
-        let day_set: HashSet<&str> = v.day_set(QueryClass::NaOnly, 2).into_iter().collect();
+        let in_set: HashSet<&str> = day_set(&v, QueryClass::NaOnly, 2).into_iter().collect();
         let mut head_hits = 0;
-        let top1 = v.day_set(QueryClass::NaOnly, 2)[0];
+        let top1 = day_set(&v, QueryClass::NaOnly, 2)[0];
         for _ in 0..5_000 {
             let q = v
                 .sample_from_class(QueryClass::NaOnly, 2, &mut rng)
                 .resolve();
-            assert!(day_set.contains(q), "query {q} outside day set");
+            assert!(in_set.contains(q), "query {q} outside day set");
             if q == top1 {
                 head_hits += 1;
             }
@@ -408,13 +399,13 @@ mod tests {
         let a = Vocabulary::build(8, small_config());
         let b = Vocabulary::build(8, small_config());
         assert_eq!(
-            a.day_set(QueryClass::EuOnly, 1),
-            b.day_set(QueryClass::EuOnly, 1)
+            day_set(&a, QueryClass::EuOnly, 1),
+            day_set(&b, QueryClass::EuOnly, 1)
         );
         let c = Vocabulary::build(9, small_config());
         assert_ne!(
-            a.day_set(QueryClass::EuOnly, 1),
-            c.day_set(QueryClass::EuOnly, 1)
+            day_set(&a, QueryClass::EuOnly, 1),
+            day_set(&c, QueryClass::EuOnly, 1)
         );
     }
 
@@ -432,8 +423,8 @@ mod tests {
     fn day_wraps_beyond_horizon() {
         let v = Vocabulary::build(10, small_config());
         assert_eq!(
-            v.day_set(QueryClass::NaOnly, 0),
-            v.day_set(QueryClass::NaOnly, 6)
+            day_set(&v, QueryClass::NaOnly, 0),
+            day_set(&v, QueryClass::NaOnly, 6)
         );
     }
 }

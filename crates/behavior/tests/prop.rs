@@ -77,16 +77,4 @@ proptest! {
         );
     }
 
-    #[test]
-    fn vocabulary_day_sets_are_duplicate_free(seed in any::<u64>(), day in 0usize..3) {
-        let cfg = VocabularyConfig {
-            daily_sizes: [80, 70, 30, 10, 3, 3, 2],
-            n_days: 3,
-            ..VocabularyConfig::default()
-        };
-        let v = Vocabulary::build(seed, cfg);
-        let set = v.day_set(behavior::QueryClass::NaOnly, day);
-        let uniq: std::collections::HashSet<&str> = set.iter().copied().collect();
-        prop_assert_eq!(uniq.len(), set.len());
-    }
 }

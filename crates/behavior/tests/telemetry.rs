@@ -87,7 +87,7 @@ fn smoke_campaign(fidelity: Fidelity) -> (Trace, Vec<usize>, CampaignStats) {
         fidelity,
         ..PopulationConfig::smoke()
     };
-    let trace = Arc::new(Mutex::new(Trace::new()));
+    let trace = Arc::new(Mutex::new(Trace::default()));
     let lens = Arc::new(Mutex::new(BatchLens::default()));
     let mut fanout = Fanout::new();
     fanout.register(trace.clone());

@@ -1,4 +1,4 @@
-//! Retained-analysis and trace-export throughput.
+//! Retained-analysis throughput.
 
 use analysis::analyze_retained;
 use behavior::{run_population, PopulationConfig};
@@ -26,15 +26,6 @@ fn bench_filter(c: &mut Criterion) {
     // a campaign.
     group.bench_function("retained_analysis", |b| {
         b.iter(|| black_box(analyze_retained(&trace, &db)))
-    });
-
-    // JSONL serialization round trip.
-    group.bench_function("trace_jsonl_write", |b| {
-        b.iter(|| {
-            let mut buf = Vec::with_capacity(1 << 20);
-            trace.write_jsonl(&mut buf).unwrap();
-            black_box(buf.len())
-        })
     });
     group.finish();
 }

@@ -1,12 +1,11 @@
-//! Routing-table ablation: duplicate-suppression cost and memory vs GUID
-//! expiry interval (DESIGN.md ablation 4), plus an event-queue
-//! implementation comparison (ablation 5).
+//! Routing-table ablation: duplicate-suppression cost vs GUID expiry
+//! interval (DESIGN.md ablation 4).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gnutella::{Guid, RoutingTable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simnet::{EventQueue, NodeId, SimDuration, SimTime};
+use simnet::{NodeId, SimDuration, SimTime};
 
 fn bench_routing(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(5);
@@ -35,46 +34,6 @@ fn bench_routing(c: &mut Criterion) {
             },
         );
     }
-    group.finish();
-
-    // Event queue: binary heap vs naive sorted Vec under a generator-like
-    // mix (mostly near-future inserts).
-    let mut rng = StdRng::seed_from_u64(6);
-    let schedule: Vec<u64> = (0..20_000)
-        .map(|i| i as u64 * 10 + rng.gen_range(0..5_000))
-        .collect();
-
-    let mut group = c.benchmark_group("event_queue");
-    group.throughput(Throughput::Elements(schedule.len() as u64));
-    group.bench_function("binary_heap", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::new();
-            for &t in &schedule {
-                q.push(SimTime::from_millis(t), ());
-            }
-            let mut n = 0;
-            while q.pop().is_some() {
-                n += 1;
-            }
-            black_box(n)
-        })
-    });
-    group.bench_function("sorted_vec", |b| {
-        b.iter(|| {
-            // The naive alternative: keep a Vec sorted descending, pop from
-            // the back. Insertion is O(n) — this is the ablation baseline.
-            let mut q: Vec<(u64, ())> = Vec::new();
-            for &t in &schedule {
-                let pos = q.partition_point(|&(x, _)| x > t);
-                q.insert(pos, (t, ()));
-            }
-            let mut n = 0;
-            while q.pop().is_some() {
-                n += 1;
-            }
-            black_box(n)
-        })
-    });
     group.finish();
 }
 

@@ -18,7 +18,7 @@ const MAX_RANK: usize = 100;
 /// rule applied, so repeats, SHA1-with-keywords and quick-session
 /// traffic are all counted — into per-day counts per query string: the
 /// unfiltered half of [`filters_onoff`].
-pub struct RawNaQueries {
+pub(crate) struct RawNaQueries {
     db: GeoDb,
     /// Whether each session's peer is North American, by session id.
     na: Vec<bool>,
@@ -27,7 +27,7 @@ pub struct RawNaQueries {
 
 impl RawNaQueries {
     /// An empty fold resolving regions with `db`.
-    pub fn new(db: GeoDb) -> RawNaQueries {
+    pub(crate) fn new(db: GeoDb) -> RawNaQueries {
         RawNaQueries {
             db,
             na: Vec::new(),
@@ -37,7 +37,7 @@ impl RawNaQueries {
 
     /// Each day's query shares by rank (top 100), averaged over the
     /// days with queries — the same curve Figure 11 fits.
-    pub fn finish(self) -> Vec<f64> {
+    pub(crate) fn finish(self) -> Vec<f64> {
         let mut sums = vec![0.0f64; MAX_RANK];
         let mut days = 0usize;
         for counts in &self.per_day {
@@ -89,7 +89,7 @@ impl TraceSink for RawNaQueries {
 /// Ablation 1 — what happens to the popularity exponent if the filter
 /// rules are NOT applied (the paper's headline claim: automated re-queries
 /// inflate Zipf exponents; prior unfiltered work measured α ≈ 1).
-pub fn filters_onoff(ctx: &ExperimentContext) -> String {
+pub(crate) fn filters_onoff(ctx: &ExperimentContext) -> String {
     let mut out = String::new();
 
     // Filtered: the standard per-day NA-only popularity fit.
@@ -129,7 +129,7 @@ pub fn filters_onoff(ctx: &ExperimentContext) -> String {
 }
 
 /// Ablation 2 — full conditional model vs a region-aggregate model.
-pub fn conditional_vs_aggregate(ctx: &ExperimentContext) -> String {
+pub(crate) fn conditional_vs_aggregate(ctx: &ExperimentContext) -> String {
     use p2pq::{collect_sessions, GeneratorConfig, WorkloadGenerator, WorkloadModel};
     let mut out = String::new();
 
@@ -206,7 +206,7 @@ pub fn conditional_vs_aggregate(ctx: &ExperimentContext) -> String {
 }
 
 /// Ablation 3 — per-day ranking vs whole-trace ranking: the flattened head.
-pub fn hotset_onoff(ctx: &ExperimentContext) -> String {
+pub(crate) fn hotset_onoff(ctx: &ExperimentContext) -> String {
     let mut out = String::new();
 
     // Per-day averaged rank-frequency (the paper's method).

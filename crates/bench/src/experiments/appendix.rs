@@ -17,7 +17,7 @@ fn period_name(peak: bool) -> &'static str {
 }
 
 /// Table A.1 — passive session duration (lognormal ‖ lognormal at 2 min).
-pub fn table_a1(ctx: &ExperimentContext) -> String {
+pub(crate) fn table_a1(ctx: &ExperimentContext) -> String {
     let mut out = String::new();
     out.push_str("Passive connected-session duration, North American peers\n\n");
     let paper = [
@@ -57,7 +57,7 @@ pub fn table_a1(ctx: &ExperimentContext) -> String {
 }
 
 /// Table A.2 — queries per active session (lognormal per region).
-pub fn table_a2(ctx: &ExperimentContext) -> String {
+pub(crate) fn table_a2(ctx: &ExperimentContext) -> String {
     let mut out = String::new();
     out.push_str("Active session length in queries, lognormal fits\n\n");
     let paper = [
@@ -86,7 +86,7 @@ pub fn table_a2(ctx: &ExperimentContext) -> String {
 }
 
 /// Table A.3 — time until first query (Weibull ‖ lognormal).
-pub fn table_a3(ctx: &ExperimentContext) -> String {
+pub(crate) fn table_a3(ctx: &ExperimentContext) -> String {
     let mut out = String::new();
     out.push_str("Time until first query, North American peers\n\n");
     let paper = [
@@ -159,7 +159,7 @@ pub fn table_a3(ctx: &ExperimentContext) -> String {
 }
 
 /// Table A.4 — query interarrival time (lognormal ‖ Pareto at 103 s).
-pub fn table_a4(ctx: &ExperimentContext) -> String {
+pub(crate) fn table_a4(ctx: &ExperimentContext) -> String {
     let mut out = String::new();
     out.push_str("Query interarrival time, North American peers\n\n");
     let paper = [
@@ -204,7 +204,7 @@ pub fn table_a4(ctx: &ExperimentContext) -> String {
 }
 
 /// Table A.5 — time after last query (lognormal).
-pub fn table_a5(ctx: &ExperimentContext) -> String {
+pub(crate) fn table_a5(ctx: &ExperimentContext) -> String {
     let mut out = String::new();
     out.push_str("Time after the last query, North American peers\n\n");
     let paper = [
@@ -256,7 +256,7 @@ pub fn table_a5(ctx: &ExperimentContext) -> String {
 }
 
 /// Figure A.1 — fitted vs measured distributions (KS distances).
-pub fn fig_a1(ctx: &ExperimentContext) -> String {
+pub(crate) fn fig_a1(ctx: &ExperimentContext) -> String {
     let mut out = String::new();
     out.push_str("Fitted vs measured, North American peers (KS statistic; smaller = closer)\n\n");
 

@@ -11,7 +11,7 @@ use analysis::representative;
 use geoip::Region;
 
 /// Figure 1 — geographic distribution of one-hop vs all peers, hourly.
-pub fn fig01(ctx: &ExperimentContext) -> String {
+pub(crate) fn fig01(ctx: &ExperimentContext) -> String {
     let mut out = String::new();
     for (region, panel) in &ctx.peers.geo {
         out.push_str(&format!("{} (fraction of peers by hour):\n", region.name()));
@@ -28,7 +28,7 @@ pub fn fig01(ctx: &ExperimentContext) -> String {
 }
 
 /// Figure 2 — shared-file counts of one-hop vs all peers.
-pub fn fig02(ctx: &ExperimentContext) -> String {
+pub(crate) fn fig02(ctx: &ExperimentContext) -> String {
     let p = &ctx.peers.shared_files;
     let mut out = String::new();
     out.push_str("Fraction of peers sharing k files (log-scale in the paper):\n");
@@ -56,7 +56,7 @@ pub fn fig02(ctx: &ExperimentContext) -> String {
 }
 
 /// Figure 3 — query load vs time of day (30-minute bins).
-pub fn fig03(ctx: &ExperimentContext) -> String {
+pub(crate) fn fig03(ctx: &ExperimentContext) -> String {
     let mut out = String::new();
     for region in Region::CHARACTERIZED {
         let p = ctx.load.panel(region);
@@ -76,7 +76,7 @@ pub fn fig03(ctx: &ExperimentContext) -> String {
 }
 
 /// Figure 4 — fraction of passive peers by hour.
-pub fn fig04(ctx: &ExperimentContext) -> String {
+pub(crate) fn fig04(ctx: &ExperimentContext) -> String {
     let mut out = String::new();
     let paper = [
         (Region::NorthAmerica, "80-85 %"),
@@ -98,7 +98,7 @@ pub fn fig04(ctx: &ExperimentContext) -> String {
 }
 
 /// Figure 5 — passive session duration CCDFs.
-pub fn fig05(ctx: &ExperimentContext) -> String {
+pub(crate) fn fig05(ctx: &ExperimentContext) -> String {
     let mut out = String::new();
     let probes = [2.0, 10.0, 200.0, 1_000.0];
     out.push_str("(a) by region:\n");
@@ -124,7 +124,7 @@ pub fn fig05(ctx: &ExperimentContext) -> String {
 }
 
 /// Figure 6 — queries per active session CCDFs.
-pub fn fig06(ctx: &ExperimentContext) -> String {
+pub(crate) fn fig06(ctx: &ExperimentContext) -> String {
     let mut out = String::new();
     let probes = [1.0, 4.0, 10.0, 30.0];
     out.push_str("(a) by region (rules 4/5 applied):\n");
@@ -156,7 +156,7 @@ pub fn fig06(ctx: &ExperimentContext) -> String {
 }
 
 /// Figure 7 — time until first query CCDFs.
-pub fn fig07(ctx: &ExperimentContext) -> String {
+pub(crate) fn fig07(ctx: &ExperimentContext) -> String {
     let mut out = String::new();
     let probes = [10.0, 30.0, 90.0, 1_000.0, 10_000.0];
     out.push_str("(a) by region:\n");
@@ -181,7 +181,7 @@ pub fn fig07(ctx: &ExperimentContext) -> String {
 }
 
 /// Figure 8 — interarrival CCDFs.
-pub fn fig08(ctx: &ExperimentContext) -> String {
+pub(crate) fn fig08(ctx: &ExperimentContext) -> String {
     let mut out = String::new();
     let probes = [10.0, 103.0, 1_000.0, 5_000.0];
     out.push_str("(a) by region:\n");
@@ -210,7 +210,7 @@ pub fn fig08(ctx: &ExperimentContext) -> String {
 }
 
 /// Figure 9 — time after last query CCDFs.
-pub fn fig09(ctx: &ExperimentContext) -> String {
+pub(crate) fn fig09(ctx: &ExperimentContext) -> String {
     let mut out = String::new();
     let probes = [12.0, 100.0, 1_000.0, 10_000.0];
     out.push_str("(a) by region:\n");
@@ -235,7 +235,7 @@ pub fn fig09(ctx: &ExperimentContext) -> String {
 }
 
 /// Figure 10 — hot-set drift.
-pub fn fig10(ctx: &ExperimentContext) -> String {
+pub(crate) fn fig10(ctx: &ExperimentContext) -> String {
     let mut out = String::new();
     out.push_str("Fraction of days with > x of the day-n group in day-(n+1) top N\n");
     out.push_str("(North American peers)\n\n");
@@ -265,7 +265,7 @@ pub fn fig10(ctx: &ExperimentContext) -> String {
 }
 
 /// Figure 11 — per-day query popularity and Zipf fits.
-pub fn fig11(ctx: &ExperimentContext) -> String {
+pub(crate) fn fig11(ctx: &ExperimentContext) -> String {
     let mut out = String::new();
     let cases = [
         (GeoClass::NaOnly, "α = 0.386", false),

@@ -10,7 +10,7 @@ use simnet::SimTime;
 use stats::ks::ks_two_sample;
 
 /// Run the calibrate → regenerate → compare loop.
-pub fn generator_validation(ctx: &ExperimentContext) -> String {
+pub(crate) fn generator_validation(ctx: &ExperimentContext) -> String {
     let mut out = String::new();
     let (model, report) = calibrate(&ctx.ft);
     out.push_str(&format!(
@@ -108,7 +108,7 @@ pub fn generator_validation(ctx: &ExperimentContext) -> String {
 }
 
 /// §5 future work — query hit-rate characterization.
-pub fn hit_rate_extension(ctx: &crate::ExperimentContext) -> String {
+pub(crate) fn hit_rate_extension(ctx: &crate::ExperimentContext) -> String {
     let mut out = String::new();
     let a = &ctx.hits;
     out.push_str(&format!(
@@ -155,7 +155,7 @@ pub fn hit_rate_extension(ctx: &crate::ExperimentContext) -> String {
 }
 
 /// §4.5 correlation findings.
-pub fn correlations_experiment(ctx: &crate::ExperimentContext) -> String {
+pub(crate) fn correlations_experiment(ctx: &crate::ExperimentContext) -> String {
     use crate::render::compare;
     let mut out = String::new();
     for region in [geoip::Region::NorthAmerica, geoip::Region::Europe] {

@@ -1,7 +1,7 @@
 //! The per-table / per-figure experiment implementations.
 
-pub mod ablations;
-pub mod appendix;
-pub mod figures;
-pub mod generator;
-pub mod tables;
+pub(crate) mod ablations;
+pub(crate) mod appendix;
+pub(crate) mod figures;
+pub(crate) mod generator;
+pub(crate) mod tables;

@@ -5,7 +5,7 @@ use crate::ExperimentContext;
 use analysis::popularity::{class_sizes, render_table3};
 
 /// Table 1 — overall trace characteristics.
-pub fn table1(ctx: &ExperimentContext) -> String {
+pub(crate) fn table1(ctx: &ExperimentContext) -> String {
     let s = &ctx.stats;
     let mut out = String::new();
     out.push_str(&s.render_table());
@@ -39,7 +39,7 @@ pub fn table1(ctx: &ExperimentContext) -> String {
 }
 
 /// Table 2 — queries removed per filter rule.
-pub fn table2(ctx: &ExperimentContext) -> String {
+pub(crate) fn table2(ctx: &ExperimentContext) -> String {
     let r = &ctx.ft.report;
     let mut out = r.render_table();
     out.push('\n');
@@ -74,7 +74,7 @@ pub fn table2(ctx: &ExperimentContext) -> String {
 }
 
 /// Table 3 — query class sizes over 4/2/1-day periods.
-pub fn table3(ctx: &ExperimentContext) -> String {
+pub(crate) fn table3(ctx: &ExperimentContext) -> String {
     let rows = [
         class_sizes(&ctx.obs, 0, 4),
         class_sizes(&ctx.obs, 0, 2),

@@ -11,8 +11,8 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod experiments;
-pub mod render;
+pub(crate) mod experiments;
+pub(crate) mod render;
 
 use analysis::filter::FilteredTrace;
 use analysis::hitrate::{HitRateAnalysis, HitRateFold};
@@ -59,7 +59,7 @@ impl Scale {
     /// The scale a `P2PQ_SCALE` value names: `None` (unset) is
     /// `default`, and a name outside [`Scale::NAMES`] is an error that
     /// lists the accepted ones.
-    pub fn parse(value: Option<&str>) -> Result<Scale, String> {
+    pub(crate) fn parse(value: Option<&str>) -> Result<Scale, String> {
         let Some(value) = value else {
             return Ok(Scale::Default);
         };
@@ -76,7 +76,7 @@ impl Scale {
             })
     }
 
-    /// Read the scale from `P2PQ_SCALE` (see [`Scale::parse`]).
+    /// Read the scale from `P2PQ_SCALE` (see `Scale::parse`).
     pub fn from_env() -> Result<Scale, String> {
         let value = std::env::var_os("P2PQ_SCALE");
         Scale::parse(value.as_ref().map(|v| v.to_str().unwrap_or("<not UTF-8>")))
@@ -145,20 +145,20 @@ pub struct ExperimentContext {
     /// Table 1: message and connection counts.
     pub stats: TraceStats,
     /// Figures 1 and 2: one-hop vs all peers.
-    pub peers: Representativeness,
+    pub(crate) peers: Representativeness,
     /// The §5 hit-rate extension.
-    pub hits: HitRateAnalysis,
+    pub(crate) hits: HitRateAnalysis,
     /// Per-day popularity by rank of raw, unfiltered hop-1 queries from
     /// North American peers (see [`RawNaQueries`]).
-    pub raw_na_popularity: Vec<f64>,
+    pub(crate) raw_na_popularity: Vec<f64>,
     /// Rules 1–5 applied.
     pub ft: FilteredTrace,
     /// Per-day popularity observations.
     pub obs: DailyObservations,
     /// Query load by time of day (Figure 3).
-    pub load: LoadAccumulator,
+    pub(crate) load: LoadAccumulator,
     /// The diurnal model (peak periods).
-    pub diurnal: DiurnalModel,
+    pub(crate) diurnal: DiurnalModel,
     /// The scale the context was built at.
     pub scale: Scale,
 }

@@ -4,7 +4,7 @@ use stats::Series;
 
 /// Render one CCDF series at a few representative x probes, with an
 /// optional paper-reference line for side-by-side comparison.
-pub fn series_probes(series: &Series, probes: &[f64], unit: &str) -> String {
+pub(crate) fn series_probes(series: &Series, probes: &[f64], unit: &str) -> String {
     let mut out = String::new();
     out.push_str(&format!("  {:<28}", series.label));
     for &x in probes {
@@ -19,7 +19,7 @@ pub fn series_probes(series: &Series, probes: &[f64], unit: &str) -> String {
 }
 
 /// Header row for [`series_probes`] output.
-pub fn probes_header(measure: &str, probes: &[f64], unit: &str) -> String {
+pub(crate) fn probes_header(measure: &str, probes: &[f64], unit: &str) -> String {
     let mut out = format!("  {measure} — CCDF at x = ");
     out.push_str(
         &probes
@@ -38,12 +38,12 @@ pub fn probes_header(measure: &str, probes: &[f64], unit: &str) -> String {
 }
 
 /// A paper-vs-measured comparison line.
-pub fn compare(label: &str, paper: &str, measured: &str) -> String {
+pub(crate) fn compare(label: &str, paper: &str, measured: &str) -> String {
     format!("  {label:<44} paper: {paper:<18} measured: {measured}\n")
 }
 
 /// Render a time-of-day series as a sparse table (every `step`-th bin).
-pub fn tod_series(series: &Series, step: usize) -> String {
+pub(crate) fn tod_series(series: &Series, step: usize) -> String {
     let mut out = String::new();
     out.push_str(&format!("  {:<10}", series.label));
     for (i, (x, y)) in series.points().enumerate() {

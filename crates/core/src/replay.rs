@@ -263,7 +263,7 @@ mod tests {
     fn replayed_workload_reaches_a_measurement_peer() {
         let model = WorkloadModel::paper_default();
         let db = GeoDb::synthetic();
-        let trace = Arc::new(Mutex::new(Trace::new()));
+        let trace = Arc::new(Mutex::new(Trace::default()));
         let mut sim: Simulator<NetMsg> = Simulator::new(11);
         let target = sim.add_node(Box::new(MeasurementPeer::new(
             CollectorConfig {
@@ -297,7 +297,11 @@ mod tests {
         // Every replayed session produced a connection record…
         assert_eq!(tr.connections.len() as u64, stats.sessions);
         // …and every generated query arrived as a hop-1 QUERY frame.
-        let hop1 = tr.messages.iter().filter(|m| m.is_one_hop_query()).count() as u64;
+        let hop1 = tr
+            .messages
+            .iter()
+            .filter(|m| m.hops == 1 && matches!(m.payload, trace::RecordedPayload::Query { .. }))
+            .count() as u64;
         assert_eq!(hop1, stats.queries);
         // Regions resolve through the same database.
         let na = tr
@@ -317,7 +321,7 @@ mod tests {
         // measurement peer (not just the campaign driver).
         let model = WorkloadModel::paper_default();
         let db = GeoDb::synthetic();
-        let retained = Arc::new(Mutex::new(Trace::new()));
+        let retained = Arc::new(Mutex::new(Trace::default()));
         let streaming = Arc::new(Mutex::new(analysis::StreamingPipeline::new(
             db.clone(),
             true,

@@ -9,18 +9,17 @@
 
 use crate::region::Region;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// One CIDR prefix entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PrefixEntry {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PrefixEntry {
     /// Network base address (host-order u32).
-    pub base: u32,
+    pub(crate) base: u32,
     /// Prefix length in bits (0–32).
-    pub len: u8,
+    pub(crate) len: u8,
     /// Region this prefix resolves to.
-    pub region: Region,
+    pub(crate) region: Region,
 }
 
 impl PrefixEntry {
@@ -38,19 +37,19 @@ impl PrefixEntry {
 }
 
 /// Longest-prefix-match IPv4 geolocation database.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct GeoDb {
     entries: Vec<PrefixEntry>,
 }
 
 impl GeoDb {
     /// Empty database (all lookups resolve to [`Region::Other`]).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         GeoDb::default()
     }
 
     /// Add a prefix; later longer prefixes take precedence over shorter.
-    pub fn add_prefix(&mut self, base: Ipv4Addr, len: u8, region: Region) {
+    pub(crate) fn add_prefix(&mut self, base: Ipv4Addr, len: u8, region: Region) {
         assert!(len <= 32, "prefix length out of range");
         self.entries.push(PrefixEntry {
             base: u32::from(base),
@@ -60,16 +59,6 @@ impl GeoDb {
         // Keep sorted by descending prefix length so the first match is the
         // longest match.
         self.entries.sort_by_key(|e| std::cmp::Reverse(e.len));
-    }
-
-    /// Number of prefixes installed.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if no prefixes are installed.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Resolve an address to a region; unresolvable ⇒ [`Region::Other`]
@@ -230,14 +219,6 @@ mod tests {
             seen.insert(alloc.sample(Region::NorthAmerica, &mut rng));
         }
         assert!(seen.len() > 990, "only {} distinct addresses", seen.len());
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let db = GeoDb::synthetic();
-        let s = serde_json::to_string(&db).unwrap();
-        let back: GeoDb = serde_json::from_str(&s).unwrap();
-        assert_eq!(db, back);
     }
 
     #[test]

@@ -48,12 +48,12 @@ const FRACTIONS: [[f64; 3]; 24] = [
 ];
 
 /// One of the paper's §4.2 "key periods" of the day.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KeyPeriod {
     /// Measurement-local start hour (the period spans one hour).
     pub start_hour: u32,
     /// The paper's description of the period.
-    pub description: &'static str,
+    pub(crate) description: &'static str,
 }
 
 /// The four key periods identified in §4.2 / Figure 3.
@@ -96,11 +96,6 @@ impl DiurnalModel {
         [row[0], row[1], row[2], other]
     }
 
-    /// Fraction of connected peers from `region` at `hour`.
-    pub fn fraction(&self, region: Region, hour: u32) -> f64 {
-        self.fractions(hour)[region.index()]
-    }
-
     /// Draw the region of a newly arriving peer at `hour`.
     pub fn sample_region<R: Rng + ?Sized>(&self, hour: u32, rng: &mut R) -> Region {
         let f = self.fractions(hour);
@@ -133,14 +128,6 @@ impl DiurnalModel {
             Region::Europe => (11..=23).contains(&h),
             Region::Asia => (7..=15).contains(&h),
         }
-    }
-
-    /// The key period starting at `hour`, if any.
-    pub fn key_period(&self, hour: u32) -> Option<KeyPeriod> {
-        KEY_PERIODS
-            .iter()
-            .copied()
-            .find(|p| p.start_hour == hour % 24)
     }
 }
 
@@ -188,8 +175,8 @@ mod tests {
         // NA fraction minimum around 13:00 CET (≈06:00 NA-local).
         let min_hour = (0..24)
             .min_by(|&a, &b| {
-                m.fraction(Region::NorthAmerica, a)
-                    .partial_cmp(&m.fraction(Region::NorthAmerica, b))
+                m.fractions(a)[Region::NorthAmerica.index()]
+                    .partial_cmp(&m.fractions(b)[Region::NorthAmerica.index()])
                     .unwrap()
             })
             .unwrap();
@@ -197,8 +184,8 @@ mod tests {
         // And maximum in the CET early morning.
         let max_hour = (0..24)
             .max_by(|&a, &b| {
-                m.fraction(Region::NorthAmerica, a)
-                    .partial_cmp(&m.fraction(Region::NorthAmerica, b))
+                m.fractions(a)[Region::NorthAmerica.index()]
+                    .partial_cmp(&m.fractions(b)[Region::NorthAmerica.index()])
                     .unwrap()
             })
             .unwrap();
@@ -241,16 +228,6 @@ mod tests {
                 f[r.index()]
             );
         }
-    }
-
-    #[test]
-    fn key_period_lookup() {
-        let m = DiurnalModel::paper_default();
-        assert!(m.key_period(3).is_some());
-        assert!(m.key_period(19).is_some());
-        assert!(m.key_period(7).is_none());
-        assert_eq!(m.key_period(27).unwrap().start_hour, 3); // wraps
-        assert_eq!(KEY_PERIODS.len(), 4);
     }
 
     #[test]

@@ -23,10 +23,10 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod db;
-pub mod diurnal;
-pub mod region;
+pub(crate) mod db;
+pub(crate) mod diurnal;
+pub(crate) mod region;
 
 pub use db::{AddressAllocator, GeoDb};
-pub use diurnal::{DiurnalModel, KeyPeriod, KEY_PERIODS};
+pub use diurnal::{DiurnalModel, KEY_PERIODS};
 pub use region::Region;

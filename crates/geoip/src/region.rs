@@ -48,17 +48,6 @@ impl Region {
         }
     }
 
-    /// Parse a region code (as produced by [`Region::code`]).
-    pub fn from_code(code: &str) -> Option<Region> {
-        match code {
-            "NA" => Some(Region::NorthAmerica),
-            "EU" => Some(Region::Europe),
-            "AS" => Some(Region::Asia),
-            "OT" => Some(Region::Other),
-            _ => None,
-        }
-    }
-
     /// Index into dense per-region arrays.
     pub fn index(self) -> usize {
         match self {
@@ -82,10 +71,12 @@ mod tests {
 
     #[test]
     fn codes_round_trip() {
-        for r in Region::ALL {
-            assert_eq!(Region::from_code(r.code()), Some(r));
+        // Distinct codes: each names exactly one region.
+        for a in Region::ALL {
+            for b in Region::ALL {
+                assert_eq!(a.code() == b.code(), a == b);
+            }
         }
-        assert_eq!(Region::from_code("XX"), None);
     }
 
     #[test]

@@ -50,6 +50,6 @@ proptest! {
         let m = DiurnalModel::paper_default();
         let mut rng = StdRng::seed_from_u64(seed);
         let r = m.sample_region(hour, &mut rng);
-        prop_assert!(m.fraction(r, hour) > 0.0, "sampled a zero-probability region");
+        prop_assert!(m.fractions(hour)[r.index()] > 0.0, "sampled a zero-probability region");
     }
 }

@@ -5,17 +5,13 @@
 //! reverse path (§3.1).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A 16-byte Gnutella message identifier.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Guid(pub [u8; 16]);
 
 impl Guid {
-    /// The all-zero GUID (never produced by [`Guid::random`]).
-    pub const NIL: Guid = Guid([0; 16]);
-
     /// Draw a fresh GUID. Follows the modern convention of setting byte 8
     /// to 0xFF and byte 15 to 0x00 (marks "new-style" clients on the wire).
     pub fn random<R: Rng + ?Sized>(rng: &mut R) -> Guid {
@@ -27,7 +23,7 @@ impl Guid {
     }
 
     /// Raw bytes.
-    pub fn as_bytes(&self) -> &[u8; 16] {
+    pub(crate) fn as_bytes(&self) -> &[u8; 16] {
         &self.0
     }
 
@@ -64,7 +60,7 @@ mod tests {
             let g = Guid::random(&mut rng);
             assert_eq!(g.0[8], 0xFF);
             assert_eq!(g.0[15], 0x00);
-            assert_ne!(g, Guid::NIL);
+            assert_ne!(g, Guid([0; 16]));
             assert!(seen.insert(g));
         }
     }

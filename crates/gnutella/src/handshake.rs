@@ -6,19 +6,18 @@
 //! client implementations (§3.3), and `X-Ultrapeer` to classify
 //! ultrapeer vs leaf connections (Table 1: ≈40 % ultrapeers, 60 % leaves).
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// A parsed `GNUTELLA CONNECT/0.6` request.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Handshake {
     /// The `User-Agent` header (client implementation + version).
     pub user_agent: String,
     /// `X-Ultrapeer: True/False`.
     pub ultrapeer: bool,
     /// Any additional headers, normalized to lowercase keys.
-    pub extra: BTreeMap<String, String>,
+    pub(crate) extra: BTreeMap<String, String>,
 }
 
 /// Handshake parse errors.
@@ -102,36 +101,13 @@ impl Handshake {
 }
 
 /// The responder's side of the exchange.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HandshakeResponse {
     /// `GNUTELLA/0.6 200 OK` — connection accepted.
     Accept,
     /// `GNUTELLA/0.6 503 ...` — at capacity (the measurement peer caps at
     /// 200 simultaneous connections).
     Busy,
-}
-
-impl HandshakeResponse {
-    /// Render the response line.
-    pub fn render(&self) -> &'static str {
-        match self {
-            HandshakeResponse::Accept => "GNUTELLA/0.6 200 OK\r\n\r\n",
-            HandshakeResponse::Busy => "GNUTELLA/0.6 503 Service Unavailable\r\n\r\n",
-        }
-    }
-
-    /// Parse a response line.
-    pub fn parse(text: &str) -> Option<HandshakeResponse> {
-        let first = text.split("\r\n").next()?;
-        if !first.starts_with("GNUTELLA/0.6 ") {
-            return None;
-        }
-        let code = first.split(' ').nth(1)?;
-        match code {
-            "200" => Some(HandshakeResponse::Accept),
-            _ => Some(HandshakeResponse::Busy),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -174,18 +150,5 @@ mod tests {
             Handshake::parse("GNUTELLA CONNECT/0.6\r\nnocolonheader\r\n\r\n"),
             Err(HandshakeError::BadHeader(_))
         ));
-    }
-
-    #[test]
-    fn response_round_trip() {
-        assert_eq!(
-            HandshakeResponse::parse(HandshakeResponse::Accept.render()),
-            Some(HandshakeResponse::Accept)
-        );
-        assert_eq!(
-            HandshakeResponse::parse(HandshakeResponse::Busy.render()),
-            Some(HandshakeResponse::Busy)
-        );
-        assert_eq!(HandshakeResponse::parse("HTTP/1.1 200 OK\r\n"), None);
     }
 }

@@ -9,7 +9,6 @@
 
 use crate::guid::Guid;
 use crate::symbols::QueryId;
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// Default initial TTL used by 2004-era clients.
@@ -17,7 +16,7 @@ pub const DEFAULT_TTL: u8 = 7;
 
 /// PONG payload: address/port plus shared-library advertisement.
 /// The paper reads shared-file counts out of PONGs for Figure 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pong {
     /// Listening port of the advertised peer.
     pub port: u16,
@@ -30,7 +29,7 @@ pub struct Pong {
 }
 
 /// QUERY payload.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Query {
     /// Minimum-speed field (kB/s) from the wire format.
     pub min_speed: u16,
@@ -56,24 +55,10 @@ impl Query {
             sha1: None,
         }
     }
-
-    /// An automated SHA1 source-search query (empty keywords + urn).
-    pub fn sha1_requery(urn: impl Into<String>) -> Query {
-        Query {
-            min_speed: 0,
-            text: QueryId::empty(),
-            sha1: Some(urn.into()),
-        }
-    }
-
-    /// True if this is a rule-1 query (SHA1 extension with empty keywords).
-    pub fn is_sha1_requery(&self) -> bool {
-        self.sha1.is_some() && self.text.is_blank()
-    }
 }
 
 /// One result record inside a QUERYHIT.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryHitResult {
     /// File index at the responding peer.
     pub index: u32,
@@ -86,7 +71,7 @@ pub struct QueryHitResult {
 /// QUERYHIT payload: results plus responder identity.
 /// The paper reads responder IPs out of QUERYHITs (with PONGs) to estimate
 /// the geographic distribution of *all* peers (Figure 1).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryHit {
     /// Responder listening port.
     pub port: u16,
@@ -101,7 +86,7 @@ pub struct QueryHit {
 }
 
 /// BYE payload (graceful close; most 2004 clients never send it, §3.2).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bye {
     /// Close code (200 = shutting down).
     pub code: u16,
@@ -110,7 +95,7 @@ pub struct Bye {
 }
 
 /// A message payload.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Payload {
     /// Keepalive / peer discovery probe.
     Ping,
@@ -126,7 +111,7 @@ pub enum Payload {
 
 impl Payload {
     /// Wire-format type byte.
-    pub fn type_byte(&self) -> u8 {
+    pub(crate) fn type_byte(&self) -> u8 {
         match self {
             Payload::Ping => 0x00,
             Payload::Pong(_) => 0x01,
@@ -135,21 +120,10 @@ impl Payload {
             Payload::QueryHit(_) => 0x81,
         }
     }
-
-    /// Human-readable kind (used in trace records / Table 1 counting).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Payload::Ping => "PING",
-            Payload::Pong(_) => "PONG",
-            Payload::Query(_) => "QUERY",
-            Payload::QueryHit(_) => "QUERYHIT",
-            Payload::Bye(_) => "BYE",
-        }
-    }
 }
 
 /// A complete Gnutella message: routed header + payload.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
     /// Message GUID.
     pub guid: Guid,
@@ -232,38 +206,16 @@ mod tests {
     }
 
     #[test]
-    fn sha1_requery_detection() {
-        assert!(Query::sha1_requery("urn:sha1:ABCDEF").is_sha1_requery());
-        assert!(!Query::keywords("beatles abbey road").is_sha1_requery());
-        // SHA1 extension *with* keywords is not a rule-1 query.
-        let q = Query {
-            min_speed: 0,
-            text: "something".into(),
-            sha1: Some("urn:sha1:XYZ".into()),
-        };
-        assert!(!q.is_sha1_requery());
-        // Whitespace-only keywords count as empty.
-        let q = Query {
-            min_speed: 0,
-            text: "   ".into(),
-            sha1: Some("urn:sha1:XYZ".into()),
-        };
-        assert!(q.is_sha1_requery());
-    }
-
-    #[test]
     fn type_bytes_and_kinds() {
         assert_eq!(Payload::Ping.type_byte(), 0x00);
         assert_eq!(Payload::Query(Query::keywords("x")).type_byte(), 0x80);
-        assert_eq!(Payload::Ping.kind(), "PING");
         let qh = Payload::QueryHit(QueryHit {
             port: 6346,
             addr: Ipv4Addr::new(24, 1, 2, 3),
             speed: 64,
             results: vec![],
-            servent: Guid::NIL,
+            servent: Guid([0; 16]),
         });
-        assert_eq!(qh.kind(), "QUERYHIT");
         assert_eq!(qh.type_byte(), 0x81);
     }
 }

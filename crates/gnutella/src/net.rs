@@ -25,7 +25,6 @@ use crate::handshake::HandshakeResponse;
 use crate::message::Message;
 use crate::wire::{conformance, encode_message};
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// One transport-level event between two simulated endpoints.
@@ -51,7 +50,7 @@ pub enum NetMsg {
 }
 
 /// How a sender frames Gnutella messages onto the simulated wire.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Transport {
     /// Typed fast path: [`NetMsg::Frame`], zero per-message allocation on
     /// send, conformance-sampled through the byte codec.

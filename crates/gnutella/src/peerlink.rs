@@ -7,16 +7,15 @@
 //! The paper notes this overestimates most session ends by ≈30 s; the
 //! analysis pipeline corrects for it the same way.
 
-use serde::{Deserialize, Serialize};
 use simnet::{SimDuration, SimTime};
 
 /// Idle threshold before the probe PING.
 pub const IDLE_PROBE_AFTER: SimDuration = SimDuration::from_secs(15);
 /// Additional silence after the probe before closing.
-pub const CLOSE_AFTER_PROBE: SimDuration = SimDuration::from_secs(15);
+pub(crate) const CLOSE_AFTER_PROBE: SimDuration = SimDuration::from_secs(15);
 
 /// What the owner of a connection should do after an idle check.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IdleAction {
     /// Connection is live; check again at the embedded deadline.
     CheckAt(SimTime),
@@ -27,7 +26,7 @@ pub enum IdleAction {
 }
 
 /// Per-connection idle state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IdleTracker {
     last_received: SimTime,
     probe_sent_at: Option<SimTime>,
@@ -69,16 +68,6 @@ impl IdleTracker {
             }
         }
     }
-
-    /// Time of the most recent inbound message.
-    pub fn last_received(&self) -> SimTime {
-        self.last_received
-    }
-
-    /// Whether a probe is outstanding.
-    pub fn probing(&self) -> bool {
-        self.probe_sent_at.is_some()
-    }
 }
 
 #[cfg(test)]
@@ -95,7 +84,7 @@ mod tests {
                 other => panic!("unexpected action {other:?}"),
             }
         }
-        assert!(!t.probing());
+        assert!(t.probe_sent_at.is_none());
     }
 
     #[test]
@@ -108,7 +97,7 @@ mod tests {
             }
             other => panic!("expected probe, got {other:?}"),
         }
-        assert!(t.probing());
+        assert!(t.probe_sent_at.is_some());
         // Still silent at 30 s: close. Total overestimate ≈ 30 s, as the
         // paper states.
         assert_eq!(t.check(SimTime::from_secs(30)), IdleAction::Close);
@@ -123,7 +112,7 @@ mod tests {
         ));
         // PONG arrives at 20 s.
         t.on_receive(SimTime::from_secs(20));
-        assert!(!t.probing());
+        assert!(t.probe_sent_at.is_none());
         match t.check(SimTime::from_secs(21)) {
             IdleAction::CheckAt(d) => assert_eq!(d, SimTime::from_secs(35)),
             other => panic!("unexpected {other:?}"),
@@ -137,7 +126,7 @@ mod tests {
             IdleAction::CheckAt(d) => assert_eq!(d, SimTime::from_secs(115)),
             other => panic!("unexpected {other:?}"),
         }
-        assert!(!t.probing());
+        assert!(t.probe_sent_at.is_none());
         // Mid-probe early check defers to the probe deadline.
         assert!(matches!(
             t.check(SimTime::from_secs(115)),

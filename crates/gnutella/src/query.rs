@@ -7,11 +7,10 @@
 //! `"pink  FLOYD"` are the same query. The filter pipeline (rule 2) and
 //! the popularity analysis both key on it.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Canonical identity of a query string: the sorted set of its keywords.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct QueryKey(String);
 
 impl QueryKey {
@@ -23,23 +22,9 @@ impl QueryKey {
         QueryKey(words.join(" "))
     }
 
-    /// True for queries with no keywords at all.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
     /// The canonical form.
     pub fn as_str(&self) -> &str {
         &self.0
-    }
-
-    /// Number of distinct keywords.
-    pub fn keyword_count(&self) -> usize {
-        if self.0.is_empty() {
-            0
-        } else {
-            self.0.split(' ').count()
-        }
     }
 }
 
@@ -69,15 +54,17 @@ mod tests {
 
     #[test]
     fn empty_and_whitespace() {
-        assert!(QueryKey::new("").is_empty());
-        assert!(QueryKey::new("   \t ").is_empty());
-        assert_eq!(QueryKey::new("").keyword_count(), 0);
+        assert_eq!(QueryKey::new("").as_str(), "");
+        assert_eq!(QueryKey::new("   \t ").as_str(), "");
     }
 
     #[test]
     fn keyword_count() {
-        assert_eq!(QueryKey::new("one two three").keyword_count(), 3);
-        assert_eq!(QueryKey::new("one one").keyword_count(), 1);
+        assert_eq!(
+            QueryKey::new("one two three").as_str().split(' ').count(),
+            3
+        );
+        assert_eq!(QueryKey::new("one one").as_str(), "one");
     }
 
     #[test]

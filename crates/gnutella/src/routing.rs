@@ -16,7 +16,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// and expiry sweep of the routing table — the hottest map in the
 /// simulation — so the written bytes are just XOR-folded into the hash.
 #[derive(Default)]
-pub struct RandomKeyHasher(u64);
+pub(crate) struct RandomKeyHasher(u64);
 
 impl Hasher for RandomKeyHasher {
     fn finish(&self) -> u64 {
@@ -35,7 +35,7 @@ impl Hasher for RandomKeyHasher {
 }
 
 /// Default entry lifetime from the protocol specification.
-pub const DEFAULT_EXPIRY: SimDuration = SimDuration::from_secs(600);
+pub(crate) const DEFAULT_EXPIRY: SimDuration = SimDuration::from_secs(600);
 
 /// A routing table mapping GUIDs to the neighbor they arrived from.
 #[derive(Debug, Clone)]
@@ -89,13 +89,8 @@ impl RoutingTable {
         self.map.get(guid).map(|&(from, _)| from)
     }
 
-    /// Whether `guid` is currently tracked (unexpired).
-    pub fn contains(&self, guid: &Guid) -> bool {
-        self.map.contains_key(guid)
-    }
-
     /// Drop entries older than the expiry window.
-    pub fn sweep(&mut self, now: SimTime) {
+    pub(crate) fn sweep(&mut self, now: SimTime) {
         while let Some(&(guid, at)) = self.order.front() {
             if now.since(at) < self.expiry {
                 break;
@@ -110,16 +105,6 @@ impl RoutingTable {
                 }
             }
         }
-    }
-
-    /// Live entries.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True if the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 
     /// `(inserted, expired, duplicate-suppressed)` lifetime counters.
@@ -161,11 +146,11 @@ mod tests {
         let mut rt = RoutingTable::new();
         let g = guid(2);
         rt.insert(g, NodeId(1), SimTime::from_secs(0));
-        assert!(rt.contains(&g));
+        assert!(rt.map.contains_key(&g));
         rt.sweep(SimTime::from_secs(599));
-        assert!(rt.contains(&g));
+        assert!(rt.map.contains_key(&g));
         rt.sweep(SimTime::from_secs(600));
-        assert!(!rt.contains(&g));
+        assert!(!rt.map.contains_key(&g));
         assert_eq!(rt.reverse_route(&g), None);
         // After expiry, re-insertion succeeds (re-flood is permitted).
         assert!(rt.insert(g, NodeId(3), SimTime::from_secs(700)));
@@ -180,7 +165,7 @@ mod tests {
         }
         // Inserts sweep lazily: after the insert at t=99, only entries from
         // t=90..=99 survive the 10 s window.
-        assert_eq!(rt.len(), 10);
+        assert_eq!(rt.map.len(), 10);
         assert_eq!(rt.counters().1, 90);
     }
 
@@ -191,7 +176,7 @@ mod tests {
         rt.insert(guid(501), NodeId(1), SimTime::from_secs(5));
         // Inserting far in the future expires both old entries.
         rt.insert(guid(502), NodeId(1), SimTime::from_secs(1_000));
-        assert_eq!(rt.len(), 1);
+        assert_eq!(rt.map.len(), 1);
         let (inserted, expired, dups) = rt.counters();
         assert_eq!(inserted, 3);
         assert_eq!(expired, 2);
@@ -201,7 +186,7 @@ mod tests {
     #[test]
     fn empty_table() {
         let rt = RoutingTable::new();
-        assert!(rt.is_empty());
+        assert!(rt.map.is_empty());
         assert_eq!(rt.reverse_route(&guid(1)), None);
     }
 }

@@ -11,9 +11,8 @@
 //!
 //! * **Raw ids are process-local.** They depend on interning order, which
 //!   differs between runs and shard counts. Anything that must be stable
-//!   across processes (JSONL traces, report ordering) therefore works on
-//!   the *resolved string*: [`QueryId`] serializes as its text, and its
-//!   `Ord` compares resolved strings.
+//!   across processes (report ordering) therefore works on the *resolved
+//!   string*: [`QueryId`]'s `Ord` compares resolved strings.
 //! * **Canonical keyword sets are precomputed.** §3.2 treats two queries
 //!   as identical when they contain the same keyword set. At intern time
 //!   the table computes the canonical form (lowercased, sorted,
@@ -23,7 +22,6 @@
 //!   allocation or re-normalization.
 
 use crate::query::QueryKey;
-use serde::{Deserialize, Serialize, Value};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -99,8 +97,6 @@ struct Entry {
     text: &'static str,
     /// Id of the canonical keyword-set entry (possibly this entry itself).
     canon: u32,
-    /// True when the text contains no keywords (empty or whitespace-only).
-    blank: bool,
 }
 
 struct Interner {
@@ -120,7 +116,6 @@ impl Interner {
         self.entries.push(Entry {
             text: leaked,
             canon: id,
-            blank: leaked.trim().is_empty(),
         });
         let key = QueryKey::new(leaked);
         if key.as_str() != leaked {
@@ -166,21 +161,9 @@ impl QueryId {
         QueryId(t.insert(text))
     }
 
-    /// Intern `text` and return the id of its *canonical keyword set*
-    /// (lowercased, sorted, de-duplicated). Shorthand for
-    /// `QueryId::intern(text).canonical()`.
-    pub fn canonical_of(text: &str) -> QueryId {
-        QueryId::intern(text).canonical()
-    }
-
     /// The interned string (escape hatch for report rendering and tests).
     pub fn resolve(self) -> &'static str {
         table().read().unwrap().entries[self.0 as usize].text
-    }
-
-    /// Alias for [`QueryId::resolve`].
-    pub fn as_str(self) -> &'static str {
-        self.resolve()
     }
 
     /// Byte length of the resolved text, without taking the interner
@@ -199,22 +182,6 @@ impl QueryId {
     /// True when the resolved text is the empty string.
     pub fn is_empty(self) -> bool {
         self.0 == 0
-    }
-
-    /// True when the text carries no keywords (empty or whitespace-only) —
-    /// the rule-1 "empty keywords" condition of §3.3.
-    pub fn is_blank(self) -> bool {
-        table().read().unwrap().entries[self.0 as usize].blank
-    }
-
-    /// Number of distinct keywords in the canonical form.
-    pub fn keyword_count(self) -> usize {
-        let c = self.canonical();
-        if c.is_blank() {
-            0
-        } else {
-            c.resolve().split(' ').count()
-        }
     }
 
     /// The raw process-local id (diagnostics only — not stable across
@@ -292,18 +259,6 @@ impl From<String> for QueryId {
     }
 }
 
-impl Serialize for QueryId {
-    fn to_value(&self) -> Value {
-        Value::Str(self.resolve().to_owned())
-    }
-}
-
-impl Deserialize for QueryId {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        String::from_value(v).map(|s| QueryId::intern(&s))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,21 +288,11 @@ mod tests {
     #[test]
     fn empty_and_blank() {
         assert!(QueryId::empty().is_empty());
-        assert!(QueryId::empty().is_blank());
         assert_eq!(QueryId::intern(""), QueryId::empty());
         let ws = QueryId::intern("  \t ");
         assert!(!ws.is_empty());
-        assert!(ws.is_blank());
         assert!(ws.canonical().is_empty());
-        assert!(!QueryId::intern("a").is_blank());
         assert_eq!(QueryId::default(), QueryId::empty());
-    }
-
-    #[test]
-    fn keyword_counts() {
-        assert_eq!(QueryId::intern("one two three").keyword_count(), 3);
-        assert_eq!(QueryId::intern("dup dup").keyword_count(), 1);
-        assert_eq!(QueryId::empty().keyword_count(), 0);
     }
 
     #[test]
@@ -360,15 +305,6 @@ mod tests {
         v.sort();
         let texts: Vec<&str> = v.iter().map(|q| q.resolve()).collect();
         assert_eq!(texts, vec!["abba", "mm nn", "zz top"]);
-    }
-
-    #[test]
-    fn serde_round_trips_as_string() {
-        let q = QueryId::intern("serde round trip");
-        let v = q.to_value();
-        assert!(matches!(&v, Value::Str(s) if s == "serde round trip"));
-        let back = QueryId::from_value(&v).unwrap();
-        assert_eq!(q, back);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::fmt;
 use std::net::Ipv4Addr;
 
 /// Maximum payload we will decode (spec-recommended sanity cap).
-pub const MAX_PAYLOAD: usize = 64 * 1024;
+pub(crate) const MAX_PAYLOAD: usize = 64 * 1024;
 
 /// Codec errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -110,7 +110,7 @@ fn encode_payload(p: &Payload) -> Bytes {
 }
 
 /// Length of the header every message starts with.
-pub const HEADER_LEN: usize = 23;
+pub(crate) const HEADER_LEN: usize = 23;
 
 /// Wire length of a PING (header only).
 pub const PING_LEN: usize = HEADER_LEN;
@@ -314,33 +314,29 @@ pub mod conformance {
     //! The typed transport moves [`Message`] values directly between
     //! actors, so the byte codec is no longer exercised per message. To
     //! keep it from rotting, senders pass every in-flight frame through
-    //! [`maybe_check_frame`], which round-trips a deterministic sample
-    //! (every [`SAMPLE_INTERVAL`]-th frame, counted per process) through
+    //! `maybe_check_frame`, which round-trips a deterministic sample
+    //! (every `SAMPLE_INTERVAL`-th frame, counted per process) through
     //! `encode_message` → `decode_message` and asserts the decode
     //! reproduces the original and that [`encoded_len`] agrees with the
     //! encoder.
     //!
     //! Sampling is active in debug builds (`cfg(debug_assertions)`, which
-    //! covers the test suite) and can be forced in release builds with
-    //! `P2PQ_WIRE_CHECK=1`. The check consumes no RNG state, so enabling
-    //! it never perturbs simulation determinism — only wall time.
+    //! covers the test suite) and compiled out of release builds. The
+    //! check consumes no RNG state, so it never perturbs simulation
+    //! determinism — only wall time.
 
     use super::{decode_message, encode_message, encoded_len};
     use crate::message::Message;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// One in this many sent frames is round-tripped when checking is on.
-    pub const SAMPLE_INTERVAL: u64 = 256;
+    pub(crate) const SAMPLE_INTERVAL: u64 = 256;
 
     static FRAME_COUNTER: AtomicU64 = AtomicU64::new(0);
 
     /// True when conformance sampling is active for this process.
-    pub fn enabled() -> bool {
-        if cfg!(debug_assertions) {
-            return true;
-        }
-        static FORCED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        *FORCED.get_or_init(|| std::env::var("P2PQ_WIRE_CHECK").is_ok_and(|v| v == "1"))
+    pub(crate) fn enabled() -> bool {
+        cfg!(debug_assertions)
     }
 
     /// Round-trip `msg` through the byte codec and panic on any
@@ -364,7 +360,7 @@ pub mod conformance {
 
     /// Sampling entry point used by the typed send path.
     #[inline]
-    pub fn maybe_check_frame(msg: &Message) {
+    pub(crate) fn maybe_check_frame(msg: &Message) {
         if !enabled() {
             return;
         }
@@ -380,6 +376,7 @@ pub mod conformance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::QueryId;
     use rand::SeedableRng;
 
     fn round_trip(msg: &Message) {
@@ -423,9 +420,11 @@ mod tests {
         ));
         round_trip(&Message::originate(
             guid(4),
-            Payload::Query(Query::sha1_requery(
-                "urn:sha1:PLSTHIPQGSSZTS5FJUPAKUZWUGYQYPFB",
-            )),
+            Payload::Query(Query {
+                min_speed: 0,
+                text: QueryId::empty(),
+                sha1: Some("urn:sha1:PLSTHIPQGSSZTS5FJUPAKUZWUGYQYPFB".into()),
+            }),
         ));
         // Unicode keywords survive.
         round_trip(&Message::originate(

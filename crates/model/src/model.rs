@@ -621,9 +621,13 @@ impl WorkloadModel {
         serde_json::to_string_pretty(self).expect("model serializes")
     }
 
-    /// Load from JSON.
-    pub fn from_json(s: &str) -> Result<WorkloadModel, serde_json::Error> {
-        serde_json::from_str(s)
+    /// Load from JSON. Fails on text that is not a model, and on a model
+    /// whose laws cannot be built ([`WorkloadModel::laws`]), naming the
+    /// failing cell.
+    pub fn from_json(s: &str) -> Result<WorkloadModel, ModelJsonError> {
+        let model: WorkloadModel = serde_json::from_str(s).map_err(ModelJsonError::Parse)?;
+        model.laws().map_err(ModelJsonError::Law)?;
+        Ok(model)
     }
 }
 
@@ -833,6 +837,33 @@ impl std::error::Error for LawError {
     }
 }
 
+/// A model JSON that [`WorkloadModel::from_json`] rejects.
+#[derive(Debug)]
+pub enum ModelJsonError {
+    /// The text is not a model.
+    Parse(serde_json::Error),
+    /// The model parses, but one of its laws cannot be built.
+    Law(LawError),
+}
+
+impl fmt::Display for ModelJsonError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ModelJsonError::Parse(e) => write!(f, "model JSON does not parse: {e}"),
+            ModelJsonError::Law(e) => write!(f, "model law cannot be built: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for ModelJsonError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            ModelJsonError::Parse(e) => Some(e),
+            ModelJsonError::Law(e) => Some(e),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1002,7 +1033,10 @@ mod tests {
         // Figure 9(b): positive correlation with query count, over the
         // Table A.5 classes n = 1, 2–7 and > 7.
         let laws = WorkloadModel::paper_default().laws().unwrap();
-        let median = |n| laws.time_after_last(Region::NorthAmerica, true, n).median();
+        let median = |n| {
+            laws.time_after_last(Region::NorthAmerica, true, n)
+                .quantile(0.5)
+        };
         assert!(median(1) < median(4) && median(4) < median(8));
         // Asia closes faster (Figure 9(a)).
         let ccdf = |r| laws.time_after_last(r, true, 4).ccdf(1000.0);
@@ -1029,6 +1063,25 @@ mod tests {
         assert_eq!(m, back);
         assert_eq!(json, back.to_json());
         assert!(json.contains("passive_prob"));
+    }
+
+    #[test]
+    fn from_json_rejects_a_model_it_cannot_build() {
+        let mut m = WorkloadModel::paper_default();
+        m.queries_per_session[2].sigma = -1.0;
+        let err = WorkloadModel::from_json(&m.to_json()).unwrap_err();
+        match &err {
+            ModelJsonError::Law(e) => assert_eq!(e.cell, "queries_per_session[Asia]"),
+            other => panic!("expected a law error, got {other:?}"),
+        }
+        assert!(
+            err.to_string().contains("queries_per_session[Asia]"),
+            "{err}"
+        );
+        assert!(matches!(
+            WorkloadModel::from_json("not json"),
+            Err(ModelJsonError::Parse(_))
+        ));
     }
 
     #[test]

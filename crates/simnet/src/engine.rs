@@ -12,11 +12,10 @@ use crate::latency::LatencyModel;
 use crate::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a node in the simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl fmt::Display for NodeId {
@@ -116,19 +115,14 @@ impl<'a, M> Context<'a, M> {
         self.self_id
     }
 
-    /// Engine RNG stream (latency jitter, protocol randomness).
-    pub fn rng(&mut self) -> &mut StdRng {
-        self.rng
-    }
-
     /// Send `msg` to `to`, delivered after `delay`.
-    pub fn send_after(&mut self, to: NodeId, msg: M, delay: SimDuration) {
+    pub(crate) fn send_after(&mut self, to: NodeId, msg: M, delay: SimDuration) {
         let from = self.self_id;
         self.queue
             .push(self.now + delay, Event::Deliver { from, to, msg });
     }
 
-    /// As [`Context::send_after`], but with an explicit `(lane, key)`
+    /// As `Context::send_after`, but with an explicit `(lane, key)`
     /// ordering pair: deliveries landing on the same millisecond pop in
     /// ascending `(lane, key)` order. Actors that key every send with
     /// their own node id and a local send counter make tie order a pure
@@ -181,7 +175,7 @@ impl<'a, M> Context<'a, M> {
     }
 
     /// Remove a node after this dispatch completes.
-    pub fn remove(&mut self, node: NodeId) {
+    pub(crate) fn remove(&mut self, node: NodeId) {
         self.pending.removals.push(node);
     }
 
@@ -204,11 +198,6 @@ impl<M: 'static> Simulator<M> {
         }
     }
 
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
     /// Execution statistics so far (queue counters folded in).
     pub fn stats(&self) -> SimStats {
         SimStats {
@@ -220,11 +209,6 @@ impl<M: 'static> Simulator<M> {
         }
     }
 
-    /// Number of live nodes.
-    pub fn live_nodes(&self) -> usize {
-        self.nodes.iter().filter(|n| n.is_some()).count()
-    }
-
     /// Install a node from outside the simulation (before/between runs).
     pub fn add_node(&mut self, actor: Box<dyn Actor<Msg = M>>) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
@@ -232,14 +216,6 @@ impl<M: 'static> Simulator<M> {
         self.stats.spawned += 1;
         self.run_on_start(id);
         id
-    }
-
-    /// Immutable access to a node (for post-run inspection). Returns `None`
-    /// for removed or unknown nodes.
-    pub fn node(&self, id: NodeId) -> Option<&dyn Actor<Msg = M>> {
-        self.nodes
-            .get(id.0 as usize)
-            .and_then(|slot| slot.as_deref())
     }
 
     fn run_on_start(&mut self, id: NodeId) {
@@ -319,15 +295,6 @@ impl<M: 'static> Simulator<M> {
         }
     }
 
-    /// Process a single event. Returns `false` when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        let Some((at, ev)) = self.queue.pop() else {
-            return false;
-        };
-        self.dispatch_event(at, ev);
-        true
-    }
-
     /// Run until the queue drains or the clock passes `until`.
     /// The clock is left at `min(until, last event time)`.
     ///
@@ -342,21 +309,18 @@ impl<M: 'static> Simulator<M> {
             self.now = until;
         }
     }
-
-    /// Run until no events remain (use only for workloads that terminate).
-    pub fn run_to_completion(&mut self) {
-        while self.step() {}
-    }
-
-    /// Number of events pending.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Dispatch every pending event in order, until the queue is empty.
+    fn drain<M: 'static>(sim: &mut Simulator<M>) {
+        while let Some((at, ev)) = sim.queue.pop() {
+            sim.dispatch_event(at, ev);
+        }
+    }
 
     /// A ping-pong pair: counts round trips, stops after `max`.
     struct PingPong {
@@ -401,10 +365,10 @@ mod tests {
             max: 10,
             log: vec![],
         }));
-        sim.run_to_completion();
+        drain(&mut sim);
         // 11 messages total (0..=10), alternating.
         assert_eq!(sim.stats().delivered, 11);
-        assert_eq!(sim.now(), SimTime::from_millis(110));
+        assert_eq!(sim.now, SimTime::from_millis(110));
         // Queue counters surface through stats: every delivery was popped,
         // and at most one message was ever in flight.
         assert_eq!(sim.stats().events_popped, 11);
@@ -455,21 +419,21 @@ mod tests {
     fn spawn_and_remove() {
         let mut sim: Simulator<&'static str> = Simulator::new(3);
         sim.add_node(Box::new(Spawner { child: None }));
-        sim.run_to_completion();
+        drain(&mut sim);
         let s = sim.stats();
         assert_eq!(s.spawned, 2);
         assert_eq!(s.removed, 1);
         assert_eq!(s.delivered, 1); // "die"
         assert_eq!(s.dropped, 1); // "late"
-        assert_eq!(sim.live_nodes(), 1);
+        assert_eq!(sim.nodes.iter().filter(|n| n.is_some()).count(), 1);
     }
 
     #[test]
     fn run_until_advances_clock() {
         let mut sim: Simulator<()> = Simulator::new(4);
         sim.run_until(SimTime::from_secs(100));
-        assert_eq!(sim.now(), SimTime::from_secs(100));
-        assert_eq!(sim.pending_events(), 0);
+        assert_eq!(sim.now, SimTime::from_secs(100));
+        assert!(sim.queue.is_empty());
     }
 
     #[test]
@@ -488,8 +452,8 @@ mod tests {
                 max: 50,
                 log: vec![],
             }));
-            sim.run_to_completion();
-            (sim.stats().delivered, sim.now())
+            drain(&mut sim);
+            (sim.stats().delivered, sim.now)
         }
         assert_eq!(run(9), run(9));
     }

@@ -103,7 +103,7 @@ const NIL: u32 = u32::MAX;
 /// Lane assigned to events scheduled without an explicit ordering key
 /// ([`EventQueue::push`]): they sort after every keyed event at the same
 /// instant, in FIFO (sequence) order among themselves.
-pub const UNKEYED_LANE: u32 = u32::MAX;
+pub(crate) const UNKEYED_LANE: u32 = u32::MAX;
 
 /// The full ordering key of a scheduled event. Derived `Ord` gives the
 /// pop order contract directly: ascending `(at, lane, key, seq)`.
@@ -555,11 +555,6 @@ impl<E> EventQueue<E> {
         self.far_pushed
     }
 
-    /// Far events migrated into wheel buckets as the window advanced.
-    pub fn migrated(&self) -> u64 {
-        self.migrated
-    }
-
     /// Level-down cascade moves (L2→L1/L0, L1→L0) over the queue's
     /// lifetime; an event entering at L2 and leaving via L0 counts two.
     pub fn cascades(&self) -> u64 {
@@ -726,7 +721,7 @@ mod tests {
         assert_eq!(q.pop().unwrap(), (t, "far-path"));
         assert_eq!(q.pop().unwrap(), (t, "direct-path"));
         assert!(q.pop().is_none());
-        assert_eq!(q.migrated(), 2);
+        assert_eq!(q.migrated, 2);
     }
 
     /// The hierarchy must order exactly like a reference sort on
@@ -936,7 +931,7 @@ mod tests {
         assert_eq!(q.peak_len(), PENDING);
         assert!(saw_l2, "workload never held an L2 event");
         assert!(
-            q.far_pushed() > 0 && q.migrated() > 0,
+            q.far_pushed() > 0 && q.migrated > 0,
             "workload never used the far heap"
         );
         assert!(q.cascades() > 0, "workload never cascaded");

@@ -6,12 +6,11 @@
 //! message interleavings at the measurement peer are realistic.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::time::SimDuration;
 
 /// How message delivery delay is computed for a link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LatencyModel {
     /// Constant delay.
     Fixed {
@@ -72,14 +71,6 @@ impl LatencyModel {
             jitter_millis: 40,
         }
     }
-
-    /// A reasonable default for cross-continent overlay hops.
-    pub fn inter_continent() -> Self {
-        LatencyModel::BasePlusJitter {
-            base_millis: 120,
-            jitter_millis: 80,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -122,7 +113,10 @@ mod tests {
     #[test]
     fn base_plus_jitter_bounds() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-        let m = LatencyModel::inter_continent();
+        let m = LatencyModel::BasePlusJitter {
+            base_millis: 120,
+            jitter_millis: 80,
+        };
         for _ in 0..100 {
             let d = m.sample(&mut rng).as_millis();
             assert!((120..=200).contains(&d));

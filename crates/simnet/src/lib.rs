@@ -23,10 +23,10 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod engine;
-pub mod event;
-pub mod latency;
-pub mod time;
+pub(crate) mod engine;
+pub(crate) mod event;
+pub(crate) mod latency;
+pub(crate) mod time;
 
 pub use engine::{Actor, Context, NodeId, SimStats, Simulator};
 pub use event::EventQueue;

@@ -16,19 +16,17 @@ use std::ops::{Add, AddAssign, Sub};
 pub struct SimTime(u64);
 
 /// A span of simulated time, in milliseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 /// Milliseconds per second.
-pub const MILLIS_PER_SEC: u64 = 1_000;
+pub(crate) const MILLIS_PER_SEC: u64 = 1_000;
 /// Milliseconds per minute.
-pub const MILLIS_PER_MIN: u64 = 60 * MILLIS_PER_SEC;
+pub(crate) const MILLIS_PER_MIN: u64 = 60 * MILLIS_PER_SEC;
 /// Milliseconds per hour.
-pub const MILLIS_PER_HOUR: u64 = 60 * MILLIS_PER_MIN;
+pub(crate) const MILLIS_PER_HOUR: u64 = 60 * MILLIS_PER_MIN;
 /// Milliseconds per day.
-pub const MILLIS_PER_DAY: u64 = 24 * MILLIS_PER_HOUR;
+pub(crate) const MILLIS_PER_DAY: u64 = 24 * MILLIS_PER_HOUR;
 
 impl SimTime {
     /// The trace origin (t = 0).
@@ -70,19 +68,9 @@ impl SimTime {
         self.0 / MILLIS_PER_DAY
     }
 
-    /// Seconds past local midnight of the instant's day.
-    pub const fn second_of_day(self) -> u64 {
-        (self.0 % MILLIS_PER_DAY) / MILLIS_PER_SEC
-    }
-
     /// Hour of day (0–23) at the trace observation point.
     pub const fn hour_of_day(self) -> u32 {
         ((self.0 % MILLIS_PER_DAY) / MILLIS_PER_HOUR) as u32
-    }
-
-    /// Fractional hour of day (0.0–24.0).
-    pub fn hour_of_day_f64(self) -> f64 {
-        (self.0 % MILLIS_PER_DAY) as f64 / MILLIS_PER_HOUR as f64
     }
 
     /// Saturating difference `self − earlier`.
@@ -105,11 +93,6 @@ impl SimDuration {
         SimDuration(s * MILLIS_PER_SEC)
     }
 
-    /// Construct from whole minutes.
-    pub const fn from_mins(m: u64) -> Self {
-        SimDuration(m * MILLIS_PER_MIN)
-    }
-
     /// Construct from whole hours.
     pub const fn from_hours(h: u64) -> Self {
         SimDuration(h * MILLIS_PER_HOUR)
@@ -124,11 +107,6 @@ impl SimDuration {
     /// Raw milliseconds.
     pub const fn as_millis(self) -> u64 {
         self.0
-    }
-
-    /// Whole seconds (truncated).
-    pub const fn as_secs(self) -> u64 {
-        self.0 / MILLIS_PER_SEC
     }
 
     /// Fractional seconds.
@@ -200,7 +178,7 @@ mod tests {
         assert_eq!(t.as_secs(), 90);
         assert!((t.as_secs_f64() - 90.0).abs() < 1e-12);
         assert_eq!(SimTime::from_secs_f64(1.5).as_millis(), 1_500);
-        assert_eq!(SimDuration::from_mins(2).as_secs(), 120);
+        assert_eq!(SimDuration::from_secs(120).as_millis(), 120_000);
         assert_eq!(SimDuration::from_hours(1).as_millis(), 3_600_000);
     }
 
@@ -211,8 +189,6 @@ mod tests {
             SimTime::from_millis(2 * MILLIS_PER_DAY + 3 * MILLIS_PER_HOUR + 30 * MILLIS_PER_MIN);
         assert_eq!(t.day(), 2);
         assert_eq!(t.hour_of_day(), 3);
-        assert!((t.hour_of_day_f64() - 3.5).abs() < 1e-12);
-        assert_eq!(t.second_of_day(), 3 * 3600 + 30 * 60);
     }
 
     #[test]
@@ -220,8 +196,8 @@ mod tests {
         let a = SimTime::from_secs(10);
         let b = SimTime::from_secs(25);
         assert!(a < b);
-        assert_eq!((b - a).as_secs(), 15);
-        assert_eq!((a - b).as_secs(), 0); // saturating
+        assert_eq!(b - a, SimDuration::from_secs(15));
+        assert_eq!(a - b, SimDuration::ZERO); // saturating
         assert_eq!(a + SimDuration::from_secs(15), b);
         let mut c = a;
         c += SimDuration::from_secs(5);

@@ -8,7 +8,7 @@
 use crate::error::StatsError;
 
 /// Pearson product-moment correlation coefficient.
-pub fn pearson(xs: &[f64], ys: &[f64]) -> Result<f64, StatsError> {
+pub(crate) fn pearson(xs: &[f64], ys: &[f64]) -> Result<f64, StatsError> {
     if xs.len() != ys.len() {
         return Err(StatsError::BadSample {
             value: ys.len() as f64,

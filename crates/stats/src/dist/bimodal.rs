@@ -12,11 +12,10 @@
 
 use crate::dist::{Continuous, Truncated};
 use crate::error::StatsError;
-use serde::{Deserialize, Serialize};
 
 /// Mixture of a body distribution (below `split`) and a tail distribution
 /// (above `split`), with `body_weight` probability of drawing from the body.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BodyTail<B, T> {
     body: Truncated<B>,
     tail: Truncated<T>,
@@ -48,26 +47,6 @@ impl<B: Continuous, T: Continuous> BodyTail<B, T> {
             split,
             body_weight,
         })
-    }
-
-    /// The split point s.
-    pub fn split(&self) -> f64 {
-        self.split
-    }
-
-    /// Probability mass assigned to the body.
-    pub fn body_weight(&self) -> f64 {
-        self.body_weight
-    }
-
-    /// The truncated body component.
-    pub fn body(&self) -> &Truncated<B> {
-        &self.body
-    }
-
-    /// The truncated tail component.
-    pub fn tail(&self) -> &Truncated<T> {
-        &self.tail
     }
 }
 

@@ -1,4 +1,4 @@
-//! Analytic and empirical probability distributions.
+//! Analytic probability distributions.
 //!
 //! All continuous distributions implement [`Continuous`], which provides
 //! `pdf`, `cdf`, `ccdf`, `quantile`, `mean` and sampling. Sampling is
@@ -21,22 +21,16 @@
 //! * query popularity — [`Zipf`] / [`TwoPieceZipf`] (Figure 11).
 
 mod bimodal;
-mod empirical;
-mod exponential;
 mod lognormal;
 mod pareto;
 mod truncated;
-mod uniform;
 mod weibull;
 mod zipf;
 
 pub use bimodal::BodyTail;
-pub use empirical::Empirical;
-pub use exponential::Exponential;
 pub use lognormal::Lognormal;
 pub use pareto::Pareto;
 pub use truncated::Truncated;
-pub use uniform::UniformRange;
 pub use weibull::Weibull;
 pub use zipf::{TwoPieceZipf, Zipf};
 
@@ -90,41 +84,12 @@ pub trait Discrete {
     fn mean(&self) -> Option<f64>;
 }
 
-/// Object-safe view of a continuous distribution, used where heterogeneous
-/// model components are stored together (e.g. body and tail of a composite
-/// loaded from a serialized model).
-pub trait DynContinuous: Send + Sync {
-    /// See [`Continuous::pdf`].
-    fn dyn_pdf(&self, x: f64) -> f64;
-    /// See [`Continuous::cdf`].
-    fn dyn_cdf(&self, x: f64) -> f64;
-    /// See [`Continuous::quantile`].
-    fn dyn_quantile(&self, p: f64) -> f64;
-    /// See [`Continuous::mean`].
-    fn dyn_mean(&self) -> Option<f64>;
-}
-
-impl<T: Continuous + Send + Sync> DynContinuous for T {
-    fn dyn_pdf(&self, x: f64) -> f64 {
-        self.pdf(x)
-    }
-    fn dyn_cdf(&self, x: f64) -> f64 {
-        self.cdf(x)
-    }
-    fn dyn_quantile(&self, p: f64) -> f64 {
-        self.quantile(p)
-    }
-    fn dyn_mean(&self) -> Option<f64> {
-        self.mean()
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod test_util {
     use super::Continuous;
 
     /// Shared invariant battery every continuous distribution must pass.
-    pub fn check_continuous_invariants<D: Continuous>(dist: &D, probe_points: &[f64]) {
+    pub(crate) fn check_continuous_invariants<D: Continuous>(dist: &D, probe_points: &[f64]) {
         // CDF is monotone nondecreasing over the probes.
         let mut prev = f64::NEG_INFINITY;
         let mut sorted = probe_points.to_vec();

@@ -9,10 +9,9 @@
 
 use crate::dist::Continuous;
 use crate::error::StatsError;
-use serde::{Deserialize, Serialize};
 
 /// Pareto type-I distribution with shape `alpha` and minimum `beta`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pareto {
     alpha: f64,
     beta: f64,

@@ -7,10 +7,9 @@
 
 use crate::dist::Continuous;
 use crate::error::StatsError;
-use serde::{Deserialize, Serialize};
 
 /// A continuous distribution restricted to `[lo, hi]` and renormalized.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Truncated<D> {
     inner: D,
     lo: f64,
@@ -53,24 +52,14 @@ impl<D: Continuous> Truncated<D> {
     }
 
     /// Restrict to the upper tail `[lo, ∞)`.
-    pub fn above(inner: D, lo: f64) -> Result<Self, StatsError> {
+    pub(crate) fn above(inner: D, lo: f64) -> Result<Self, StatsError> {
         Truncated::new(inner, lo, f64::INFINITY)
     }
 
     /// Restrict to the body `(−∞, hi]` — for positive-support distributions
     /// this is `[0, hi]`.
-    pub fn below(inner: D, hi: f64) -> Result<Self, StatsError> {
+    pub(crate) fn below(inner: D, hi: f64) -> Result<Self, StatsError> {
         Truncated::new(inner, f64::NEG_INFINITY, hi)
-    }
-
-    /// The wrapped distribution.
-    pub fn inner(&self) -> &D {
-        &self.inner
-    }
-
-    /// Truncation bounds.
-    pub fn bounds(&self) -> (f64, f64) {
-        (self.lo, self.hi)
     }
 }
 

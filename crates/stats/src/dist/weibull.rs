@@ -8,16 +8,15 @@
 //! ```
 //!
 //! The conventional scale parameterization `F(x) = 1 − exp(−(x/s)ᵅ)` relates
-//! by `s = λ^(−1/α)`; both constructors are provided.
+//! by `s = λ^(−1/α)`.
 
 use crate::dist::Continuous;
 use crate::error::StatsError;
 use crate::special::ln_gamma;
-use serde::{Deserialize, Serialize};
 
 /// Weibull distribution with shape `alpha` and rate `lambda`
 /// (`F(x) = 1 − exp(−λ xᵅ)`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Weibull {
     alpha: f64,
     lambda: f64,
@@ -43,18 +42,6 @@ impl Weibull {
         Ok(Weibull { alpha, lambda })
     }
 
-    /// Construct from the conventional (shape, scale) parameters.
-    pub fn from_shape_scale(shape: f64, scale: f64) -> Result<Self, StatsError> {
-        if !(scale.is_finite() && scale > 0.0) {
-            return Err(StatsError::BadParameter {
-                name: "scale",
-                value: scale,
-                constraint: "must be finite and > 0",
-            });
-        }
-        Weibull::new(shape, scale.powf(-shape))
-    }
-
     /// Shape parameter α.
     pub fn alpha(&self) -> f64 {
         self.alpha
@@ -66,7 +53,7 @@ impl Weibull {
     }
 
     /// Conventional scale parameter `s = λ^(−1/α)`.
-    pub fn scale(&self) -> f64 {
+    pub(crate) fn scale(&self) -> f64 {
         self.lambda.powf(-1.0 / self.alpha)
     }
 }
@@ -127,7 +114,6 @@ mod tests {
         assert!(Weibull::new(1.0, 0.0).is_err());
         assert!(Weibull::new(-1.0, 1.0).is_err());
         assert!(Weibull::new(f64::NAN, 1.0).is_err());
-        assert!(Weibull::from_shape_scale(1.0, 0.0).is_err());
     }
 
     #[test]
@@ -138,11 +124,9 @@ mod tests {
 
     #[test]
     fn shape_scale_round_trip() {
-        let d = Weibull::from_shape_scale(2.0, 10.0).unwrap();
+        // λ = s^(−α): α = 2, λ = 0.01 is scale 10.
+        let d = Weibull::new(2.0, 0.01).unwrap();
         assert!((d.scale() - 10.0).abs() < 1e-9);
-        assert!((d.alpha() - 2.0).abs() < 1e-12);
-        // λ = s^(−α) = 0.01.
-        assert!((d.lambda() - 0.01).abs() < 1e-12);
     }
 
     #[test]

@@ -10,7 +10,6 @@
 use crate::dist::Discrete;
 use crate::error::StatsError;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Chen–Asau guide table over a cumulative table of `n` entries:
 /// `guide[j]` is the first index with `cum ≥ j/n`, so a draw `u` starts
@@ -61,16 +60,13 @@ fn guided_rank(cum: &[f64], guide: &[u32], u: f64) -> usize {
 }
 
 /// Zipf-like distribution over ranks `1..=n` with exponent `alpha ≥ 0`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Zipf {
     alpha: f64,
     n: u64,
-    /// Cumulative probability table, `cum[k] = P[R ≤ k+1]`; kept private and
-    /// rebuilt on deserialization.
-    #[serde(skip)]
+    /// Cumulative probability table, `cum[k] = P[R ≤ k+1]`.
     cum: Vec<f64>,
-    /// Guide table over `cum` (see [`build_guide`]), rebuilt with it.
-    #[serde(skip)]
+    /// Guide table over `cum` (see [`build_guide`]), built with it.
     guide: Vec<u32>,
 }
 
@@ -114,30 +110,6 @@ impl Zipf {
         self.guide = build_guide(&cum);
         self.cum = cum;
     }
-
-    /// Rebuild internal tables (needed after `serde` deserialization, which
-    /// skips the cached cumulative table).
-    pub fn rebuild(&mut self) {
-        self.build_table();
-    }
-
-    /// Exponent α.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
-    /// Number of ranks n.
-    pub fn n(&self) -> u64 {
-        self.n
-    }
-
-    fn table(&self) -> &[f64] {
-        debug_assert!(
-            !self.cum.is_empty(),
-            "Zipf table missing — call rebuild() after deserialization"
-        );
-        &self.cum
-    }
 }
 
 impl Discrete for Zipf {
@@ -145,7 +117,7 @@ impl Discrete for Zipf {
         if k == 0 || k > self.n {
             return 0.0;
         }
-        let t = self.table();
+        let t = &self.cum;
         let i = (k - 1) as usize;
         if i == 0 {
             t[0]
@@ -158,18 +130,18 @@ impl Discrete for Zipf {
         if k == 0 {
             return 0.0;
         }
-        let t = self.table();
+        let t = &self.cum;
         let i = (k.min(self.n) - 1) as usize;
         t[i]
     }
 
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         let u: f64 = rng.gen();
-        (guided_rank(self.table(), &self.guide, u) + 1) as u64
+        (guided_rank(&self.cum, &self.guide, u) + 1) as u64
     }
 
     fn mean(&self) -> Option<f64> {
-        let t = self.table();
+        let t = &self.cum;
         let mut m = 0.0;
         let mut prev = 0.0;
         for (i, &c) in t.iter().enumerate() {
@@ -184,15 +156,13 @@ impl Discrete for Zipf {
 /// `1..=break_rank` and `alpha_tail` beyond, with the tail piece scaled so
 /// the pmf is continuous at the break (matching the paper's Figure 11(c)
 /// fitting convention).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TwoPieceZipf {
     alpha_body: f64,
     alpha_tail: f64,
     break_rank: u64,
     n: u64,
-    #[serde(skip)]
     cum: Vec<f64>,
-    #[serde(skip)]
     guide: Vec<u32>,
 }
 
@@ -262,36 +232,6 @@ impl TwoPieceZipf {
         self.guide = build_guide(&cum);
         self.cum = cum;
     }
-
-    /// Rebuild internal tables after deserialization.
-    pub fn rebuild(&mut self) {
-        self.build_table();
-    }
-
-    /// Body exponent (ranks ≤ break).
-    pub fn alpha_body(&self) -> f64 {
-        self.alpha_body
-    }
-
-    /// Tail exponent (ranks > break).
-    pub fn alpha_tail(&self) -> f64 {
-        self.alpha_tail
-    }
-
-    /// The break rank.
-    pub fn break_rank(&self) -> u64 {
-        self.break_rank
-    }
-
-    /// Number of ranks n.
-    pub fn n(&self) -> u64 {
-        self.n
-    }
-
-    fn table(&self) -> &[f64] {
-        debug_assert!(!self.cum.is_empty(), "call rebuild() after deserialization");
-        &self.cum
-    }
 }
 
 impl Discrete for TwoPieceZipf {
@@ -299,7 +239,7 @@ impl Discrete for TwoPieceZipf {
         if k == 0 || k > self.n {
             return 0.0;
         }
-        let t = self.table();
+        let t = &self.cum;
         let i = (k - 1) as usize;
         if i == 0 {
             t[0]
@@ -312,17 +252,17 @@ impl Discrete for TwoPieceZipf {
         if k == 0 {
             return 0.0;
         }
-        let t = self.table();
+        let t = &self.cum;
         t[(k.min(self.n) - 1) as usize]
     }
 
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         let u: f64 = rng.gen();
-        (guided_rank(self.table(), &self.guide, u) + 1) as u64
+        (guided_rank(&self.cum, &self.guide, u) + 1) as u64
     }
 
     fn mean(&self) -> Option<f64> {
-        let t = self.table();
+        let t = &self.cum;
         let mut m = 0.0;
         let mut prev = 0.0;
         for (i, &c) in t.iter().enumerate() {
@@ -428,21 +368,6 @@ mod tests {
         // The steep tail should capture a small but nonzero share.
         assert!(tail_hits > 0);
         assert!((tail_hits as f64 / 10_000.0) < 0.5);
-    }
-
-    #[test]
-    fn serde_round_trip_rebuilds() {
-        let z = Zipf::new(0.386, 100).unwrap();
-        let s = serde_json::to_string(&z).unwrap();
-        let mut back: Zipf = serde_json::from_str(&s).unwrap();
-        back.rebuild();
-        assert!((back.pmf(1) - z.pmf(1)).abs() < 1e-12);
-
-        let z2 = TwoPieceZipf::new(0.453, 4.67, 45, 100).unwrap();
-        let s2 = serde_json::to_string(&z2).unwrap();
-        let mut back2: TwoPieceZipf = serde_json::from_str(&s2).unwrap();
-        back2.rebuild();
-        assert!((back2.pmf(46) - z2.pmf(46)).abs() < 1e-12);
     }
 
     #[test]

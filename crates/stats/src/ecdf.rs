@@ -6,10 +6,9 @@
 
 use crate::error::StatsError;
 use crate::series::Series;
-use serde::{Deserialize, Serialize};
 
 /// Empirical CDF over a finite sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ecdf {
     sorted: Vec<f64>,
 }
@@ -25,63 +24,14 @@ impl Ecdf {
         Ok(Ecdf { sorted: samples })
     }
 
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Always false — construction requires ≥ 1 sample.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
     /// `P̂[X ≤ x]`.
-    pub fn cdf(&self, x: f64) -> f64 {
+    pub(crate) fn cdf(&self, x: f64) -> f64 {
         self.sorted.partition_point(|&v| v <= x) as f64 / self.sorted.len() as f64
     }
 
     /// `P̂[X > x]` — the quantity the paper plots.
     pub fn ccdf(&self, x: f64) -> f64 {
         1.0 - self.cdf(x)
-    }
-
-    /// Sample quantile (type-7, linear interpolation).
-    pub fn quantile(&self, p: f64) -> f64 {
-        let p = p.clamp(0.0, 1.0);
-        let n = self.sorted.len();
-        if n == 1 {
-            return self.sorted[0];
-        }
-        let h = p * (n - 1) as f64;
-        let lo = h.floor() as usize;
-        let hi = (lo + 1).min(n - 1);
-        let w = h - lo as f64;
-        self.sorted[lo] * (1.0 - w) + self.sorted[hi] * w
-    }
-
-    /// Smallest sample.
-    pub fn min(&self) -> f64 {
-        self.sorted[0]
-    }
-
-    /// Largest sample.
-    pub fn max(&self) -> f64 {
-        *self.sorted.last().unwrap()
-    }
-
-    /// Sample mean.
-    pub fn mean(&self) -> f64 {
-        self.sorted.iter().sum::<f64>() / self.sorted.len() as f64
-    }
-
-    /// Sample median.
-    pub fn median(&self) -> f64 {
-        self.quantile(0.5)
-    }
-
-    /// The underlying sorted samples.
-    pub fn values(&self) -> &[f64] {
-        &self.sorted
     }
 
     /// Export a CCDF series evaluated at `points` log-spaced x values
@@ -158,15 +108,6 @@ mod tests {
     }
 
     #[test]
-    fn quantiles() {
-        let e = Ecdf::new((1..=100).map(f64::from).collect()).unwrap();
-        assert!((e.median() - 50.5).abs() < 1e-9);
-        assert!((e.quantile(0.25) - 25.75).abs() < 1e-9);
-        assert_eq!(e.min(), 1.0);
-        assert_eq!(e.max(), 100.0);
-    }
-
-    #[test]
     fn ccdf_series_is_monotone_decreasing() {
         let e = Ecdf::new((1..=1000).map(|i| (i as f64).powi(2)).collect()).unwrap();
         let s = e.ccdf_series_log(1.0, 1e6, 50).unwrap();
@@ -174,14 +115,15 @@ mod tests {
         for w in ys.windows(2) {
             assert!(w[1] <= w[0] + 1e-12);
         }
-        assert_eq!(s.len(), 50);
+        assert_eq!(s.ys().len(), 50);
     }
 
     #[test]
     fn ccdf_series_exact_dedups() {
         let e = Ecdf::new(vec![1.0, 1.0, 2.0, 3.0, 3.0, 3.0]).unwrap();
         let s = e.ccdf_series_exact();
-        assert_eq!(s.xs(), &[1.0, 2.0, 3.0]);
+        let xs: Vec<f64> = s.points().map(|(x, _)| x).collect();
+        assert_eq!(xs, [1.0, 2.0, 3.0]);
         // After all samples consumed the CCDF reaches 0.
         assert_eq!(s.ys().last().copied(), Some(0.0));
         // After the 1.0s (2 of 6): ccdf = 4/6.

@@ -9,10 +9,9 @@
 use crate::dist::{Lognormal, Pareto, Weibull};
 use crate::error::StatsError;
 use crate::fit::{fit_lognormal_truncated, fit_pareto, fit_weibull};
-use serde::{Deserialize, Serialize};
 
 /// Which analytic family to fit on a side of the split.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Family {
     /// Lognormal(μ, σ).
     Lognormal,
@@ -23,7 +22,7 @@ pub enum Family {
 }
 
 /// A fitted side (body or tail) of a bimodal model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SideFit {
     /// Fitted lognormal.
     Lognormal(Lognormal),
@@ -45,7 +44,7 @@ impl SideFit {
 }
 
 /// Result of a body‖tail split fit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BodyTailFit {
     /// The split point used.
     pub split: f64,

@@ -6,9 +6,9 @@
 //!   tails of A.3 / bodies of A.4);
 //! * [`fit_weibull`] — MLE with Newton iteration for the shape (Table A.3
 //!   bodies);
-//! * [`fit_pareto`] — Hill/MLE estimator for the tail index given the
+//! * `fit_pareto` — Hill/MLE estimator for the tail index given the
 //!   location (Table A.4 tails);
-//! * [`fit_zipf`] / [`fit_two_piece_zipf`] — log-log least squares on
+//! * [`fit_zipf`] / [`fit_two_piece_zipf_auto`] — log-log least squares on
 //!   rank-frequency data (Figure 11);
 //! * [`fit_body_tail`] — the paper's split-fit recipe: partition samples at
 //!   a split point, record the body weight, and fit each side conditioned
@@ -23,6 +23,6 @@ mod zipf;
 
 pub use body_tail::{fit_body_tail, BodyTailFit, Family, SideFit};
 pub use lognormal::{fit_lognormal, fit_lognormal_truncated};
-pub use pareto::fit_pareto;
+pub(crate) use pareto::fit_pareto;
 pub use weibull::{fit_weibull, fit_weibull_truncated};
-pub use zipf::{fit_two_piece_zipf, fit_two_piece_zipf_auto, fit_zipf, TwoPieceZipfFit, ZipfFit};
+pub use zipf::{fit_two_piece_zipf_auto, fit_zipf, TwoPieceZipfFit, ZipfFit};

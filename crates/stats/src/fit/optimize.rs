@@ -5,7 +5,7 @@
 /// `step`. Returns the best point found. Standard Nelder–Mead with
 /// reflection/expansion/contraction/shrink and a fixed iteration budget —
 /// ample for the smooth 2-parameter likelihoods we optimize.
-pub fn nelder_mead_2d(
+pub(crate) fn nelder_mead_2d(
     f: impl Fn(f64, f64) -> f64,
     x0: (f64, f64),
     step: (f64, f64),

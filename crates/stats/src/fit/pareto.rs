@@ -9,7 +9,7 @@ use crate::error::StatsError;
 /// This matches the paper's procedure for Table A.4: the split point
 /// (β = 103 s) is fixed by the body/tail partition and only the tail index
 /// is estimated from the samples above it.
-pub fn fit_pareto(samples: &[f64], beta: f64) -> Result<Pareto, StatsError> {
+pub(crate) fn fit_pareto(samples: &[f64], beta: f64) -> Result<Pareto, StatsError> {
     if !(beta.is_finite() && beta > 0.0) {
         return Err(StatsError::BadParameter {
             name: "beta",

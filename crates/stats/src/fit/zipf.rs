@@ -43,7 +43,10 @@ pub fn fit_zipf(freqs: &[f64]) -> Result<ZipfFit, StatsError> {
 }
 
 /// Fit a two-piece Zipf-like law with a fixed break rank.
-pub fn fit_two_piece_zipf(freqs: &[f64], break_rank: usize) -> Result<TwoPieceZipfFit, StatsError> {
+pub(crate) fn fit_two_piece_zipf(
+    freqs: &[f64],
+    break_rank: usize,
+) -> Result<TwoPieceZipfFit, StatsError> {
     if break_rank == 0 || break_rank >= freqs.len() {
         return Err(StatsError::BadParameter {
             name: "break_rank",

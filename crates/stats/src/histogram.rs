@@ -11,10 +11,9 @@
 
 use crate::error::StatsError;
 use crate::series::Series;
-use serde::{Deserialize, Serialize};
 
 /// Fixed-width linear histogram over `[lo, hi)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,
@@ -81,7 +80,7 @@ impl Histogram {
     }
 
     /// Center of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
+    pub(crate) fn bin_center(&self, i: usize) -> f64 {
         let w = (self.hi - self.lo) / self.counts.len() as f64;
         self.lo + (i as f64 + 0.5) * w
     }
@@ -93,32 +92,10 @@ impl Histogram {
         let ys = self.counts.iter().map(|&c| c as f64 / n).collect();
         Series::new(xs, ys)
     }
-
-    /// Absorb another histogram with the same range and bin count.
-    ///
-    /// Counts are plain sums, so merging per-shard histograms is exactly
-    /// equivalent to adding every observation to one histogram, in any
-    /// order.
-    pub fn merge(&mut self, other: &Histogram) -> Result<(), StatsError> {
-        if self.lo != other.lo || self.hi != other.hi || self.counts.len() != other.counts.len() {
-            return Err(StatsError::BadParameter {
-                name: "other",
-                value: other.lo,
-                constraint: "histogram ranges and bin counts must match",
-            });
-        }
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.underflow += other.underflow;
-        self.overflow += other.overflow;
-        self.total += other.total;
-        Ok(())
-    }
 }
 
 /// Logarithmically-binned histogram over `[lo, hi)`, `lo > 0`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogHistogram {
     log_lo: f64,
     log_hi: f64,
@@ -169,36 +146,9 @@ impl LogHistogram {
         }
     }
 
-    /// Raw bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Geometric center of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let w = (self.log_hi - self.log_lo) / self.counts.len() as f64;
-        (self.log_lo + (i as f64 + 0.5) * w).exp()
-    }
-
-    /// Total observations.
+    /// Total observations (including out of range).
     pub fn total(&self) -> u64 {
         self.total
-    }
-
-    /// Export `(geometric bin center, density per unit x)` — appropriate
-    /// for log-log pmf-style plots.
-    pub fn density_series(&self) -> Series {
-        let n = self.total.max(1) as f64;
-        let w = (self.log_hi - self.log_lo) / self.counts.len() as f64;
-        let mut xs = Vec::with_capacity(self.counts.len());
-        let mut ys = Vec::with_capacity(self.counts.len());
-        for (i, &c) in self.counts.iter().enumerate() {
-            let left = (self.log_lo + i as f64 * w).exp();
-            let right = (self.log_lo + (i as f64 + 1.0) * w).exp();
-            xs.push(self.bin_center(i));
-            ys.push(c as f64 / n / (right - left));
-        }
-        Series::new(xs, ys)
     }
 
     /// Absorb another log-histogram with the same range and bin count.
@@ -226,7 +176,7 @@ impl LogHistogram {
 /// Aggregates a multi-day trace into fixed time-of-day bins, tracking the
 /// per-bin average, minimum and maximum across days (the three curves in
 /// Figures 3 and 4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeOfDayBins {
     /// Bin width in seconds (3600 for Fig 1/4, 1800 for Fig 3).
     bin_seconds: u32,
@@ -235,7 +185,7 @@ pub struct TimeOfDayBins {
 }
 
 /// Seconds in a day.
-pub const DAY_SECONDS: u32 = 86_400;
+pub(crate) const DAY_SECONDS: u32 = 86_400;
 
 impl TimeOfDayBins {
     /// Create with the given bin width; must divide 24 h evenly.
@@ -254,13 +204,8 @@ impl TimeOfDayBins {
     }
 
     /// Number of bins per day.
-    pub fn bins_per_day(&self) -> usize {
+    pub(crate) fn bins_per_day(&self) -> usize {
         (DAY_SECONDS / self.bin_seconds) as usize
-    }
-
-    /// Number of days with any recorded value.
-    pub fn day_count(&self) -> usize {
-        self.days.len()
     }
 
     fn slot(&mut self, day: usize, bin: usize) -> &mut f64 {
@@ -272,7 +217,7 @@ impl TimeOfDayBins {
     }
 
     /// Add `value` at absolute trace time `t_seconds` (day 0 starts at 0).
-    pub fn add_at(&mut self, t_seconds: u64, value: f64) {
+    pub(crate) fn add_at(&mut self, t_seconds: u64, value: f64) {
         let day = (t_seconds / u64::from(DAY_SECONDS)) as usize;
         let bin = ((t_seconds % u64::from(DAY_SECONDS)) / u64::from(self.bin_seconds)) as usize;
         *self.slot(day, bin) += value;
@@ -284,7 +229,7 @@ impl TimeOfDayBins {
     }
 
     /// Per-bin average across days.
-    pub fn averages(&self) -> Vec<f64> {
+    pub(crate) fn averages(&self) -> Vec<f64> {
         self.reduce(|acc, v| acc + v)
             .into_iter()
             .map(|s| s / self.days.len().max(1) as f64)
@@ -292,7 +237,7 @@ impl TimeOfDayBins {
     }
 
     /// Per-bin minimum across days.
-    pub fn minima(&self) -> Vec<f64> {
+    pub(crate) fn minima(&self) -> Vec<f64> {
         let bins = self.bins_per_day();
         let mut out = vec![f64::INFINITY; bins];
         for day in &self.days {
@@ -307,7 +252,7 @@ impl TimeOfDayBins {
     }
 
     /// Per-bin maximum across days.
-    pub fn maxima(&self) -> Vec<f64> {
+    pub(crate) fn maxima(&self) -> Vec<f64> {
         let bins = self.bins_per_day();
         let mut out = vec![f64::NEG_INFINITY; bins];
         for day in &self.days {
@@ -333,7 +278,7 @@ impl TimeOfDayBins {
     }
 
     /// Hour-of-day x coordinates for each bin center.
-    pub fn bin_hours(&self) -> Vec<f64> {
+    pub(crate) fn bin_hours(&self) -> Vec<f64> {
         let w = self.bin_seconds as f64 / 3600.0;
         (0..self.bins_per_day())
             .map(|i| (i as f64 + 0.5) * w)
@@ -429,14 +374,8 @@ mod tests {
         h.add(2_000.0); // decade 4
         h.add(0.5); // underflow
         h.add(0.0); // underflow (non-positive)
-        assert_eq!(h.counts(), &[1, 1, 1, 1]);
-        assert_eq!(h.total(), 6);
-        // Geometric center of first decade ≈ √10.
-        assert!((h.bin_center(0) - 10f64.sqrt()).abs() < 1e-9);
-        let d = h.density_series();
-        assert_eq!(d.len(), 4);
-        // Densities decrease since bins widen geometrically.
-        assert!(d.ys()[0] > d.ys()[3]);
+        assert_eq!(h.counts, [1, 1, 1, 1]);
+        assert_eq!(h.total, 6);
     }
 
     #[test]
@@ -449,7 +388,7 @@ mod tests {
         for _ in 0..4 {
             b.count_at(86_400 + 3 * 3600 + 500);
         }
-        assert_eq!(b.day_count(), 2);
+        assert_eq!(b.days.len(), 2);
         assert_eq!(b.bins_per_day(), 24);
         assert_eq!(b.averages()[3], 3.0);
         assert_eq!(b.minima()[3], 2.0); // min across days = 2
@@ -472,18 +411,6 @@ mod tests {
     fn merge_equals_single_accumulation() {
         // Split one observation stream across two histograms; the merge
         // must be bit-identical to one histogram fed everything.
-        let xs = [0.5, 1.5, 1.6, 9.9, -1.0, 10.0, 25.0, 3.3];
-        let mut whole = Histogram::new(0.0, 10.0, 10).unwrap();
-        let mut a = Histogram::new(0.0, 10.0, 10).unwrap();
-        let mut b = Histogram::new(0.0, 10.0, 10).unwrap();
-        for (i, &x) in xs.iter().enumerate() {
-            whole.add(x);
-            if i % 2 == 0 { &mut a } else { &mut b }.add(x);
-        }
-        a.merge(&b).unwrap();
-        assert_eq!(a, whole);
-        assert!(a.merge(&Histogram::new(0.0, 5.0, 10).unwrap()).is_err());
-
         let mut lwhole = LogHistogram::new(1.0, 10_000.0, 8).unwrap();
         let mut la = LogHistogram::new(1.0, 10_000.0, 8).unwrap();
         let mut lb = LogHistogram::new(1.0, 10_000.0, 8).unwrap();
@@ -519,7 +446,7 @@ mod tests {
         }
         a.merge(&b).unwrap();
         assert_eq!(a, whole);
-        assert_eq!(a.day_count(), 3);
+        assert_eq!(a.days.len(), 3);
         assert!(a.merge(&TimeOfDayBins::new(1800).unwrap()).is_err());
     }
 

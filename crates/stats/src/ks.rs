@@ -13,9 +13,9 @@ pub struct KsResult {
     /// Supremum distance between the two CDFs.
     pub statistic: f64,
     /// Asymptotic p-value (Kolmogorov distribution).
-    pub p_value: f64,
+    pub(crate) p_value: f64,
     /// Effective sample size used for the p-value.
-    pub n_effective: f64,
+    pub(crate) n_effective: f64,
 }
 
 /// One-sample KS test of `samples` against an analytic distribution.
@@ -95,7 +95,7 @@ fn kolmogorov_sf(lambda: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::{Continuous, Exponential, Lognormal};
+    use crate::dist::{Continuous, Lognormal, Weibull};
     use rand::SeedableRng;
 
     #[test]
@@ -111,7 +111,8 @@ mod tests {
     #[test]
     fn mismatched_distribution_rejected() {
         let d = Lognormal::new(1.0, 0.8).unwrap();
-        let wrong = Exponential::new(0.5).unwrap();
+        // Weibull with α = 1 is the exponential law with rate λ.
+        let wrong = Weibull::new(1.0, 0.5).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(42);
         let xs = d.sample_n(&mut rng, 5_000);
         let r = ks_one_sample(&xs, &wrong).unwrap();
@@ -142,7 +143,7 @@ mod tests {
 
     #[test]
     fn rejects_empty() {
-        let d = Exponential::new(1.0).unwrap();
+        let d = Weibull::new(1.0, 1.0).unwrap();
         assert!(ks_one_sample(&[], &d).is_err());
         assert!(ks_two_sample(&[1.0], &[]).is_err());
     }

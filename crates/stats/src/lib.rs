@@ -3,28 +3,26 @@
 //! This crate implements, from scratch, every piece of statistical machinery
 //! the paper's characterization methodology relies on:
 //!
-//! * **Distributions** ([`dist`]): lognormal, Weibull, Pareto, exponential,
-//!   Zipf-like, two-piece Zipf, body‖tail bimodal composites, truncated
-//!   wrappers and empirical distributions. All continuous distributions
-//!   sample through their quantile function, so a single uniform draw maps
-//!   deterministically to a variate — convenient for reproducibility and for
-//!   property tests.
+//! * **Distributions** ([`dist`]): lognormal, Weibull, Pareto, Zipf-like,
+//!   two-piece Zipf, body‖tail bimodal composites and truncated wrappers.
+//!   All continuous distributions sample through their quantile function,
+//!   so a single uniform draw maps deterministically to a variate —
+//!   convenient for reproducibility and for property tests.
 //! * **Fitting** ([`fit`]): maximum-likelihood estimators for lognormal,
 //!   Weibull and Pareto parameters, log-log least-squares Zipf fitting
 //!   (including the paper's two-piece "flattened head" variant), and a
 //!   split-fit helper for the paper's body/tail bimodal models.
-//! * **Empirical summaries**: [`ecdf::Ecdf`] (CDF/CCDF/quantiles),
-//!   [`histogram`] (linear, logarithmic and time-of-day binning),
-//!   [`summary::Summary`] (streaming moments).
+//! * **Empirical summaries**: [`Ecdf`] (CCDF and its series) and
+//!   [`histogram`] (linear, logarithmic and time-of-day binning).
 //! * **Hypothesis tests and association**: [`ks`] (one- and two-sample
 //!   Kolmogorov–Smirnov) and [`correlation`] (Pearson, Spearman).
 //! * **Ranking** ([`rank`]): top-k selection and the daily hot-set
 //!   ranking with Gaussian score drift.
-//! * **Special functions** ([`special`]): `erf`, inverse normal CDF and
+//! * **Special functions**: `erf`, inverse normal CDF and
 //!   `ln Γ`, implemented with standard numeric approximations.
 //!
-//! The crate is deliberately dependency-light (only `rand` for uniform bits
-//! and `serde` for (de)serializing fitted models).
+//! The crate is deliberately dependency-light: only `rand`, for uniform
+//! bits.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -34,23 +32,17 @@
 
 pub mod correlation;
 pub mod dist;
-pub mod ecdf;
-pub mod error;
+pub(crate) mod ecdf;
+pub(crate) mod error;
 pub mod fit;
 pub mod histogram;
 pub mod ks;
 pub mod rank;
 pub mod regression;
 pub mod rng;
-pub mod series;
-pub mod special;
-pub mod summary;
+pub(crate) mod series;
+pub(crate) mod special;
 
-pub use dist::{Continuous, Discrete};
 pub use ecdf::Ecdf;
 pub use error::StatsError;
 pub use series::Series;
-pub use summary::Summary;
-
-/// Crate-wide result alias.
-pub type Result<T> = std::result::Result<T, StatsError>;

@@ -2,23 +2,22 @@
 //! fits on log-log rank-frequency data.
 
 use crate::error::StatsError;
-use serde::{Deserialize, Serialize};
 
 /// Result of a simple linear regression `y = intercept + slope · x`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LinearFit {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct LinearFit {
     /// Fitted slope.
-    pub slope: f64,
+    pub(crate) slope: f64,
     /// Fitted intercept.
-    pub intercept: f64,
+    pub(crate) intercept: f64,
     /// Coefficient of determination R².
-    pub r_squared: f64,
+    pub(crate) r_squared: f64,
     /// Number of points fitted.
-    pub n: usize,
+    pub(crate) n: usize,
 }
 
 /// Least-squares fit of `y = a + b·x` over paired samples.
-pub fn linear_fit(xs: &[f64], ys: &[f64]) -> Result<LinearFit, StatsError> {
+pub(crate) fn linear_fit(xs: &[f64], ys: &[f64]) -> Result<LinearFit, StatsError> {
     if xs.len() != ys.len() {
         return Err(StatsError::BadSample {
             value: ys.len() as f64,

@@ -28,11 +28,6 @@ impl SeedSequence {
         SeedSequence { root }
     }
 
-    /// The root seed.
-    pub fn root(&self) -> u64 {
-        self.root
-    }
-
     /// Derive the `u64` seed for a labeled stream.
     pub fn derive_seed(&self, label: &str) -> u64 {
         let mut h = fnv1a(label.as_bytes());
@@ -134,10 +129,10 @@ mod tests {
         let seq = SeedSequence::new(7);
         let c1 = seq.child("sim");
         let c2 = seq.child("gen");
-        assert_ne!(c1.root(), c2.root());
+        assert_ne!(c1.root, c2.root);
         assert_ne!(c1.derive_seed("x"), c2.derive_seed("x"));
         // Deterministic.
-        assert_eq!(seq.child("sim").root(), c1.root());
+        assert_eq!(seq.child("sim").root, c1.root);
     }
 
     #[test]

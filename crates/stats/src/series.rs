@@ -1,10 +1,8 @@
 //! `(x, y)` series — the interchange type between analysis and the
 //! experiment harness (each paper figure panel is one or more `Series`).
 
-use serde::{Deserialize, Serialize};
-
 /// A named or anonymous sequence of `(x, y)` points.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Series {
     xs: Vec<f64>,
     ys: Vec<f64>,
@@ -15,7 +13,7 @@ pub struct Series {
 impl Series {
     /// Build from parallel vectors; panics if lengths differ (programmer
     /// error, not data error).
-    pub fn new(xs: Vec<f64>, ys: Vec<f64>) -> Self {
+    pub(crate) fn new(xs: Vec<f64>, ys: Vec<f64>) -> Self {
         assert_eq!(xs.len(), ys.len(), "series coordinate lengths differ");
         Series {
             xs,
@@ -29,21 +27,6 @@ impl Series {
         let mut s = Series::new(xs, ys);
         s.label = label.into();
         s
-    }
-
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.xs.len()
-    }
-
-    /// True if the series has no points.
-    pub fn is_empty(&self) -> bool {
-        self.xs.is_empty()
-    }
-
-    /// X coordinates.
-    pub fn xs(&self) -> &[f64] {
-        &self.xs
     }
 
     /// Y coordinates.
@@ -79,29 +62,6 @@ impl Series {
         let w = (x - x0) / (x1 - x0);
         Some(y0 * (1.0 - w) + y1 * w)
     }
-
-    /// Maximum y value, if any points exist.
-    pub fn y_max(&self) -> Option<f64> {
-        self.ys.iter().copied().fold(None, |acc, y| {
-            Some(match acc {
-                None => y,
-                Some(a) => a.max(y),
-            })
-        })
-    }
-
-    /// Render a compact ASCII table of the series (used by `exp_*` binaries).
-    pub fn to_table(&self, x_name: &str, y_name: &str) -> String {
-        let mut out = String::new();
-        if !self.label.is_empty() {
-            out.push_str(&format!("# {}\n", self.label));
-        }
-        out.push_str(&format!("{:>14}  {:>14}\n", x_name, y_name));
-        for (x, y) in self.points() {
-            out.push_str(&format!("{:>14.5}  {:>14.6}\n", x, y));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -127,25 +87,14 @@ mod tests {
     #[test]
     fn empty_series() {
         let s = Series::default();
-        assert!(s.is_empty());
+        assert!(s.ys().is_empty());
         assert_eq!(s.interpolate(1.0), None);
-        assert_eq!(s.y_max(), None);
     }
 
     #[test]
     fn labels_and_table() {
         let s = Series::labeled("Europe", vec![1.0, 2.0], vec![0.9, 0.5]);
-        let t = s.to_table("x", "ccdf");
-        assert!(t.contains("# Europe"));
-        assert!(t.contains("ccdf"));
-        assert_eq!(s.y_max(), Some(0.9));
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let s = Series::labeled("a", vec![1.0], vec![2.0]);
-        let j = serde_json::to_string(&s).unwrap();
-        let back: Series = serde_json::from_str(&j).unwrap();
-        assert_eq!(s, back);
+        assert_eq!(s.label, "Europe");
+        assert_eq!(s.points().collect::<Vec<_>>(), [(1.0, 0.9), (2.0, 0.5)]);
     }
 }

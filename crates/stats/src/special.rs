@@ -11,7 +11,7 @@
 //! * [`ln_gamma`] — Lanczos approximation (g = 7, n = 9).
 
 /// Error function, `erf(x) = 2/√π ∫₀ˣ e^(−t²) dt`.
-pub fn erf(x: f64) -> f64 {
+pub(crate) fn erf(x: f64) -> f64 {
     // Abramowitz & Stegun formula 7.1.26.
     let sign = if x < 0.0 { -1.0 } else { 1.0 };
     let x = x.abs();
@@ -28,13 +28,8 @@ pub fn erf(x: f64) -> f64 {
     sign * y
 }
 
-/// Complementary error function `erfc(x) = 1 − erf(x)`.
-pub fn erfc(x: f64) -> f64 {
-    1.0 - erf(x)
-}
-
 /// Standard normal cumulative distribution function Φ(x).
-pub fn norm_cdf(x: f64) -> f64 {
+pub(crate) fn norm_cdf(x: f64) -> f64 {
     0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
 }
 
@@ -43,7 +38,7 @@ pub fn norm_cdf(x: f64) -> f64 {
 /// Uses Acklam's rational approximation, then polishes with a single Halley
 /// iteration against [`norm_cdf`]. Returns ±∞ for p = 0 / 1 and NaN outside
 /// `[0, 1]`.
-pub fn norm_quantile(p: f64) -> f64 {
+pub(crate) fn norm_quantile(p: f64) -> f64 {
     if p.is_nan() || !(0.0..=1.0).contains(&p) {
         return f64::NAN;
     }
@@ -119,7 +114,7 @@ pub fn norm_quantile(p: f64) -> f64 {
 ///
 /// Lanczos approximation with g = 7 and 9 coefficients; relative error below
 /// 1e-13 across the positive reals.
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     const G: f64 = 7.0;
     const COEF: [f64; 9] = [
         0.999_999_999_999_809_9,
@@ -148,17 +143,6 @@ pub fn ln_gamma(x: f64) -> f64 {
     }
 }
 
-/// Gamma function `Γ(x)` for moderate x (overflows for x ≳ 170).
-pub fn gamma(x: f64) -> f64 {
-    if x > 0.0 {
-        ln_gamma(x).exp()
-    } else {
-        // Reflection for non-positive non-integer arguments.
-        let pi = std::f64::consts::PI;
-        pi / ((pi * x).sin() * ln_gamma(1.0 - x).exp())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,13 +167,6 @@ mod tests {
     fn erf_is_odd() {
         for x in [0.1, 0.7, 1.3, 2.9] {
             assert_close(erf(-x), -erf(x), 1e-12);
-        }
-    }
-
-    #[test]
-    fn erfc_complements() {
-        for x in [-2.0, -0.5, 0.0, 0.5, 2.0] {
-            assert_close(erf(x) + erfc(x), 1.0, 1e-12);
         }
     }
 
@@ -236,15 +213,15 @@ mod tests {
 
     #[test]
     fn gamma_recurrence() {
-        // Γ(x+1) = x Γ(x).
+        // Γ(x+1) = x Γ(x), so ln Γ(x+1) = ln x + ln Γ(x).
         for x in [0.7, 1.5, 3.2, 6.9] {
-            assert_close(gamma(x + 1.0), x * gamma(x), 1e-9);
+            assert_close(ln_gamma(x + 1.0), x.ln() + ln_gamma(x), 1e-9);
         }
     }
 
     #[test]
     fn gamma_factorials() {
-        assert_close(gamma(6.0), 120.0, 1e-9);
-        assert_close(gamma(10.0), 362_880.0, 1e-9);
+        assert_close(ln_gamma(6.0).exp(), 120.0, 1e-9);
+        assert_close(ln_gamma(10.0).exp(), 362_880.0, 1e-9);
     }
 }

@@ -1,11 +1,11 @@
 //! Property tests for the statistics substrate.
 
 use proptest::prelude::*;
-use stats::dist::{Continuous, Exponential, Lognormal, Pareto, Truncated, UniformRange, Weibull};
+use stats::dist::{Continuous, Lognormal, Pareto, Truncated, Weibull};
 use stats::histogram::Histogram;
 use stats::rank::top_k;
 use stats::rng::SeedSequence;
-use stats::{Ecdf, Summary};
+use stats::Ecdf;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
@@ -16,14 +16,6 @@ proptest! {
     fn lognormal_ccdf_complements_cdf(mu in -4.0f64..6.0, sigma in 0.1f64..3.5, x in 0.0f64..1e6) {
         let d = Lognormal::new(mu, sigma).unwrap();
         prop_assert!((d.cdf(x) + d.ccdf(x) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn exponential_memoryless(lambda in 1e-3f64..10.0, s in 0.0f64..50.0, t in 0.0f64..50.0) {
-        let d = Exponential::new(lambda).unwrap();
-        let lhs = d.ccdf(s + t);
-        let rhs = d.ccdf(s) * d.ccdf(t);
-        prop_assert!((lhs - rhs).abs() < 1e-9 * (1.0 + rhs));
     }
 
     #[test]
@@ -58,43 +50,17 @@ proptest! {
         prop_assert!(d.cdf(lo) <= d.cdf(hi) + 1e-12);
     }
 
-    #[test]
-    fn uniform_quantile_is_linear(lo in -100.0f64..100.0, width in 0.1f64..100.0, p in 0.0f64..1.0) {
-        let d = UniformRange::new(lo, lo + width).unwrap();
-        prop_assert!((d.quantile(p) - (lo + p * width)).abs() < 1e-9);
-    }
-
     // ---- empirical structures -----------------------------------------
 
     #[test]
     fn ecdf_bounds_and_monotonicity(mut xs in proptest::collection::vec(-1e4f64..1e4, 1..200)) {
         let e = Ecdf::new(xs.clone()).unwrap();
         xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        prop_assert_eq!(e.cdf(xs[0] - 1.0), 0.0);
-        prop_assert_eq!(e.cdf(xs[xs.len() - 1]), 1.0);
-        // Quantiles stay within the sample range.
-        for p in [0.0, 0.25, 0.5, 0.75, 1.0] {
-            let q = e.quantile(p);
-            prop_assert!(q >= xs[0] - 1e-9 && q <= xs[xs.len() - 1] + 1e-9);
-        }
-    }
-
-    #[test]
-    fn summary_merge_matches_bulk(
-        a in proptest::collection::vec(-1e5f64..1e5, 0..100),
-        b in proptest::collection::vec(-1e5f64..1e5, 0..100),
-    ) {
-        let mut merged = Summary::of(&a);
-        merged.merge(&Summary::of(&b));
-        let mut all = a.clone();
-        all.extend(&b);
-        let bulk = Summary::of(&all);
-        prop_assert_eq!(merged.count(), bulk.count());
-        if bulk.count() > 0 {
-            prop_assert!((merged.mean() - bulk.mean()).abs() < 1e-6 * (1.0 + bulk.mean().abs()));
-        }
-        if bulk.count() > 1 {
-            prop_assert!((merged.variance() - bulk.variance()).abs() < 1e-5 * (1.0 + bulk.variance()));
+        prop_assert_eq!(e.ccdf(xs[0] - 1.0), 1.0);
+        prop_assert_eq!(e.ccdf(xs[xs.len() - 1]), 0.0);
+        // The CCDF never rises between consecutive samples.
+        for w in xs.windows(2) {
+            prop_assert!(e.ccdf(w[1]) <= e.ccdf(w[0]));
         }
     }
 

@@ -277,43 +277,38 @@ fn skip_section(bytes: &[u8], pos: &mut usize) {
 #[derive(Debug, Clone, Default)]
 pub struct ChunkBatch {
     /// Session id per row.
-    pub session: Vec<u32>,
+    pub(crate) session: Vec<u32>,
     /// Arrival time per row, in milliseconds.
-    pub at_ms: Vec<u64>,
+    pub(crate) at_ms: Vec<u64>,
     /// Hop count per row.
     pub hops: Vec<u8>,
     /// TTL per row.
-    pub ttl: Vec<u8>,
+    pub(crate) ttl: Vec<u8>,
     /// [`MsgKind`] discriminant per row.
-    pub kind: Vec<u8>,
+    pub(crate) kind: Vec<u8>,
     /// Side-table index per row (recomputed from `kind` on decode).
-    pub arg: Vec<u32>,
+    pub(crate) arg: Vec<u32>,
     /// GUID per row.
-    pub guid: Vec<Guid>,
+    pub(crate) guid: Vec<Guid>,
     /// Wire length per row.
-    pub wire: Vec<u32>,
+    pub(crate) wire: Vec<u32>,
     /// PONG advertised address, per PONG row.
-    pub pong_addr: Vec<Ipv4Addr>,
+    pub(crate) pong_addr: Vec<Ipv4Addr>,
     /// PONG shared-file count, per PONG row.
-    pub pong_files: Vec<u32>,
+    pub(crate) pong_files: Vec<u32>,
     /// Raw interned [`QueryId`], per QUERY row.
-    pub query_id: Vec<u32>,
+    pub(crate) query_id: Vec<u32>,
     /// SHA1-extension flag, per QUERY row.
-    pub query_sha1: Vec<bool>,
+    pub(crate) query_sha1: Vec<bool>,
     /// Responder address, per QUERYHIT row.
-    pub hit_addr: Vec<Ipv4Addr>,
+    pub(crate) hit_addr: Vec<Ipv4Addr>,
     /// Result count, per QUERYHIT row.
-    pub hit_results: Vec<u8>,
+    pub(crate) hit_results: Vec<u8>,
 }
 
 impl ChunkBatch {
-    /// Number of decoded rows.
-    pub fn rows(&self) -> usize {
-        self.at_ms.len()
-    }
-
     /// Reset for reuse, keeping allocations.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.session.clear();
         self.at_ms.clear();
         self.hops.clear();
@@ -331,7 +326,7 @@ impl ChunkBatch {
     }
 
     /// Reconstruct the record at batch-local row `i`.
-    pub fn record(&self, i: usize) -> MessageRecord {
+    pub(crate) fn record(&self, i: usize) -> MessageRecord {
         let arg = self.arg[i] as usize;
         let payload = match MsgKind::from_u8(self.kind[i]) {
             MsgKind::Ping => RecordedPayload::Ping,
@@ -360,7 +355,7 @@ impl ChunkBatch {
     }
 
     /// Wire length at batch-local row `i`.
-    pub fn wire_len(&self, i: usize) -> u32 {
+    pub(crate) fn wire_len(&self, i: usize) -> u32 {
         self.wire[i]
     }
 }
@@ -398,19 +393,19 @@ fn rebuild_arg(kind: &[u8], arg: &mut Vec<u32>) {
 /// Column inputs to [`encode_chunk`] — borrowed views of the store's
 /// uncompressed tail run.
 pub(crate) struct ChunkSource<'a> {
-    pub session: &'a [u32],
-    pub at: &'a [SimTime],
-    pub hops: &'a [u8],
-    pub ttl: &'a [u8],
-    pub kind: &'a [MsgKind],
-    pub guid: &'a [Guid],
-    pub wire: &'a [u32],
-    pub pong_addr: &'a [Ipv4Addr],
-    pub pong_files: &'a [u32],
-    pub query_id: &'a [u32],
-    pub query_sha1: &'a [bool],
-    pub hit_addr: &'a [Ipv4Addr],
-    pub hit_results: &'a [u8],
+    pub(crate) session: &'a [u32],
+    pub(crate) at: &'a [SimTime],
+    pub(crate) hops: &'a [u8],
+    pub(crate) ttl: &'a [u8],
+    pub(crate) kind: &'a [MsgKind],
+    pub(crate) guid: &'a [Guid],
+    pub(crate) wire: &'a [u32],
+    pub(crate) pong_addr: &'a [Ipv4Addr],
+    pub(crate) pong_files: &'a [u32],
+    pub(crate) query_id: &'a [u32],
+    pub(crate) query_sha1: &'a [bool],
+    pub(crate) hit_addr: &'a [Ipv4Addr],
+    pub(crate) hit_results: &'a [u8],
 }
 
 /// Encode one sealed run of rows into a self-describing byte buffer:
@@ -528,7 +523,7 @@ fn decode_query_section(sec: &[u8], ids: &mut Vec<u32>, sha1: &mut Vec<bool>) {
 
 /// Decode every column of a chunk produced by `encode_chunk` into a
 /// reusable [`ChunkBatch`].
-pub fn decode_chunk(bytes: &[u8], out: &mut ChunkBatch) {
+pub(crate) fn decode_chunk(bytes: &[u8], out: &mut ChunkBatch) {
     out.clear();
     let n = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
     let mut pos = 4;
@@ -577,8 +572,8 @@ pub fn decode_chunk(bytes: &[u8], out: &mut ChunkBatch) {
 /// views instead, so the scan never allocates per-row vectors.
 #[derive(Debug, Default)]
 pub(crate) struct QueryScan {
-    pub query_id: Vec<u32>,
-    pub query_sha1: Vec<bool>,
+    pub(crate) query_id: Vec<u32>,
+    pub(crate) query_sha1: Vec<bool>,
 }
 
 impl QueryScan {
@@ -616,7 +611,7 @@ pub(crate) struct LazyTimeColumn<'a> {
 
 impl LazyTimeColumn<'_> {
     #[inline]
-    pub fn get(&self, i: usize) -> u64 {
+    pub(crate) fn get(&self, i: usize) -> u64 {
         self.base + read_packed_at(self.packed, i, self.width)
     }
 }
@@ -630,7 +625,7 @@ pub(crate) struct LazyIdColumn<'a> {
 
 impl LazyIdColumn<'_> {
     #[inline]
-    pub fn get(&self, i: usize) -> u32 {
+    pub(crate) fn get(&self, i: usize) -> u32 {
         self.base + read_packed_at(self.packed, i, self.width) as u32
     }
 }
@@ -646,7 +641,7 @@ pub(crate) struct LazyByteColumn<'a> {
 
 impl LazyByteColumn<'_> {
     #[inline]
-    pub fn get(&self, i: usize) -> u8 {
+    pub(crate) fn get(&self, i: usize) -> u8 {
         read_packed_at(self.packed, i, self.width) as u8
     }
 
@@ -654,7 +649,7 @@ impl LazyByteColumn<'_> {
     /// 8 bits per value, so 8 consecutive values always start on a byte
     /// boundary and fit one u64 load — one unaligned load per block
     /// instead of one per value.
-    pub fn for_each(&self, n: usize, mut f: impl FnMut(u8)) {
+    pub(crate) fn for_each(&self, n: usize, mut f: impl FnMut(u8)) {
         let w = self.width as usize;
         if w == 0 {
             for _ in 0..n {
@@ -682,11 +677,11 @@ impl LazyByteColumn<'_> {
 /// swept once per row, `hops` is consulted only at QUERY rows, and
 /// `at`/`session` only at the hop-1 QUERY rows that survive both tests.
 pub(crate) struct QueryScanView<'a> {
-    pub rows: usize,
-    pub at: LazyTimeColumn<'a>,
-    pub session: LazyIdColumn<'a>,
-    pub kind: LazyByteColumn<'a>,
-    pub hops: LazyByteColumn<'a>,
+    pub(crate) rows: usize,
+    pub(crate) at: LazyTimeColumn<'a>,
+    pub(crate) session: LazyIdColumn<'a>,
+    pub(crate) kind: LazyByteColumn<'a>,
+    pub(crate) hops: LazyByteColumn<'a>,
 }
 
 /// Selective decode powering [`for_each_one_hop_query`]: decodes only

@@ -13,33 +13,32 @@
 //!   clocks, the batched record buffer): the actor owns one, and so does
 //!   the hybrid-fidelity engine in `behavior`, so both fidelities admit,
 //!   record and close sessions through the same code;
-//! * [`record`] — the trace record types (connections and messages) and
+//! * `record` — the trace record types (connections and messages) and
 //!   the one-hop query observation the filter rules read;
-//! * [`store::Trace`] — the retained trace with JSONL (de)serialization,
-//!   backed by the column store [`store::MessageColumns`] (sealed
-//!   per-column-compressed chunks + flat tail — codec in [`chunk`]). It
+//! * [`store::Trace`] — the retained trace, backed by the column store
+//!   [`store::MessageColumns`] (sealed per-column-compressed chunks + flat
+//!   tail — codec in [`chunk`]). It
 //!   has two duties: it is the oracle of the retained ≡ live and
 //!   full ≡ hybrid tests, and it is what perfbench's `paper_repro`
 //!   workload measures. Experiments and examples fold the stream
 //!   instead;
-//! * [`sink`] — the streaming consumer API: the collector delivers its
+//! * `sink` — the streaming consumer API: the collector delivers its
 //!   record stream to any [`sink::TraceSink`], so campaigns can retain
 //!   the full trace, fold it into online aggregates, or both;
-//! * [`stats`] — the Table 1 counts, folded as a [`sink::TraceSink`].
+//! * `stats` — the Table 1 counts, folded as a [`sink::TraceSink`].
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod chunk;
-pub mod collector;
-pub mod record;
-pub mod sink;
-pub mod stats;
-pub mod store;
+pub(crate) mod collector;
+pub(crate) mod record;
+pub(crate) mod sink;
+pub(crate) mod stats;
+pub(crate) mod store;
 
-pub use chunk::ChunkBatch;
 pub use collector::{CollectorConfig, MeasurementPeer, Recorder};
 pub use record::{ConnectionRecord, MessageRecord, QueryObs, RecordedPayload, SessionId};
 pub use sink::{Fanout, SharedSink, TraceSink};
 pub use stats::TraceStats;
-pub use store::{MessageColumns, MessageCursor, MsgKind, Trace, CHUNK_ROWS};
+pub use store::{MessageColumns, Trace, CHUNK_ROWS};

@@ -6,16 +6,15 @@
 //! the same reduction the authors' modified mutella performed.
 
 use gnutella::{Guid, QueryId};
-use serde::{Deserialize, Serialize};
 use simnet::SimTime;
 use std::net::Ipv4Addr;
 
 /// Identifier of a connected session (dense index into the trace).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SessionId(pub u64);
 
 /// One direct (one-hop) connection to the measurement peer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConnectionRecord {
     /// Session identifier.
     pub id: SessionId,
@@ -36,16 +35,11 @@ pub struct ConnectionRecord {
     pub closed_by_probe: bool,
 }
 
-impl ConnectionRecord {
-    /// Connected session duration, if the session has ended.
-    pub fn duration(&self) -> Option<simnet::SimDuration> {
-        self.end.map(|e| e.since(self.start))
-    }
-}
+impl ConnectionRecord {}
 
 /// One observed query from a one-hop peer: the fields of a hop-1 QUERY
 /// record that the §3.3 filter rules read.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryObs {
     /// Arrival time at the measurement peer.
     pub at: SimTime,
@@ -60,7 +54,7 @@ pub struct QueryObs {
 /// All variants hold `Copy` scalars (query text travels as an interned
 /// [`QueryId`]), so whole records copy for free — the column store
 /// reconstructs them on demand from its typed columns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecordedPayload {
     /// PING keepalive.
     Ping,
@@ -73,8 +67,7 @@ pub enum RecordedPayload {
     },
     /// QUERY: keyword text and whether a SHA1 extension was present.
     Query {
-        /// Interned query string (serializes as the raw text, so the
-        /// on-disk JSONL format is unchanged).
+        /// Interned query string.
         text: QueryId,
         /// True if the message carried a `urn:sha1:` extension.
         sha1: bool,
@@ -90,21 +83,10 @@ pub enum RecordedPayload {
     Bye,
 }
 
-impl RecordedPayload {
-    /// Message kind label as used in Table 1.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            RecordedPayload::Ping => "PING",
-            RecordedPayload::Pong { .. } => "PONG",
-            RecordedPayload::Query { .. } => "QUERY",
-            RecordedPayload::QueryHit { .. } => "QUERYHIT",
-            RecordedPayload::Bye => "BYE",
-        }
-    }
-}
+impl RecordedPayload {}
 
 /// One received Gnutella message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MessageRecord {
     /// The connected session the message arrived on.
     pub session: SessionId,
@@ -121,92 +103,4 @@ pub struct MessageRecord {
     pub ttl: u8,
     /// Payload fields.
     pub payload: RecordedPayload,
-}
-
-impl MessageRecord {
-    /// True for QUERY messages generated by the directly connected peer.
-    pub fn is_one_hop_query(&self) -> bool {
-        self.hops == 1 && matches!(self.payload, RecordedPayload::Query { .. })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use simnet::SimDuration;
-
-    fn test_guid() -> gnutella::Guid {
-        gnutella::Guid([7; 16])
-    }
-
-    #[test]
-    fn duration_requires_end() {
-        let mut c = ConnectionRecord {
-            id: SessionId(0),
-            addr: Ipv4Addr::new(24, 0, 0, 1),
-            user_agent: "Mutella/0.4.5".into(),
-            ultrapeer: false,
-            start: SimTime::from_secs(100),
-            end: None,
-            closed_by_probe: false,
-        };
-        assert_eq!(c.duration(), None);
-        c.end = Some(SimTime::from_secs(190));
-        assert_eq!(c.duration(), Some(SimDuration::from_secs(90)));
-    }
-
-    #[test]
-    fn one_hop_query_detection() {
-        let q = MessageRecord {
-            session: SessionId(1),
-            guid: test_guid(),
-            at: SimTime::from_secs(5),
-            hops: 1,
-            ttl: 6,
-            payload: RecordedPayload::Query {
-                text: "x".into(),
-                sha1: false,
-            },
-        };
-        assert!(q.is_one_hop_query());
-        let far = MessageRecord { hops: 3, ..q };
-        assert!(!far.is_one_hop_query());
-        let ping = MessageRecord {
-            payload: RecordedPayload::Ping,
-            ..q
-        };
-        assert!(!ping.is_one_hop_query());
-    }
-
-    #[test]
-    fn kinds() {
-        assert_eq!(RecordedPayload::Ping.kind(), "PING");
-        assert_eq!(
-            RecordedPayload::Pong {
-                addr: Ipv4Addr::UNSPECIFIED,
-                shared_files: 3
-            }
-            .kind(),
-            "PONG"
-        );
-        assert_eq!(RecordedPayload::Bye.kind(), "BYE");
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let m = MessageRecord {
-            session: SessionId(9),
-            guid: test_guid(),
-            at: SimTime::from_millis(1234),
-            hops: 2,
-            ttl: 5,
-            payload: RecordedPayload::QueryHit {
-                addr: Ipv4Addr::new(82, 1, 2, 3),
-                results: 4,
-            },
-        };
-        let j = serde_json::to_string(&m).unwrap();
-        let back: MessageRecord = serde_json::from_str(&j).unwrap();
-        assert_eq!(m, back);
-    }
 }

@@ -140,7 +140,7 @@ mod tests {
 
     #[test]
     fn trace_as_sink_accumulates_stream() {
-        let mut t = Trace::new();
+        let mut t = Trace::default();
         t.on_connect(conn(0));
         t.on_batch(&[msg(0, 1), msg(0, 2)], &[23, 23]);
         t.on_close(SessionId(0), SimTime::from_secs(90), true);
@@ -153,8 +153,8 @@ mod tests {
 
     #[test]
     fn fanout_delivers_to_all_sinks() {
-        let a = Arc::new(Mutex::new(Trace::new()));
-        let b = Arc::new(Mutex::new(Trace::new()));
+        let a = Arc::new(Mutex::new(Trace::default()));
+        let b = Arc::new(Mutex::new(Trace::default()));
         let mut tee = Fanout::new();
         tee.register(a.clone());
         tee.register(b.clone());

@@ -2,7 +2,6 @@
 
 use crate::record::{ConnectionRecord, MessageRecord, RecordedPayload, SessionId};
 use crate::sink::TraceSink;
-use serde::{Deserialize, Serialize};
 use simnet::SimTime;
 
 /// Counters matching Table 1 of the paper.
@@ -10,7 +9,7 @@ use simnet::SimTime;
 /// A fold over the collector's record stream: register a default value
 /// as a [`TraceSink`]. It keeps nothing but these counters, and every
 /// field is final once the campaign has delivered its last event.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceStats {
     /// Number of QUERY messages received.
     pub query_messages: u64,
@@ -28,7 +27,7 @@ pub struct TraceStats {
     pub ultrapeer_connections: u64,
     /// Trace span in whole days (rounded up) up to the last connect,
     /// close or message seen.
-    pub trace_days: u64,
+    pub(crate) trace_days: u64,
 }
 
 impl TraceStats {

@@ -6,8 +6,7 @@
 //! network in between) and checks each rule against its target origin.
 
 use behavior::{
-    PlannedQuery, QueryOrigin, SessionKind, SessionPlan, SessionPlanner, Vocabulary,
-    VocabularyConfig,
+    PlannedQuery, QueryOrigin, SessionKind, SessionPlanner, Vocabulary, VocabularyConfig,
 };
 use geoip::Region;
 use rand::rngs::StdRng;
@@ -187,25 +186,4 @@ fn user_query_counts_match_table_a2_shape() {
     // Figure A.1(a)).
     let lt5 = counts.iter().filter(|&&c| c < 5).count() as f64 / counts.len() as f64;
     assert!((lt5 - 0.857).abs() < 0.03, "NA <5 fraction {lt5}");
-}
-
-#[test]
-fn plan_reflects_user_interest_tagging() {
-    // Popularity-eligible origins: User, AutoBurst, AutoPeriodic (§3.3).
-    assert!(QueryOrigin::User.reflects_user_interest());
-    assert!(QueryOrigin::AutoBurst.reflects_user_interest());
-    assert!(QueryOrigin::AutoPeriodic.reflects_user_interest());
-    assert!(!QueryOrigin::AutoRepeat.reflects_user_interest());
-    assert!(!QueryOrigin::AutoSha1.reflects_user_interest());
-    assert!(!QueryOrigin::AutoQuick.reflects_user_interest());
-}
-
-#[test]
-fn session_plan_serializes() {
-    let p = planner();
-    let mut rng = StdRng::seed_from_u64(6);
-    let plan: SessionPlan = p.plan(1, 11, Region::Europe, &mut rng);
-    let json = serde_json::to_string(&plan).unwrap();
-    let back: SessionPlan = serde_json::from_str(&json).unwrap();
-    assert_eq!(plan, back);
 }

@@ -17,7 +17,7 @@ use trace::{Fanout, Trace, TraceStats};
 fn full_pipeline_closes_the_loop() {
     // 1. Simulate the measured population, retaining the trace and
     //    folding its Table 1 counts from the same stream.
-    let retained = Arc::new(Mutex::new(Trace::new()));
+    let retained = Arc::new(Mutex::new(Trace::default()));
     let stats = Arc::new(Mutex::new(TraceStats::default()));
     let mut fanout = Fanout::new();
     fanout.register(retained.clone());
@@ -31,13 +31,7 @@ fn full_pipeline_closes_the_loop() {
         "no relayed traffic"
     );
 
-    // 2. The trace round-trips through the JSONL interchange format.
-    let mut buf = Vec::new();
-    trace.write_jsonl(&mut buf).expect("serialize");
-    let back = Trace::read_jsonl(buf.as_slice()).expect("parse");
-    assert_eq!(trace, back);
-
-    // 3. Filter.
+    // 2. Filter.
     let db = GeoDb::synthetic();
     let ft = analyze_retained(&trace, &db).ft;
     let r = &ft.report;
@@ -52,7 +46,7 @@ fn full_pipeline_closes_the_loop() {
     );
     assert_eq!(r.raw_sessions, r.rule3_sessions_removed + r.final_sessions);
 
-    // 4. Characterize: regional orderings the paper reports must hold.
+    // 3. Characterize: regional orderings the paper reports must hold.
     // Passive fractions ≈ 80 % everywhere (Figure 4).
     for region in Region::CHARACTERIZED {
         let p = passive_fraction::passive_fraction_by_hour(&ft, region);
@@ -91,7 +85,7 @@ fn full_pipeline_closes_the_loop() {
         frac_below(Region::NorthAmerica)
     );
 
-    // 5. Popularity structure: regions issue mostly disjoint queries
+    // 4. Popularity structure: regions issue mostly disjoint queries
     // (Table 3 — intersections are small relative to the region sets).
     let obs = DailyObservations::collect(&ft);
     let sizes = class_sizes(&obs, 0, 1);
@@ -103,7 +97,7 @@ fn full_pipeline_closes_the_loop() {
         sizes.na
     );
 
-    // 6. Calibrate and regenerate.
+    // 5. Calibrate and regenerate.
     let (model, report) = calibrate(&ft);
     assert!(
         report.fitted.len() >= 10,
