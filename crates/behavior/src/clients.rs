@@ -14,7 +14,7 @@ use rand::Rng;
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ClientProfile {
     /// `User-Agent` string sent in the handshake.
-    pub(crate) user_agent: String,
+    pub(crate) user_agent: &'static str,
     /// Probability that an active session issues SHA1 source-search
     /// queries (rule 1 traffic: re-queries for known files during
     /// downloads).
@@ -41,9 +41,9 @@ pub(crate) struct ClientProfile {
 
 impl ClientProfile {
     /// A perfectly clean client (no automation) — useful in tests.
-    pub(crate) fn clean(user_agent: &str) -> ClientProfile {
+    pub(crate) fn clean(user_agent: &'static str) -> ClientProfile {
         ClientProfile {
-            user_agent: user_agent.to_string(),
+            user_agent,
             sha1_session_prob: 0.0,
             sha1_mean: 0.0,
             repeat_prob: 0.0,
@@ -78,7 +78,7 @@ impl ClientPopulation {
             // The measurement client's own lineage: clean.
             ClientProfile::clean("Mutella/0.4.5"),
             ClientProfile {
-                user_agent: "LimeWire/3.8.10".into(),
+                user_agent: "LimeWire/3.8.10",
                 sha1_session_prob: 0.90,
                 sha1_mean: 9.0,
                 repeat_prob: 0.95,
@@ -89,7 +89,7 @@ impl ClientPopulation {
                 periodic_interval_secs: 10.0,
             },
             ClientProfile {
-                user_agent: "BearShare/4.6.2".into(),
+                user_agent: "BearShare/4.6.2",
                 sha1_session_prob: 0.90,
                 sha1_mean: 8.0,
                 repeat_prob: 0.92,
@@ -100,7 +100,7 @@ impl ClientPopulation {
                 periodic_interval_secs: 10.0,
             },
             ClientProfile {
-                user_agent: "Gnucleus/1.8.6".into(),
+                user_agent: "Gnucleus/1.8.6",
                 sha1_session_prob: 0.55,
                 sha1_mean: 3.5,
                 repeat_prob: 0.85,
@@ -111,7 +111,7 @@ impl ClientPopulation {
                 periodic_interval_secs: 15.0,
             },
             ClientProfile {
-                user_agent: "Shareaza/1.9.4".into(),
+                user_agent: "Shareaza/1.9.4",
                 sha1_session_prob: 0.80,
                 sha1_mean: 5.0,
                 repeat_prob: 0.93,
@@ -124,7 +124,7 @@ impl ClientPopulation {
             // The aggressive re-query client, over-represented in Asia
             // (drives the Figure 6(c) >100-query tail).
             ClientProfile {
-                user_agent: "XoloX/1.25".into(),
+                user_agent: "XoloX/1.25",
                 sha1_session_prob: 0.60,
                 sha1_mean: 4.0,
                 repeat_prob: 0.78,
@@ -222,7 +222,7 @@ mod tests {
         let pop = ClientPopulation::paper_default();
         let mut set = std::collections::HashSet::new();
         for p in &pop.profiles {
-            assert!(set.insert(p.user_agent.clone()));
+            assert!(set.insert(p.user_agent));
         }
     }
 }

@@ -28,6 +28,19 @@
 //!   reverse-routed hits, busy replies, probes to vanished peers) are
 //!   *elided*: their RNG draws and schedule keys are consumed for
 //!   ordering parity, but no event is created;
+//! * a forwarded query copy or a probe PING to a live session is
+//!   *resolved at send time*: the session handles it as soon as the
+//!   collector sends it, with the landing instant's clock, so it draws,
+//!   keys and schedules its answer exactly as the queued event would
+//!   have, provided nothing can touch the session in between: no other
+//!   collector delivery to it (its accept included) is on the queue,
+//!   its pending `PeerSend` is at or after the landing instant (the
+//!   collector's lane pops first at equal instants), and the landing is
+//!   at or before the horizon. Every other delivery is queued. The rule
+//!   is exact only because every collector delivery takes the same
+//!   fixed link delay (`CollectorConfig::default().latency`), so no
+//!   later delivery overtakes an earlier one; construction fails on any
+//!   other latency model;
 //! * event ordering replays the engine's `(time, lane, key)` contract
 //!   (see [`simnet::EventQueue::push_keyed`]), so ties at the same
 //!   millisecond resolve exactly as the full simulation resolves them.
@@ -140,8 +153,11 @@ struct Session {
     addr: Ipv4Addr,
     keepalive: SimDuration,
     emitter: Option<SessionEmitter>,
-    pending: Option<EmissionKind>,
+    /// The item the pending `PeerSend` sends, and that event's instant.
+    pending: Option<(SimTime, EmissionKind)>,
     next_key: u64,
+    /// Collector deliveries to this session still on the queue.
+    inflight: u32,
 }
 
 /// A hybrid-fidelity campaign: drop-in replacement for the
@@ -183,9 +199,14 @@ pub(crate) struct HybridCampaign {
     // with its session's slot.
     recorder: Recorder<u32>,
     forward_fanout: usize,
-    coll_latency: LatencyModel,
+    /// The collector's link delay, the same for every delivery.
+    coll_delay: SimDuration,
     crng: StdRng,
     ckey: u64,
+    /// Whether [`Self::deliver`] may resolve a delivery at send time.
+    /// Off, every delivery is queued: the unit tests' oracle for the rule.
+    #[cfg(test)]
+    resolve_at_send: bool,
 
     // Statistics.
     pops: u64,
@@ -211,7 +232,11 @@ impl HybridCampaign {
         let alloc = Arc::new(AddressAllocator::new(&db));
         let files = planner.files;
         let end = SimTime::from_secs_f64(cfg.days * 86_400.0);
-        let collector_defaults = CollectorConfig::default();
+        // Resolving deliveries at send time is exact only while no
+        // delivery can overtake an earlier one (see the module docs).
+        let LatencyModel::Fixed { millis } = CollectorConfig::default().latency else {
+            panic!("the hybrid engine needs a fixed collector link delay");
+        };
         let mut campaign = HybridCampaign {
             queue: EventQueue::new(),
             end,
@@ -234,9 +259,11 @@ impl HybridCampaign {
             free: Vec::new(),
             recorder: Recorder::new(cfg.max_connections, sink, registry),
             forward_fanout: cfg.forward_fanout,
-            coll_latency: collector_defaults.latency,
+            coll_delay: SimDuration::from_millis(millis),
             crng: StdRng::seed_from_u64(seq.derive_seed("collector")),
             ckey: 0,
+            #[cfg(test)]
+            resolve_at_send: true,
             pops: 0,
             delivered: 0,
             dropped: 0,
@@ -342,6 +369,7 @@ impl HybridCampaign {
             emitter: None,
             pending: None,
             next_key: 1,
+            inflight: 0,
         });
         let slot = match self.free.pop() {
             Some(slot) => {
@@ -393,7 +421,7 @@ impl HybridCampaign {
             return;
         };
         if let Some((at, kind)) = emitter.next(&sess.plan, &self.relay, &mut sess.rng) {
-            sess.pending = Some(kind);
+            sess.pending = Some((at, kind));
             let key = sess.next_key;
             sess.next_key += 1;
             self.push(at, peer.node, key, Body::PeerSend(peer));
@@ -417,6 +445,40 @@ impl HybridCampaign {
         k
     }
 
+    /// The collector sends `body` at `now` to the live session `peer`:
+    /// it lands one link delay later under the collector's next schedule
+    /// key. A forwarded query copy or a probe PING is handled at once,
+    /// with the landing instant as its clock, when the module docs' three
+    /// conditions hold; every other delivery waits on the queue.
+    fn deliver(&mut self, peer: Peer, now: SimTime, body: Body) {
+        let at = now + self.coll_delay;
+        let key = self.ckey();
+        let sess = self.sessions[peer.slot as usize]
+            .as_deref_mut()
+            .filter(|s| s.node == peer.node)
+            .expect("the collector delivers to live sessions");
+        let resolve = matches!(body, Body::FwdQuery { .. } | Body::ProbePing(_))
+            && sess.inflight == 0
+            && sess.pending.is_some_and(|(send_at, _)| send_at >= at)
+            && at <= self.horizon;
+        #[cfg(test)]
+        let resolve = resolve && self.resolve_at_send;
+        sess.inflight += 1;
+        if resolve {
+            self.process(at, body);
+        } else {
+            self.push(at, COLLECTOR_LANE, key, body);
+        }
+    }
+
+    /// Move the session a collector delivery lands on out of its slot,
+    /// as [`Self::take_session`], counting the delivery as landed.
+    fn take_delivered(&mut self, p: Peer) -> Option<Box<Session>> {
+        let mut sess = self.take_session(p)?;
+        sess.inflight -= 1;
+        Some(sess)
+    }
+
     // ----- event processing ------------------------------------------------
 
     fn process(&mut self, at: SimTime, body: Body) {
@@ -436,7 +498,7 @@ impl HybridCampaign {
             }
             Body::AcceptArrive(peer) => {
                 self.delivered += 1;
-                if let Some(mut sess) = self.take_session(peer) {
+                if let Some(mut sess) = self.take_delivered(peer) {
                     sess.emitter = Some(SessionEmitter::start(
                         &sess.plan,
                         sess.keepalive,
@@ -456,7 +518,7 @@ impl HybridCampaign {
                     return;
                 };
                 self.timers_fired += 1;
-                let Some(kind) = sess.pending.take() else {
+                let Some((_, kind)) = sess.pending.take() else {
                     self.put_session(peer, sess);
                     return;
                 };
@@ -490,7 +552,7 @@ impl HybridCampaign {
                 origin,
                 guid,
             } => {
-                let Some(mut sess) = self.take_session(target) else {
+                let Some(mut sess) = self.take_delivered(target) else {
                     self.dropped += 1;
                     return;
                 };
@@ -514,7 +576,7 @@ impl HybridCampaign {
                 self.put_session(target, sess);
             }
             Body::ProbePing(peer) => {
-                let Some(mut sess) = self.take_session(peer) else {
+                let Some(mut sess) = self.take_delivered(peer) else {
                     self.dropped += 1;
                     return;
                 };
@@ -541,9 +603,8 @@ impl HybridCampaign {
 
     fn on_connect_arrive(&mut self, peer: Peer, at: SimTime) {
         if self.recorder.is_full() {
-            // Busy reply: draw + key for ordering parity, no event — the
+            // Busy reply: key for ordering parity, no event — the
             // rejected peer only removes itself.
-            let _ = self.coll_latency.sample(&mut self.crng);
             let _ = self.ckey();
             self.elided += 1;
             self.end_session(peer);
@@ -558,12 +619,11 @@ impl HybridCampaign {
             peer.slot,
             at,
             sess.addr,
-            sess.plan.user_agent.clone(),
+            sess.plan.user_agent.to_string(),
             sess.plan.ultrapeer,
         );
-        let d = self.coll_latency.sample(&mut self.crng);
-        let key = self.ckey();
-        self.push(at + d, COLLECTOR_LANE, key, Body::AcceptArrive(peer));
+        self.put_session(peer, sess);
+        self.deliver(peer, at, Body::AcceptArrive(peer));
         let key = self.ckey();
         self.push(
             at + IDLE_PROBE_AFTER,
@@ -571,7 +631,6 @@ impl HybridCampaign {
             key,
             Body::IdleCheck(node),
         );
-        self.put_session(peer, sess);
     }
 
     /// Emit one item of the session's merged stream. Returns `true` when
@@ -701,7 +760,6 @@ impl HybridCampaign {
             RecordedPayload::Ping => {
                 // The collector's PONG reply: drawn, keyed, never seen.
                 let _ = Guid::random(&mut self.crng);
-                let _ = self.coll_latency.sample(&mut self.crng);
                 let _ = self.ckey();
                 self.elided += 1;
             }
@@ -721,25 +779,20 @@ impl HybridCampaign {
                             continue;
                         }
                         let target = Peer { node: id.0, slot };
-                        let d = self.coll_latency.sample(&mut self.crng);
-                        let key = self.ckey();
                         sent += 1;
                         let answers = self
                             .session(target)
                             .is_some_and(|s| s.plan.shared_files > 0);
                         if answers {
-                            self.push(
-                                at + d,
-                                COLLECTOR_LANE,
-                                key,
-                                Body::FwdQuery {
-                                    target,
-                                    origin: node,
-                                    guid: msg.guid,
-                                },
-                            );
+                            let body = Body::FwdQuery {
+                                target,
+                                origin: node,
+                                guid: msg.guid,
+                            };
+                            self.deliver(target, at, body);
                         } else {
                             // Delivered-but-inert (or dropped) copy.
+                            let _ = self.ckey();
                             self.elided += 1;
                         }
                     }
@@ -750,7 +803,6 @@ impl HybridCampaign {
                     // Reverse-route along the GUID path; the origin peer
                     // ignores hits, so the delivery itself is elided.
                     if origin != node && self.recorder.is_open(NodeId(origin)) {
-                        let _ = self.coll_latency.sample(&mut self.crng);
                         let _ = self.ckey();
                         self.elided += 1;
                     }
@@ -776,23 +828,21 @@ impl HybridCampaign {
             }
             IdleAction::SendProbe(deadline) => {
                 let _ = Guid::random(&mut self.crng);
-                let d = self.coll_latency.sample(&mut self.crng);
-                let key = self.ckey();
                 if self.session(peer).is_some() {
-                    self.push(at + d, COLLECTOR_LANE, key, Body::ProbePing(peer));
+                    self.deliver(peer, at, Body::ProbePing(peer));
                 } else {
                     // Probe toward a vanished peer: it would be dropped.
+                    let _ = self.ckey();
                     self.elided += 1;
                 }
                 let key = self.ckey();
                 self.push(deadline, COLLECTOR_LANE, key, Body::IdleCheck(node));
             }
             IdleAction::Close => {
-                let d = self.coll_latency.sample(&mut self.crng);
-                let key = self.ckey();
                 if self.session(peer).is_some() {
-                    self.push(at + d, COLLECTOR_LANE, key, Body::PeerGone(peer));
+                    self.deliver(peer, at, Body::PeerGone(peer));
                 } else {
+                    let _ = self.ckey();
                     self.elided += 1;
                 }
                 self.recorder.close(NodeId(node), at, true);
@@ -804,28 +854,103 @@ impl HybridCampaign {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trace::Fanout;
+    use trace::{Fanout, Trace};
 
-    /// One campaign at the flood rate, 2 M arrivals/day against 200 slots,
-    /// run to its horizon: the session table's length and the arrivals.
-    fn flood_table(hours: f64) -> (usize, u64) {
-        let cfg = PopulationConfig {
+    /// The flood rate, 2 M arrivals/day against 200 slots, for `hours`.
+    fn flood(hours: f64) -> PopulationConfig {
+        PopulationConfig {
             seed: 1964,
             days: hours / 24.0,
             sessions_per_day: 2_000_000.0,
             max_connections: 200,
             ..PopulationConfig::smoke()
-        };
+        }
+    }
+
+    /// A hybrid campaign for `cfg` delivering to `sink`, built as the
+    /// driver builds it.
+    fn campaign(cfg: &PopulationConfig, sink: SharedSink) -> HybridCampaign {
         let seq = SeedSequence::new(cfg.seed);
         let vocab = Arc::new(Vocabulary::build(
             seq.derive_seed("vocab"),
             cfg.vocab.clone(),
         ));
+        HybridCampaign::new(cfg, vocab, seq, sink, Arc::new(Registry::new()))
+    }
+
+    /// One flood campaign run to its horizon: the session table's length
+    /// and the arrivals.
+    fn flood_table(hours: f64) -> (usize, u64) {
         let sink: SharedSink = Arc::new(parking_lot::Mutex::new(Fanout::new()));
-        let registry = Arc::new(Registry::new());
-        let mut campaign = HybridCampaign::new(&cfg, vocab, seq, sink, registry);
+        let mut campaign = campaign(&flood(hours), sink);
         campaign.run_until(campaign.horizon());
         (campaign.sessions.len(), campaign.spawned)
+    }
+
+    /// `cfg` run to its horizon into a retained trace, with send-time
+    /// resolution on or off.
+    fn run_resolving(cfg: &PopulationConfig, resolve_at_send: bool) -> (Trace, CampaignStats) {
+        let trace = Arc::new(parking_lot::Mutex::new(Trace::default()));
+        let mut campaign = campaign(cfg, trace.clone());
+        campaign.resolve_at_send = resolve_at_send;
+        campaign.run_until(campaign.horizon());
+        let stats = campaign.finish();
+        let trace = Arc::try_unwrap(trace).expect("the campaign is gone");
+        (trace.into_inner(), stats)
+    }
+
+    /// Resolving deliveries at send time is exact: against the same
+    /// campaign with every collector delivery queued, the observed trace
+    /// and every engine count except the pops are equal, at the smoke
+    /// rate and at the flood rate.
+    #[test]
+    fn send_time_resolution_matches_the_all_queued_engine() {
+        for cfg in [PopulationConfig::smoke(), flood(1.0)] {
+            let (trace, stats) = run_resolving(&cfg, true);
+            let (oracle, queued) = run_resolving(&cfg, false);
+            assert!(trace == oracle, "the observed trace changed");
+            let counts = |s: &CampaignStats| {
+                (
+                    s.delivered,
+                    s.dropped,
+                    s.timers_fired,
+                    s.spawned,
+                    s.hybrid_elided_msgs,
+                    s.hybrid_modeled_msgs,
+                )
+            };
+            assert_eq!(counts(&stats), counts(&queued));
+            assert!(stats.events_popped < queued.events_popped);
+        }
+    }
+
+    /// A probe PING that would be resolved is queued instead when it
+    /// lands past the horizon, where the queued event would never pop.
+    #[test]
+    fn a_delivery_landing_past_the_horizon_is_queued() {
+        let sink: SharedSink = Arc::new(parking_lot::Mutex::new(Fanout::new()));
+        let mut c = campaign(&PopulationConfig::smoke(), sink);
+        let now = SimTime::from_secs(3_600);
+        c.run_until(now);
+        let landing = now + c.coll_delay;
+        // Accepted sessions with no delivery queued and a later send.
+        let mut idle = c.sessions.iter().zip(0u32..).filter_map(|(s, slot)| {
+            let s = s.as_deref()?;
+            let later = s.pending.is_some_and(|(send_at, _)| send_at > landing);
+            (s.inflight == 0 && later).then_some(Peer { node: s.node, slot })
+        });
+        let (a, b) = (idle.next().unwrap(), idle.next().unwrap());
+        let probe = |c: &mut HybridCampaign, p: Peer, horizon: SimTime| {
+            c.horizon = horizon;
+            let before = (c.delivered, c.queue.len());
+            c.deliver(p, now, Body::ProbePing(p));
+            (c.delivered - before.0, c.queue.len() - before.1)
+        };
+        // Resolved: delivered now, and only its answer is queued.
+        assert_eq!(probe(&mut c, a, landing), (1, 1));
+        // Queued: nothing delivered yet, the probe itself is queued.
+        let early = SimTime::from_millis(landing.as_millis() - 1);
+        assert_eq!(probe(&mut c, b, early), (0, 1));
     }
 
     /// The table holds live sessions only: its length stays under a bound

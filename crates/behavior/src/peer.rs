@@ -305,7 +305,7 @@ impl Actor for ClientPeer {
     type Msg = NetMsg;
 
     fn on_start(&mut self, ctx: &mut Context<'_, NetMsg>) {
-        let hs = Handshake::new(self.plan.user_agent.clone(), self.plan.ultrapeer).render();
+        let hs = Handshake::new(self.plan.user_agent, self.plan.ultrapeer).render();
         let addr = self.addr;
         let server = self.server;
         let d = self.env.latency.sample(&mut self.rng);

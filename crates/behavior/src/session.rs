@@ -71,7 +71,7 @@ pub struct SessionPlan {
     /// Index into the client population.
     pub(crate) client_idx: usize,
     /// The client's `User-Agent`.
-    pub(crate) user_agent: String,
+    pub(crate) user_agent: &'static str,
     /// Session kind (ground truth).
     pub kind: SessionKind,
     /// Planned session duration (connect → teardown/vanish).
@@ -141,7 +141,7 @@ impl SessionPlanner {
         let base = SessionPlan {
             region,
             client_idx,
-            user_agent: client.user_agent.clone(),
+            user_agent: client.user_agent,
             kind: SessionKind::Quick,
             duration: SimDuration::ZERO,
             queries: Vec::new(),

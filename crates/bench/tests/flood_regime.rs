@@ -74,7 +74,10 @@ fn flood_campaign_is_pinned() {
 const PINNED_FINGERPRINT: u64 = 2_548_248_541_256_347_773;
 const PINNED_CONNECTIONS: u64 = 4_691;
 const PINNED_MESSAGES: u64 = 359_344;
-const PINNED_EVENTS_POPPED: u64 = 1_566_393;
+/// Forwarded query copies and probe PINGs that the hybrid engine
+/// resolves when the collector sends them are never queued, so they are
+/// not popped.
+const PINNED_EVENTS_POPPED: u64 = 1_186_109;
 const PINNED_TIMERS_FIRED: u64 = 652_133;
 const PINNED_SPAWNED: u64 = 166_228;
 

@@ -15,21 +15,32 @@ use rand::rngs::StdRng;
 ///
 /// Selects the top `k` first and sorts only those, so ranking a few
 /// thousand items out of a pool five times larger skips most of a full
-/// sort.
+/// sort. Both steps compare plain `(u64, u32)` keys (see `rank_key`).
 pub fn top_k(scores: &[f64], k: usize) -> Vec<u32> {
-    let better = |a: &(f64, u32), b: &(f64, u32)| {
-        b.0.partial_cmp(&a.0)
-            .expect("scores are not NaN")
-            .then(a.1.cmp(&b.1))
-    };
-    let mut scored: Vec<(f64, u32)> = scores.iter().zip(0u32..).map(|(&s, i)| (s, i)).collect();
-    let k = k.min(scored.len());
-    if k < scored.len() {
-        scored.select_nth_unstable_by(k, better);
-        scored.truncate(k);
+    let mut keyed: Vec<(u64, u32)> = scores.iter().zip(0u32..).map(rank_key).collect();
+    let k = k.min(keyed.len());
+    if k < keyed.len() {
+        keyed.select_nth_unstable(k);
+        keyed.truncate(k);
     }
-    scored.sort_unstable_by(better);
-    scored.into_iter().map(|(_, i)| i).collect()
+    keyed.sort_unstable();
+    keyed.into_iter().map(|(_, i)| i).collect()
+}
+
+/// The ascending sort key of score `s` at index `i`: higher scores get
+/// lower keys, and equal scores order by index. The score's bits map to
+/// an integer whose order is the order of the floats (sign bit flipped
+/// for positives, every bit for negatives), then complemented for
+/// best-first; −0.0 is folded onto 0.0 first, so the two tie.
+fn rank_key((&s, i): (&f64, u32)) -> (u64, u32) {
+    assert!(!s.is_nan(), "scores are not NaN");
+    let bits = (s + 0.0).to_bits(); // −0.0 + 0.0 is 0.0
+    let ascending = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    };
+    (!ascending, i)
 }
 
 /// One day's hot set over a pool of `pool` items: item `i` scores
@@ -56,6 +67,21 @@ mod tests {
         assert_eq!(top_k(&scores, 10), [1, 3, 2, 0, 4, 5]);
         assert!(top_k(&scores, 0).is_empty());
         assert!(top_k(&[], 3).is_empty());
+        let extremes = [
+            f64::MIN,
+            f64::NEG_INFINITY,
+            -1e-300,
+            f64::INFINITY,
+            1e-300,
+            f64::MAX,
+        ];
+        assert_eq!(top_k(&extremes, 6), [3, 5, 4, 2, 0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "scores are not NaN")]
+    fn top_k_rejects_nan() {
+        top_k(&[1.0, f64::NAN, 2.0], 1);
     }
 
     #[test]

@@ -56,6 +56,8 @@ use gnutella::{Guid, Handshake, HandshakeResponse, RoutingTable};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simnet::{Actor, Context, LatencyModel, NodeId, SimTime};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 use telemetry::{Counter, Registry};
@@ -110,6 +112,30 @@ struct Open<T> {
     tag: T,
 }
 
+/// A hasher for [`NodeId`] keys: one multiply by an odd constant (the
+/// 64-bit golden ratio), which spreads sequential ids over both the
+/// bucket index (low bits) and the control byte (top bits) of the
+/// table. Node ids are not adversarial, so SipHash's collision
+/// resistance buys nothing on a lookup made for every received frame.
+#[derive(Default)]
+struct NodeIdHasher(u64);
+
+impl Hasher for NodeIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = u64::from(n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        }
+    }
+}
+
 /// The recording half of the measurement node (see the module docs).
 ///
 /// Each open connection carries a caller tag `T`: the hybrid engine's
@@ -121,16 +147,22 @@ pub struct Recorder<T: Copy> {
     /// Next session id. Ids are dense from 0, which is what indexes a
     /// retained trace's `connections` vector.
     next_sid: u64,
-    /// Open connections, sorted by node id.
+    /// Open connections, dense and unordered: a close moves the last
+    /// connection into the freed position.
     ///
-    /// A sorted `Vec` rather than a tree map: the set is small (bounded
-    /// by `max_connections`) and hit on every received frame, so binary
-    /// search over one contiguous allocation beats pointer-chasing tree
-    /// nodes. Node ids are handed out monotonically and never reused,
-    /// but connect latencies differ, so a later-spawned peer can be
-    /// admitted first and an insert can land mid-list. Ascending node
-    /// order is also the forward fan-out's target order.
+    /// Every received frame and idle check looks its sender up here,
+    /// through `index`: one multiply-hash probe where a binary search
+    /// over hundreds of open connections takes ten dependent steps.
     open: Vec<Open<T>>,
+    /// Position in `open` of each open node's connection.
+    index: HashMap<NodeId, u32, BuildHasherDefault<NodeIdHasher>>,
+    /// The open nodes with their tags, sorted by node id: the forward
+    /// fan-out's target order, walked by [`Self::open_at`]. Node ids are
+    /// handed out monotonically and never reused, but connect latencies
+    /// differ, so a later-spawned peer can be admitted first and an
+    /// insert can land mid-list. Admits and closes are rare next to
+    /// lookups, so they pay the shift.
+    by_node: Vec<(NodeId, T)>,
     /// Arrival-ordered records not yet delivered to the sink. Recording
     /// appends here without taking any lock; [`Self::flush`] hands the
     /// whole buffer to the sink under one lock acquisition.
@@ -152,6 +184,8 @@ impl<T: Copy> Recorder<T> {
             max_connections,
             next_sid: 0,
             open: Vec::new(),
+            index: HashMap::default(),
+            by_node: Vec::new(),
             pending: Vec::with_capacity(RECORD_FLUSH_CHUNK),
             pending_wire: Vec::with_capacity(RECORD_FLUSH_CHUNK),
             sink,
@@ -198,21 +232,29 @@ impl<T: Copy> Recorder<T> {
             idle: IdleTracker::new(at),
             tag,
         };
-        match self.find(node) {
-            Ok(i) => self.open[i] = conn,
-            Err(i) => self.open.insert(i, conn),
+        match self.by_node.binary_search_by_key(&node, |&(n, _)| n) {
+            Ok(j) => {
+                self.by_node[j].1 = tag;
+                let i = self.index[&node] as usize;
+                self.open[i] = conn;
+            }
+            Err(j) => {
+                self.by_node.insert(j, (node, tag));
+                self.index.insert(node, self.open.len() as u32);
+                self.open.push(conn);
+            }
         }
     }
 
-    fn find(&self, node: NodeId) -> Result<usize, usize> {
-        self.open.binary_search_by_key(&node, |c| c.node)
+    fn find(&self, node: NodeId) -> Option<usize> {
+        self.index.get(&node).map(|&i| i as usize)
     }
 
     /// Traffic from `node` arrived at `at`: restart its idle clock and
     /// return its session, or `None` when no connection from `node` is
     /// open (a straggler after close, which goes unrecorded).
     pub fn receive(&mut self, node: NodeId, at: SimTime) -> Option<SessionId> {
-        let i = self.find(node).ok()?;
+        let i = self.find(node)?;
         let conn = &mut self.open[i];
         conn.idle.on_receive(at);
         Some(conn.sid)
@@ -220,20 +262,20 @@ impl<T: Copy> Recorder<T> {
 
     /// Whether a connection from `node` is open.
     pub fn is_open(&self, node: NodeId) -> bool {
-        self.find(node).is_ok()
+        self.find(node).is_some()
     }
 
     /// The `i`-th open connection in ascending node order, with its tag;
     /// `None` past the last. Walking by index lets the fan-out loop draw
     /// a latency and a schedule key per target while it walks.
     pub fn open_at(&self, i: usize) -> Option<(NodeId, T)> {
-        self.open.get(i).map(|c| (c.node, c.tag))
+        self.by_node.get(i).copied()
     }
 
     /// Evaluate `node`'s idle clock at `at` (§3.2), with the
     /// connection's tag; `None` when the connection is already closed.
     pub fn idle_check(&mut self, node: NodeId, at: SimTime) -> Option<(IdleAction, T)> {
-        let i = self.find(node).ok()?;
+        let i = self.find(node)?;
         let conn = &mut self.open[i];
         Some((conn.idle.check(at), conn.tag))
     }
@@ -253,8 +295,17 @@ impl<T: Copy> Recorder<T> {
     /// close, so every record of the session reaches the sink before its
     /// `on_close`.
     pub fn close(&mut self, node: NodeId, end: SimTime, by_probe: bool) {
-        if let Ok(i) = self.find(node) {
-            let sid = self.open.remove(i).sid;
+        if let Some(i) = self.index.remove(&node) {
+            let i = i as usize;
+            let sid = self.open.swap_remove(i).sid;
+            if let Some(moved) = self.open.get(i) {
+                self.index.insert(moved.node, i as u32);
+            }
+            let j = self
+                .by_node
+                .binary_search_by_key(&node, |&(n, _)| n)
+                .expect("an open node is in the sorted list");
+            self.by_node.remove(j);
             // Drain-then-close in two acquisitions: only this recorder
             // writes to its sink, so nothing can interleave, and the
             // drain goes through the one accounting point.

@@ -257,28 +257,6 @@ impl FlatColumns {
         out.hit_results.extend_from_slice(&self.hit_results);
     }
 
-    /// Bytes of column data currently filled (not capacity) — the "raw"
-    /// side of the chunk compression ratio.
-    fn filled_bytes(&self) -> u64 {
-        fn filled<T>(v: &[T]) -> u64 {
-            std::mem::size_of_val(v) as u64
-        }
-        filled(&self.session)
-            + filled(&self.guid)
-            + filled(&self.at)
-            + filled(&self.hops)
-            + filled(&self.ttl)
-            + filled(&self.kind)
-            + filled(&self.arg)
-            + filled(&self.wire_len)
-            + filled(&self.pong_addr)
-            + filled(&self.pong_files)
-            + filled(&self.query_id)
-            + filled(&self.query_sha1)
-            + filled(&self.hit_addr)
-            + filled(&self.hit_results)
-    }
-
     /// Resident bytes, counted at capacity.
     fn mem_bytes(&self) -> u64 {
         fn cap<T>(v: &Vec<T>) -> u64 {
@@ -314,7 +292,6 @@ pub struct MessageColumns {
     /// Rows covered by `sealed` — always `sealed.len() * chunk_rows`.
     rows_sealed: usize,
     tail: FlatColumns,
-    raw_sealed_bytes: u64,
     encoded_sealed_bytes: u64,
     /// Reusable seal-time scratch (timestamp millis).
     encode_ms_scratch: Vec<u64>,
@@ -327,7 +304,6 @@ impl Default for MessageColumns {
             sealed: Vec::new(),
             rows_sealed: 0,
             tail: FlatColumns::default(),
-            raw_sealed_bytes: 0,
             encoded_sealed_bytes: 0,
             encode_ms_scratch: Vec::new(),
         }
@@ -341,7 +317,6 @@ impl Clone for MessageColumns {
             sealed: self.sealed.clone(),
             rows_sealed: self.rows_sealed,
             tail: self.tail.clone(),
-            raw_sealed_bytes: self.raw_sealed_bytes,
             encoded_sealed_bytes: self.encoded_sealed_bytes,
             encode_ms_scratch: Vec::new(),
         }
@@ -464,7 +439,6 @@ impl MessageColumns {
             &mut self.encode_ms_scratch,
             &mut bytes,
         );
-        self.raw_sealed_bytes += self.tail.filled_bytes();
         self.encoded_sealed_bytes += bytes.len() as u64;
         bytes.shrink_to_fit();
         self.sealed.push(bytes);
@@ -847,6 +821,23 @@ mod tests {
         assert_eq!(cur.next_with_wire(), None);
     }
 
+    /// Bytes the flat tail holds for `r`: its row of the eight per-row
+    /// columns plus its payload's side-table row.
+    fn flat_row_bytes(r: &MessageRecord) -> usize {
+        use std::mem::size_of;
+        let row = 3 * size_of::<u32>() // session, arg, wire_len
+            + size_of::<Guid>()
+            + size_of::<SimTime>()
+            + 2 * size_of::<u8>() // hops, ttl
+            + size_of::<MsgKind>();
+        row + match r.payload {
+            RecordedPayload::Ping | RecordedPayload::Bye => 0,
+            RecordedPayload::Pong { .. } => size_of::<Ipv4Addr>() + size_of::<u32>(),
+            RecordedPayload::Query { .. } => size_of::<u32>() + size_of::<bool>(),
+            RecordedPayload::QueryHit { .. } => size_of::<Ipv4Addr>() + size_of::<u8>(),
+        }
+    }
+
     #[test]
     fn sealed_chunks_round_trip_all_access_paths() {
         let records = varied_records(1_000);
@@ -861,7 +852,9 @@ mod tests {
             // Section headers dominate degenerate chunk sizes; only
             // realistic chunks must actually compress.
             if chunk_rows >= 256 {
-                assert!(cols.raw_sealed_bytes > cols.encoded_sealed_bytes);
+                let sealed_rows = cols.sealed_chunks() * chunk_rows;
+                let flat: usize = records[..sealed_rows].iter().map(flat_row_bytes).sum();
+                assert!(flat as u64 > cols.encoded_sealed_bytes);
             }
 
             // Iteration (cursor path).

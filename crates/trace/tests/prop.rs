@@ -1,11 +1,18 @@
-//! Property tests for trace records and (de)serialization.
+//! Property tests for trace records, the chunked store and the
+//! collector's recorder.
 
+use gnutella::peerlink::IdleTracker;
 use gnutella::Guid;
+use parking_lot::Mutex;
 use proptest::prelude::*;
-use simnet::SimTime;
+use simnet::{NodeId, SimDuration, SimTime};
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
+use telemetry::Registry;
 use trace::{
-    ConnectionRecord, MessageRecord, RecordedPayload, SessionId, Trace, TraceSink, TraceStats,
+    ConnectionRecord, MessageRecord, RecordedPayload, Recorder, SessionId, Trace, TraceSink,
+    TraceStats,
 };
 
 fn arb_payload() -> impl Strategy<Value = RecordedPayload> {
@@ -143,8 +150,123 @@ fn arb_adversarial_records() -> impl Strategy<Value = Vec<MessageRecord>> {
     })
 }
 
+/// One step of a recorder run, on one of a few node ids so that
+/// re-admits, repeated closes and lookups of closed nodes are common.
+#[derive(Debug, Clone)]
+enum RecorderOp {
+    Admit { node: u32, tag: u32 },
+    Receive(u32),
+    IdleCheck(u32),
+    Close { node: u32, by_probe: bool },
+}
+
+fn arb_recorder_ops() -> impl Strategy<Value = Vec<(u64, RecorderOp)>> {
+    let node = 0u32..12;
+    let op = prop_oneof![
+        (node.clone(), any::<u32>()).prop_map(|(node, tag)| RecorderOp::Admit { node, tag }),
+        node.clone().prop_map(RecorderOp::Receive),
+        node.clone().prop_map(RecorderOp::IdleCheck),
+        (node, any::<bool>()).prop_map(|(node, by_probe)| RecorderOp::Close { node, by_probe }),
+    ];
+    // Each step advances the clock by up to 20 s, which spans the idle
+    // policy's 15 s probe and close thresholds.
+    proptest::collection::vec((0u64..20_000, op), 1..120)
+}
+
+/// The session ids a sink saw connect and close, in call order.
+#[derive(Default)]
+struct Lifecycle {
+    connects: Vec<SessionId>,
+    closes: Vec<SessionId>,
+}
+
+impl TraceSink for Lifecycle {
+    fn on_connect(&mut self, rec: ConnectionRecord) {
+        self.connects.push(rec.id);
+    }
+
+    fn on_batch(&mut self, _: &[MessageRecord], _: &[u32]) {}
+
+    fn on_close(&mut self, id: SessionId, _: SimTime, _: bool) {
+        self.closes.push(id);
+    }
+}
+
+/// An open connection as the model holds it.
+struct ModelConn {
+    sid: SessionId,
+    tag: u32,
+    idle: IdleTracker,
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(100))]
+
+    /// A recorder agrees with a `BTreeMap` model of its open connections
+    /// after every step: the cap, which nodes are open, the session a
+    /// receive returns, each idle check's action and tag, the fan-out
+    /// walk in ascending node order, and session ids handed out densely
+    /// in admission order.
+    #[test]
+    fn recorder_matches_a_sorted_map_model(
+        cap in 1usize..8,
+        ops in arb_recorder_ops(),
+    ) {
+        let log = Arc::new(Mutex::new(Lifecycle::default()));
+        let mut rec: Recorder<u32> = Recorder::new(cap, log.clone(), Arc::new(Registry::new()));
+        let mut model: BTreeMap<u32, ModelConn> = BTreeMap::new();
+        let mut admitted = 0u64;
+        let mut closed = Vec::new();
+        let mut now = SimTime::ZERO;
+        for (step_ms, op) in ops {
+            now += SimDuration::from_millis(step_ms);
+            match op {
+                RecorderOp::Admit { node, tag } => {
+                    // Callers check the cap first, and so does this run.
+                    if rec.is_full() {
+                        continue;
+                    }
+                    let addr = Ipv4Addr::from(node);
+                    rec.admit(NodeId(node), tag, now, addr, format!("A/{node}"), false);
+                    let sid = SessionId(admitted);
+                    admitted += 1;
+                    model.insert(node, ModelConn { sid, tag, idle: IdleTracker::new(now) });
+                }
+                RecorderOp::Receive(node) => {
+                    let got = rec.receive(NodeId(node), now);
+                    let want = model.get_mut(&node).map(|c| {
+                        c.idle.on_receive(now);
+                        c.sid
+                    });
+                    prop_assert_eq!(got, want);
+                }
+                RecorderOp::IdleCheck(node) => {
+                    let got = rec.idle_check(NodeId(node), now);
+                    let want = model.get_mut(&node).map(|c| (c.idle.check(now), c.tag));
+                    prop_assert_eq!(got, want);
+                }
+                RecorderOp::Close { node, by_probe } => {
+                    rec.close(NodeId(node), now, by_probe);
+                    if let Some(c) = model.remove(&node) {
+                        closed.push(c.sid);
+                    }
+                }
+            }
+            prop_assert_eq!(rec.is_full(), model.len() >= cap);
+            for node in 0..12 {
+                prop_assert_eq!(rec.is_open(NodeId(node)), model.contains_key(&node));
+            }
+            let walk: Vec<(NodeId, u32)> = (0..).map_while(|i| rec.open_at(i)).collect();
+            let want: Vec<(NodeId, u32)> =
+                model.iter().map(|(&n, c)| (NodeId(n), c.tag)).collect();
+            prop_assert_eq!(walk, want);
+        }
+        drop(rec);
+        let log = log.lock();
+        let dense: Vec<SessionId> = (0..admitted).map(SessionId).collect();
+        prop_assert_eq!(&log.connects, &dense);
+        prop_assert_eq!(&log.closes, &closed);
+    }
 
     /// The chunked store must agree with the flat (never-sealing) store
     /// on every access path, for any chunk size, under adversarial
