@@ -26,8 +26,9 @@
 //! * collector replies that no recorded message depends on (PONG answers
 //!   to pings, forwarded query copies to sessions that share no files,
 //!   reverse-routed hits, busy replies, probes to vanished peers) are
-//!   *elided*: their RNG draws and schedule keys are consumed for
-//!   ordering parity, but no event is created;
+//!   *elided*: counted, but not drawn, keyed or queued. The collector's
+//!   GUIDs reach no record, and its schedule keys only order its own
+//!   queued events, among which a skipped key changes no order;
 //! * a forwarded query copy or a probe PING to a live session is
 //!   *resolved at send time*: the session handles it as soon as the
 //!   collector sends it, with the landing instant's clock, so it draws,
@@ -41,6 +42,24 @@
 //!   fixed link delay (`CollectorConfig::default().latency`), so no
 //!   later delivery overtakes an earlier one; construction fails on any
 //!   other latency model;
+//! * an arrival whose connect the collector must refuse is *refused at
+//!   arrival*: it is counted as the refused connect would be (its node
+//!   id, one delivery, one elided busy reply), and nothing is drawn or
+//!   queued for it. Sent at the arrival, the connect lands at most
+//!   `D_max` later, the peer link delay's upper bound
+//!   ([`LatencyModel::bounds`]), so it is certain to be refused when the
+//!   recorder is full now and no open connection can close by
+//!   `now + D_max`. A connection closes only at the deadline of a probe
+//!   it left unanswered, or on its session's BYE or disconnect, both
+//!   sent at the session's end and landing at most `D_max` after it (a
+//!   vanishing session sends neither). So the engine keeps two kinds of
+//!   bound: the end instant of each admitted session that does not
+//!   vanish, in a min-heap, and each probe's deadline, in a FIFO (probes
+//!   go out in deadline order). An end in `[now - D_max, now + D_max]`,
+//!   or a deadline in `[now, now + D_max]` of a probe still unanswered
+//!   now, leaves the arrival on the queued path; earlier bounds are
+//!   pruned. The rule is exact because a refused arrival's draws come
+//!   from its own per-arrival stream, which nothing else reads;
 //! * event ordering replays the engine's `(time, lane, key)` contract
 //!   (see [`simnet::EventQueue::push_keyed`]), so ties at the same
 //!   millisecond resolve exactly as the full simulation resolves them.
@@ -68,9 +87,11 @@ use gnutella::peerlink::{IdleAction, IDLE_PROBE_AFTER};
 use gnutella::wire;
 use gnutella::Guid;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use simnet::{EventQueue, LatencyModel, NodeId, SimDuration, SimStats, SimTime};
 use stats::rng::SeedSequence;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 use telemetry::Registry;
@@ -160,6 +181,71 @@ struct Session {
     inflight: u32,
 }
 
+/// When the collector's open connections may close: the bounds behind
+/// refusals decided at arrival (see the module docs). Both are pruned
+/// lazily, so they hold only bounds that can still matter.
+struct Closings {
+    /// The slowest peer link delay, `D_max`.
+    d_max: SimDuration,
+    /// The end instant of each admitted session that does not vanish.
+    ends: BinaryHeap<Reverse<SimTime>>,
+    /// Each probe's deadline and connection, in deadline order.
+    probes: VecDeque<(SimTime, NodeId)>,
+}
+
+impl Closings {
+    fn new(peer_latency: LatencyModel) -> Closings {
+        Closings {
+            d_max: peer_latency.bounds().1,
+            ends: BinaryHeap::new(),
+            probes: VecDeque::new(),
+        }
+    }
+
+    /// A session admitted at `now` ends at `end`.
+    fn push_end(&mut self, now: SimTime, end: SimTime) {
+        self.prune(now);
+        self.ends.push(Reverse(end));
+    }
+
+    /// At `now` the collector probed `node`, which it closes at
+    /// `deadline` unless the probe is answered.
+    fn push_probe(&mut self, now: SimTime, deadline: SimTime, node: NodeId) {
+        self.prune(now);
+        self.probes.push_back((deadline, node));
+    }
+
+    /// Drop the bounds of closes that have happened by `now`, or never
+    /// will.
+    fn prune(&mut self, now: SimTime) {
+        while self
+            .ends
+            .peek()
+            .is_some_and(|&Reverse(end)| end + self.d_max < now)
+        {
+            self.ends.pop();
+        }
+        while self.probes.front().is_some_and(|&(at, _)| at < now) {
+            self.probes.pop_front();
+        }
+    }
+
+    /// Whether one of `recorder`'s open connections may close before a
+    /// connect sent at `now` lands: a session ends by `now + D_max` (or
+    /// ended at most `D_max` ago, so its close may be in flight), or an
+    /// unanswered probe falls due by then.
+    fn may_close(&mut self, now: SimTime, recorder: &Recorder<u32>) -> bool {
+        self.prune(now);
+        let until = now + self.d_max;
+        self.ends.peek().is_some_and(|&Reverse(end)| end <= until)
+            || self
+                .probes
+                .iter()
+                .take_while(|&&(at, _)| at <= until)
+                .any(|&(at, node)| recorder.probe_deadline(node) == Some(at))
+    }
+}
+
 /// A hybrid-fidelity campaign: drop-in replacement for the
 /// full-fidelity `Simulator` campaign, producing a bit-identical
 /// observed trace.
@@ -177,9 +263,9 @@ pub(crate) struct HybridCampaign {
     hour_key: u64,
     drng: StdRng,
     pop_seq: SeedSequence,
+    /// Arrivals so far; arrival `i` is node `FIRST_SESSION_NODE + i`.
     spawned: u64,
     dkey: u64,
-    next_node: u32,
 
     // Shared environment.
     planner: SessionPlanner,
@@ -198,15 +284,18 @@ pub(crate) struct HybridCampaign {
     // Collector state (lane 0). The recorder tags each open connection
     // with its session's slot.
     recorder: Recorder<u32>,
+    closings: Closings,
     forward_fanout: usize,
     /// The collector's link delay, the same for every delivery.
     coll_delay: SimDuration,
-    crng: StdRng,
+    /// Next schedule key of the collector's queued events.
     ckey: u64,
-    /// Whether [`Self::deliver`] may resolve a delivery at send time.
-    /// Off, every delivery is queued: the unit tests' oracle for the rule.
+    /// Whether the engine takes its two shortcuts: deliveries resolved
+    /// at send time and refusals decided at arrival. Off, every delivery
+    /// is queued and every arrival planned: the unit tests' oracle for
+    /// both rules.
     #[cfg(test)]
-    resolve_at_send: bool,
+    shortcuts: bool,
 
     // Statistics.
     pops: u64,
@@ -231,6 +320,7 @@ impl HybridCampaign {
         let db = GeoDb::synthetic();
         let alloc = Arc::new(AddressAllocator::new(&db));
         let files = planner.files;
+        let peer_latency = LatencyModel::intra_continent();
         let end = SimTime::from_secs_f64(cfg.days * 86_400.0);
         // Resolving deliveries at send time is exact only while no
         // delivery can overtake an earlier one (see the module docs).
@@ -248,22 +338,21 @@ impl HybridCampaign {
             pop_seq: seq.child("population"),
             spawned: 0,
             dkey: 0,
-            next_node: FIRST_SESSION_NODE,
             planner,
             vocab,
             alloc,
             files,
             relay: cfg.relay,
-            peer_latency: LatencyModel::intra_continent(),
+            peer_latency,
             sessions: Vec::new(),
             free: Vec::new(),
             recorder: Recorder::new(cfg.max_connections, sink, registry),
+            closings: Closings::new(peer_latency),
             forward_fanout: cfg.forward_fanout,
             coll_delay: SimDuration::from_millis(millis),
-            crng: StdRng::seed_from_u64(seq.derive_seed("collector")),
             ckey: 0,
             #[cfg(test)]
-            resolve_at_send: true,
+            shortcuts: true,
             pops: 0,
             delivered: 0,
             dropped: 0,
@@ -350,14 +439,13 @@ impl HybridCampaign {
         let hour = now.hour_of_day();
         let day = now.day() as usize;
         let mut rng = self.pop_seq.rng_indexed("peer", self.spawned);
+        let node = FIRST_SESSION_NODE + self.spawned as u32;
         self.spawned += 1;
         let region = self.planner.diurnal.sample_region(hour, &mut rng);
         let plan = self.planner.plan(day, hour, region, &mut rng);
         let addr = self.alloc.sample(region, &mut rng);
         let (ka_lo, ka_hi) = self.planner.params.keepalive_secs;
         let keepalive = SimDuration::from_secs_f64(rng.gen_range(ka_lo..ka_hi));
-        let node = self.next_node;
-        self.next_node += 1;
         // The peer's `on_start`: one latency draw, schedule key 0.
         let d = self.peer_latency.sample(&mut rng);
         let session = Box::new(Session {
@@ -452,7 +540,6 @@ impl HybridCampaign {
     /// conditions hold; every other delivery waits on the queue.
     fn deliver(&mut self, peer: Peer, now: SimTime, body: Body) {
         let at = now + self.coll_delay;
-        let key = self.ckey();
         let sess = self.sessions[peer.slot as usize]
             .as_deref_mut()
             .filter(|s| s.node == peer.node)
@@ -462,11 +549,12 @@ impl HybridCampaign {
             && sess.pending.is_some_and(|(send_at, _)| send_at >= at)
             && at <= self.horizon;
         #[cfg(test)]
-        let resolve = resolve && self.resolve_at_send;
+        let resolve = resolve && self.shortcuts;
         sess.inflight += 1;
         if resolve {
             self.process(at, body);
         } else {
+            let key = self.ckey();
             self.push(at, COLLECTOR_LANE, key, body);
         }
     }
@@ -489,7 +577,20 @@ impl HybridCampaign {
             }
             Body::Arrival => {
                 self.timers_fired += 1;
-                self.spawn_session(at);
+                let refused =
+                    self.recorder.is_full() && !self.closings.may_close(at, &self.recorder);
+                #[cfg(test)]
+                let refused = refused && self.shortcuts;
+                if refused {
+                    // Refused at arrival: count what its connect would
+                    // count (its node id, its delivery, the elided busy
+                    // reply) and draw nothing.
+                    self.spawned += 1;
+                    self.delivered += 1;
+                    self.elided += 1;
+                } else {
+                    self.spawn_session(at);
+                }
                 self.arm_arrival();
             }
             Body::ConnectArrive(peer) => {
@@ -603,9 +704,8 @@ impl HybridCampaign {
 
     fn on_connect_arrive(&mut self, peer: Peer, at: SimTime) {
         if self.recorder.is_full() {
-            // Busy reply: key for ordering parity, no event — the
-            // rejected peer only removes itself.
-            let _ = self.ckey();
+            // Busy reply: no event — the rejected peer only removes
+            // itself.
             self.elided += 1;
             self.end_session(peer);
             return;
@@ -622,6 +722,12 @@ impl HybridCampaign {
             sess.plan.user_agent.to_string(),
             sess.plan.ultrapeer,
         );
+        if !sess.plan.vanish {
+            // Its emissions start when the accept lands and end one plan
+            // duration later, with a BYE or a disconnect.
+            let end = at + self.coll_delay + sess.plan.duration;
+            self.closings.push_end(at, end);
+        }
         self.put_session(peer, sess);
         self.deliver(peer, at, Body::AcceptArrive(peer));
         let key = self.ckey();
@@ -758,9 +864,7 @@ impl HybridCampaign {
         );
         match msg.payload {
             RecordedPayload::Ping => {
-                // The collector's PONG reply: drawn, keyed, never seen.
-                let _ = Guid::random(&mut self.crng);
-                let _ = self.ckey();
+                // The collector's PONG reply, never seen.
                 self.elided += 1;
             }
             RecordedPayload::Query { .. } => {
@@ -792,7 +896,6 @@ impl HybridCampaign {
                             self.deliver(target, at, body);
                         } else {
                             // Delivered-but-inert (or dropped) copy.
-                            let _ = self.ckey();
                             self.elided += 1;
                         }
                     }
@@ -803,7 +906,6 @@ impl HybridCampaign {
                     // Reverse-route along the GUID path; the origin peer
                     // ignores hits, so the delivery itself is elided.
                     if origin != node && self.recorder.is_open(NodeId(origin)) {
-                        let _ = self.ckey();
                         self.elided += 1;
                     }
                 }
@@ -827,12 +929,11 @@ impl HybridCampaign {
                 self.push(deadline, COLLECTOR_LANE, key, Body::IdleCheck(node));
             }
             IdleAction::SendProbe(deadline) => {
-                let _ = Guid::random(&mut self.crng);
+                self.closings.push_probe(at, deadline, NodeId(node));
                 if self.session(peer).is_some() {
                     self.deliver(peer, at, Body::ProbePing(peer));
                 } else {
                     // Probe toward a vanished peer: it would be dropped.
-                    let _ = self.ckey();
                     self.elided += 1;
                 }
                 let key = self.ckey();
@@ -842,7 +943,6 @@ impl HybridCampaign {
                 if self.session(peer).is_some() {
                     self.deliver(peer, at, Body::PeerGone(peer));
                 } else {
-                    let _ = self.ckey();
                     self.elided += 1;
                 }
                 self.recorder.close(NodeId(node), at, true);
@@ -887,27 +987,39 @@ mod tests {
         (campaign.sessions.len(), campaign.spawned)
     }
 
-    /// `cfg` run to its horizon into a retained trace, with send-time
-    /// resolution on or off.
-    fn run_resolving(cfg: &PopulationConfig, resolve_at_send: bool) -> (Trace, CampaignStats) {
+    /// `cfg` run to its horizon into a retained trace, with the engine's
+    /// shortcuts on or off.
+    fn run_with(cfg: &PopulationConfig, shortcuts: bool) -> (Trace, CampaignStats) {
         let trace = Arc::new(parking_lot::Mutex::new(Trace::default()));
         let mut campaign = campaign(cfg, trace.clone());
-        campaign.resolve_at_send = resolve_at_send;
+        campaign.shortcuts = shortcuts;
         campaign.run_until(campaign.horizon());
         let stats = campaign.finish();
         let trace = Arc::try_unwrap(trace).expect("the campaign is gone");
         (trace.into_inner(), stats)
     }
 
-    /// Resolving deliveries at send time is exact: against the same
-    /// campaign with every collector delivery queued, the observed trace
-    /// and every engine count except the pops are equal, at the smoke
-    /// rate and at the flood rate.
+    /// Both shortcuts are exact: against the same campaign with every
+    /// collector delivery queued and every arrival planned, the observed
+    /// trace and every engine count except the pops are equal, at the
+    /// smoke rate, under cap churn and at the flood rate. At the flood
+    /// rate nearly every refusal is decided at arrival, which saves its
+    /// queued connect.
     #[test]
-    fn send_time_resolution_matches_the_all_queued_engine() {
-        for cfg in [PopulationConfig::smoke(), flood(1.0)] {
-            let (trace, stats) = run_resolving(&cfg, true);
-            let (oracle, queued) = run_resolving(&cfg, false);
+    fn shortcuts_match_the_all_queued_engine() {
+        let saturated = PopulationConfig {
+            seed: 1964,
+            days: 0.5,
+            sessions_per_day: 6_000.0,
+            ..PopulationConfig::default()
+        };
+        for (cfg, flooded) in [
+            (PopulationConfig::smoke(), false),
+            (saturated, false),
+            (flood(2.0), true),
+        ] {
+            let (trace, stats) = run_with(&cfg, true);
+            let (oracle, queued) = run_with(&cfg, false);
             assert!(trace == oracle, "the observed trace changed");
             let counts = |s: &CampaignStats| {
                 (
@@ -921,7 +1033,60 @@ mod tests {
             };
             assert_eq!(counts(&stats), counts(&queued));
             assert!(stats.events_popped < queued.events_popped);
+            if flooded {
+                let refused = stats.spawned - 2 - trace.connections.len() as u64;
+                let saved = queued.events_popped - stats.events_popped;
+                assert!(
+                    saved * 10 >= refused * 9,
+                    "{saved} pops saved for {refused} refused arrivals"
+                );
+            }
         }
+    }
+
+    /// The edges of the window in which a close keeps an arrival on the
+    /// queued path: a session end or an unanswered probe deadline at
+    /// `now + D_max` may close a connection before the connect lands; one
+    /// a millisecond later, an answered probe, or a session end whose
+    /// close has landed cannot.
+    #[test]
+    fn refusal_window_edges() {
+        let sink: SharedSink = Arc::new(parking_lot::Mutex::new(Fanout::new()));
+        let mut recorder = Recorder::new(1, sink, Arc::new(Registry::new()));
+        let node = NodeId(FIRST_SESSION_NODE);
+        let addr = Ipv4Addr::LOCALHOST;
+        recorder.admit(node, 0, SimTime::ZERO, addr, String::new(), false);
+        assert!(recorder.is_full());
+        let Some((IdleAction::SendProbe(deadline), _)) =
+            recorder.idle_check(node, SimTime::ZERO + IDLE_PROBE_AFTER)
+        else {
+            panic!("an idle connection is probed");
+        };
+        let d_max = LatencyModel::intra_continent().bounds().1.as_millis();
+        let at = SimTime::from_millis;
+        // An arrival at `now` sends a connect landing by the deadline.
+        let now = deadline.as_millis() - d_max;
+        let closings = |ends: &[u64], probe: bool| {
+            let mut c = Closings::new(LatencyModel::intra_continent());
+            c.ends.extend(ends.iter().map(|&end| Reverse(at(end))));
+            if probe {
+                c.probes.push_back((deadline, node));
+            }
+            c
+        };
+        assert!(closings(&[now + d_max], false).may_close(at(now), &recorder));
+        assert!(!closings(&[now + d_max + 1], false).may_close(at(now), &recorder));
+        // A session that ended `D_max` ago may still be closing; one
+        // that ended a millisecond earlier has closed.
+        assert!(closings(&[now - d_max], false).may_close(at(now), &recorder));
+        assert!(!closings(&[now - d_max - 1], false).may_close(at(now), &recorder));
+        // The unanswered probe falls due at the window's edge, and a
+        // millisecond past the window of an arrival a millisecond earlier.
+        assert!(closings(&[], true).may_close(at(now), &recorder));
+        assert!(!closings(&[], true).may_close(at(now - 1), &recorder));
+        // Answered, it closes nothing.
+        recorder.receive(node, at(now));
+        assert!(!closings(&[], true).may_close(at(now), &recorder));
     }
 
     /// A probe PING that would be resolved is queued instead when it

@@ -6,7 +6,9 @@
 //! `SessionEmitter` merge per session. These benches measure that per-
 //! draw and per-session cost, which bounds how cheap the far cloud can
 //! ever be relative to the full engine, and the per-arrival cost of
-//! planning a session, which every arrival pays, refused or not.
+//! planning a session and of everything an arrival draws before its
+//! connect is queued, which the hybrid engine skips for an arrival it
+//! refuses at arrival.
 
 use std::sync::Arc;
 
@@ -17,8 +19,9 @@ use behavior::{RelayRates, SessionPlan, SessionPlanner, Vocabulary, VocabularyCo
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use geoip::{AddressAllocator, GeoDb, Region};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use simnet::{SimDuration, SimTime};
+use rand::{Rng, SeedableRng};
+use simnet::{LatencyModel, SimDuration, SimTime};
+use stats::rng::SeedSequence;
 
 const DRAWS: usize = 10_000;
 
@@ -75,13 +78,19 @@ fn bench_relay_draws(c: &mut Criterion) {
     group.finish();
 }
 
-/// Arrival layer unit cost: the region draw and session plan every
-/// arrival makes before its connect is admitted or refused, swept across
-/// the diurnal cycle as the campaign drivers sweep it.
-fn bench_plan(c: &mut Criterion) {
+/// Arrival layer unit costs, per 1 000 arrivals swept across the
+/// diurnal cycle as the campaign drivers sweep it. `plan` is the region
+/// draw and session plan of an arrival whose connect is queued.
+/// `arrival` is all that such an arrival draws, and what an arrival
+/// refused at arrival skips: its RNG seeded as the drivers seed it, the
+/// region, the plan, the address, the keepalive and the connect delay.
+fn bench_arrival_layer(c: &mut Criterion) {
     const PLANS: usize = 1_000;
     let vocab = Arc::new(Vocabulary::build(5, VocabularyConfig::default()));
     let planner = SessionPlanner::paper_default(vocab);
+    let alloc = AddressAllocator::new(&GeoDb::synthetic());
+    let latency = LatencyModel::intra_continent();
+    let population = SeedSequence::new(1964).child("population");
     let mut group = c.benchmark_group("farcloud");
     group.throughput(Throughput::Elements(PLANS as u64));
     group.bench_function("plan", |b| {
@@ -93,6 +102,30 @@ fn bench_plan(c: &mut Criterion) {
                 let region = planner.diurnal.sample_region(hour, &mut rng);
                 let plan = planner.plan(0, hour, region, &mut rng);
                 acc = acc.wrapping_add(plan.queries.len() as u64 + plan.duration.as_millis());
+            }
+            black_box(acc)
+        })
+    });
+    group.bench_function("arrival", |b| {
+        let mut next = 0u64;
+        b.iter(|| {
+            let mut acc = 0u64;
+            for i in 0..PLANS {
+                let hour = (i % 24) as u32;
+                let mut rng = population.rng_indexed("peer", next);
+                next += 1;
+                let region = planner.diurnal.sample_region(hour, &mut rng);
+                let plan = planner.plan(0, hour, region, &mut rng);
+                let addr = alloc.sample(region, &mut rng);
+                // The default keepalive range; its bounds cost nothing.
+                let keepalive = SimDuration::from_secs_f64(rng.gen_range(18.0..28.0));
+                let connect = latency.sample(&mut rng);
+                acc = acc.wrapping_add(
+                    plan.duration.as_millis()
+                        + u64::from(u32::from(addr))
+                        + keepalive.as_millis()
+                        + connect.as_millis(),
+                );
             }
             black_box(acc)
         })
@@ -164,7 +197,7 @@ fn bench_session_emitter(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_relay_draws,
-    bench_plan,
+    bench_arrival_layer,
     bench_session_emitter
 );
 criterion_main!(benches);

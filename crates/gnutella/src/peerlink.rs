@@ -48,6 +48,13 @@ impl IdleTracker {
         self.probe_sent_at = None;
     }
 
+    /// When [`Self::check`] closes the connection unless traffic arrives
+    /// first: the outstanding probe's deadline, or `None` when no probe
+    /// is outstanding.
+    pub fn probe_deadline(&self) -> Option<SimTime> {
+        self.probe_sent_at.map(|at| at + CLOSE_AFTER_PROBE)
+    }
+
     /// Evaluate the connection at `now`.
     pub fn check(&mut self, now: SimTime) -> IdleAction {
         if let Some(probe_at) = self.probe_sent_at {
@@ -90,6 +97,7 @@ mod tests {
     #[test]
     fn idle_connection_probes_then_closes() {
         let mut t = IdleTracker::new(SimTime::from_secs(0));
+        assert_eq!(t.probe_deadline(), None);
         // At 15 s idle: probe.
         match t.check(SimTime::from_secs(15)) {
             IdleAction::SendProbe(deadline) => {
@@ -97,7 +105,7 @@ mod tests {
             }
             other => panic!("expected probe, got {other:?}"),
         }
-        assert!(t.probe_sent_at.is_some());
+        assert_eq!(t.probe_deadline(), Some(SimTime::from_secs(30)));
         // Still silent at 30 s: close. Total overestimate ≈ 30 s, as the
         // paper states.
         assert_eq!(t.check(SimTime::from_secs(30)), IdleAction::Close);
@@ -112,7 +120,7 @@ mod tests {
         ));
         // PONG arrives at 20 s.
         t.on_receive(SimTime::from_secs(20));
-        assert!(t.probe_sent_at.is_none());
+        assert_eq!(t.probe_deadline(), None);
         match t.check(SimTime::from_secs(21)) {
             IdleAction::CheckAt(d) => assert_eq!(d, SimTime::from_secs(35)),
             other => panic!("unexpected {other:?}"),

@@ -64,6 +64,22 @@ impl LatencyModel {
         SimDuration::from_millis(ms)
     }
 
+    /// The least and the greatest delay [`Self::sample`] can draw.
+    pub fn bounds(&self) -> (SimDuration, SimDuration) {
+        let (lo, hi) = match *self {
+            LatencyModel::Fixed { millis } => (millis, millis),
+            LatencyModel::Uniform {
+                lo_millis,
+                hi_millis,
+            } => (lo_millis, hi_millis.max(lo_millis)),
+            LatencyModel::BasePlusJitter {
+                base_millis,
+                jitter_millis,
+            } => (base_millis, base_millis + jitter_millis),
+        };
+        (SimDuration::from_millis(lo), SimDuration::from_millis(hi))
+    }
+
     /// A reasonable default for same-continent overlay hops.
     pub fn intra_continent() -> Self {
         LatencyModel::BasePlusJitter {
@@ -126,5 +142,45 @@ mod tests {
             jitter_millis: 0,
         };
         assert_eq!(z.sample(&mut rng).as_millis(), 5);
+    }
+
+    #[test]
+    fn samples_stay_within_bounds() {
+        let ms = |lo: u64, hi: u64| (SimDuration::from_millis(lo), SimDuration::from_millis(hi));
+        let cases = [
+            (LatencyModel::Fixed { millis: 42 }, ms(42, 42)),
+            (
+                LatencyModel::Uniform {
+                    lo_millis: 10,
+                    hi_millis: 20,
+                },
+                ms(10, 20),
+            ),
+            // A degenerate uniform always draws its lower end.
+            (
+                LatencyModel::Uniform {
+                    lo_millis: 9,
+                    hi_millis: 3,
+                },
+                ms(9, 9),
+            ),
+            (LatencyModel::intra_continent(), ms(30, 70)),
+            (
+                LatencyModel::BasePlusJitter {
+                    base_millis: 5,
+                    jitter_millis: 0,
+                },
+                ms(5, 5),
+            ),
+        ];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        for (model, bounds) in cases {
+            assert_eq!(model.bounds(), bounds, "{model:?}");
+            let (lo, hi) = bounds;
+            let draws: Vec<SimDuration> = (0..1_000).map(|_| model.sample(&mut rng)).collect();
+            assert!(draws.iter().all(|&d| lo <= d && d <= hi), "{model:?}");
+            // Both ends are drawn: the bounds are tight.
+            assert!(draws.contains(&lo) && draws.contains(&hi), "{model:?}");
+        }
     }
 }

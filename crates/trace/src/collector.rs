@@ -194,8 +194,9 @@ impl<T: Copy> Recorder<T> {
     }
 
     /// Whether every slot is taken, so the next connect is refused.
-    /// Checked before the caller builds anything for the connection:
-    /// at flood rates nearly every arrival is refused here.
+    /// The hybrid engine also asks at each arrival, before it plans the
+    /// session: with [`Self::probe_deadline`] it tells there whether
+    /// the arrival's connect is certain to be refused.
     pub fn is_full(&self) -> bool {
         self.open.len() >= self.max_connections
     }
@@ -270,6 +271,13 @@ impl<T: Copy> Recorder<T> {
     /// a latency and a schedule key per target while it walks.
     pub fn open_at(&self, i: usize) -> Option<(NodeId, T)> {
         self.by_node.get(i).copied()
+    }
+
+    /// The deadline of `node`'s unanswered probe, at which its idle
+    /// check closes the connection; `None` when no probe is outstanding
+    /// or no connection from `node` is open.
+    pub fn probe_deadline(&self, node: NodeId) -> Option<SimTime> {
+        self.open[self.find(node)?].idle.probe_deadline()
     }
 
     /// Evaluate `node`'s idle clock at `at` (§3.2), with the
