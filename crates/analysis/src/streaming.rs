@@ -17,10 +17,10 @@
 //! The close path runs the §3.3 filter rules (`filter_completed_session`)
 //! and folds the surviving session into online aggregators —
 //! [`DailyObservations`] for popularity, [`SessionHistograms`] for the
-//! §4.3–§4.5 measures, and [`LoadAccumulator`] for the Figure 3 load
-//! curves. With `retain_sessions` enabled the pipeline also keeps the
-//! filtered sessions themselves (orders of magnitude smaller than the raw
-//! message trace), which the figure-path analyses read.
+//! per-region session counts, and [`LoadAccumulator`] for the Figure 3
+//! load curves. With `retain_sessions` enabled the pipeline also keeps
+//! the filtered sessions themselves (orders of magnitude smaller than the
+//! raw message trace), which the figure-path analyses read.
 
 use crate::characterize::histograms::SessionHistograms;
 use crate::filter::{
@@ -88,7 +88,7 @@ pub struct StreamingResult {
     pub ft: FilteredTrace,
     /// Per-day popularity observations (§4.6).
     pub obs: DailyObservations,
-    /// Per-region session measure histograms (§4.3–§4.5).
+    /// Filtered sessions per characterized region.
     pub hist: SessionHistograms,
     /// Query load by time of day (§4.2).
     pub load: LoadAccumulator,

@@ -8,11 +8,12 @@
 
 use crate::arrivals::{ArrivalProcess, HourArrivals};
 use crate::hybrid::HybridCampaign;
-use crate::peer::{ClientPeer, PeerEnv, RelayRates};
+use crate::peer::{ClientPeer, PeerEnv};
 use crate::session::SessionPlanner;
-use crate::vocabulary::{Vocabulary, VocabularyConfig};
+use crate::vocabulary::Vocabulary;
 use geoip::{AddressAllocator, GeoDb};
 use gnutella::net::{NetMsg, Transport};
+use model::WorkloadModel;
 use rand::Rng;
 use simnet::{Actor, Context, LatencyModel, NodeId, SimDuration, SimStats, SimTime, Simulator};
 use stats::rng::SeedSequence;
@@ -46,12 +47,6 @@ pub struct PopulationConfig {
     /// Mean connections per day (the paper's full scale is ≈109 000/day;
     /// the default is scaled down for tractable experiment turnaround).
     pub sessions_per_day: f64,
-    /// Vocabulary configuration.
-    pub vocab: VocabularyConfig,
-    /// Relay-traffic rates for ultrapeer neighbors.
-    pub relay: RelayRates,
-    /// Measurement-peer fan-out cap.
-    pub forward_fanout: usize,
     /// Maximum simultaneous connections at the measurement peer.
     pub max_connections: usize,
     /// How frames travel between peers: typed (default, zero-copy) or
@@ -69,9 +64,6 @@ impl Default for PopulationConfig {
             seed: 42,
             days: 2.0,
             sessions_per_day: 6_000.0,
-            vocab: VocabularyConfig::default(),
-            relay: RelayRates::default(),
-            forward_fanout: 4,
             max_connections: 200,
             transport: Transport::Typed,
             fidelity: Fidelity::Full,
@@ -86,11 +78,6 @@ impl PopulationConfig {
             seed: 7,
             days: 0.25,
             sessions_per_day: 2_000.0,
-            vocab: VocabularyConfig {
-                daily_sizes: [400, 380, 60, 20, 3, 3, 2],
-                n_days: 2,
-                ..VocabularyConfig::default()
-            },
             ..PopulationConfig::default()
         }
     }
@@ -226,17 +213,14 @@ impl Actor for PopulationDriver {
     }
 }
 
-/// Build the campaign vocabulary from the root sequence.
-fn build_vocabulary(cfg: &PopulationConfig, seq: &SeedSequence) -> Vocabulary {
-    Vocabulary::build(
-        seq.derive_seed("vocab"),
-        VocabularyConfig {
-            n_days: (cfg.days.ceil() as usize)
-                .max(cfg.vocab.n_days.min(40))
-                .max(1),
-            ..cfg.vocab.clone()
-        },
-    )
+/// Build the campaign vocabulary from the root sequence, over the
+/// paper's popularity model.
+pub(crate) fn build_vocabulary(seq: &SeedSequence) -> Vocabulary {
+    let laws = WorkloadModel::paper_default()
+        .popularity
+        .laws()
+        .expect("the paper's popularity model builds");
+    Vocabulary::build(seq.derive_seed("vocab"), laws)
 }
 
 /// Build the full-fidelity campaign: the measurement peer and the
@@ -260,7 +244,6 @@ fn build_full(
         diurnal: planner.diurnal,
         alloc,
         files: planner.files,
-        relay: cfg.relay,
         latency: LatencyModel::intra_continent(),
         transport: cfg.transport,
     };
@@ -268,10 +251,8 @@ fn build_full(
     let mut sim = Simulator::new(seq.derive_seed("engine"));
     let collector_cfg = CollectorConfig {
         max_connections: cfg.max_connections,
-        forward_fanout: cfg.forward_fanout,
         seed: seq.derive_seed("collector"),
         transport: cfg.transport,
-        ..CollectorConfig::default()
     };
     let server = sim.add_node(Box::new(MeasurementPeer::new(
         collector_cfg,
@@ -342,7 +323,7 @@ pub fn run_population_with_stats(cfg: &PopulationConfig) -> (Trace, CampaignStat
 /// deriving every stream from the root seed.
 pub fn run_population_into(cfg: &PopulationConfig, sink: SharedSink) -> CampaignStats {
     let seq = SeedSequence::new(cfg.seed);
-    let vocab = Arc::new(build_vocabulary(cfg, &seq));
+    let vocab = Arc::new(build_vocabulary(&seq));
     // One registry per campaign: single-writer relaxed atomics on the
     // hot path, snapshotted at finish.
     let registry = Arc::new(Registry::new());

@@ -39,9 +39,9 @@
 //!   collector's lane pops first at equal instants), and the landing is
 //!   at or before the horizon. Every other delivery is queued. The rule
 //!   is exact only because every collector delivery takes the same
-//!   fixed link delay (`CollectorConfig::default().latency`), so no
-//!   later delivery overtakes an earlier one; construction fails on any
-//!   other latency model;
+//!   fixed link delay, the constant [`trace::LINK_DELAY`] that the
+//!   full-fidelity collector sends with too, so no later delivery
+//!   overtakes an earlier one;
 //! * an arrival whose connect the collector must refuse is *refused at
 //!   arrival*: it is counted as the refused connect would be (its node
 //!   id, one delivery, one elided busy reply), and nothing is drawn or
@@ -74,7 +74,6 @@
 
 use crate::arrivals::{ArrivalProcess, HourArrivals};
 use crate::files::SharedFilesModel;
-use crate::peer::RelayRates;
 use crate::session::{SessionPlan, SessionPlanner};
 use crate::stream::{
     draw_query_answer, draw_relay_hit, draw_relay_pong, draw_relay_query, EmissionKind,
@@ -95,7 +94,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 use telemetry::Registry;
-use trace::{CollectorConfig, MessageRecord, RecordedPayload, Recorder, SharedSink};
+use trace::{MessageRecord, RecordedPayload, Recorder, SharedSink, FORWARD_FANOUT, LINK_DELAY};
 
 use crate::driver::{CampaignStats, PopulationConfig};
 
@@ -272,7 +271,6 @@ pub(crate) struct HybridCampaign {
     vocab: Arc<Vocabulary>,
     alloc: Arc<AddressAllocator>,
     files: SharedFilesModel,
-    relay: RelayRates,
     peer_latency: LatencyModel,
 
     // Session table: live sessions (admitted, or with a connect in
@@ -285,9 +283,6 @@ pub(crate) struct HybridCampaign {
     // with its session's slot.
     recorder: Recorder<u32>,
     closings: Closings,
-    forward_fanout: usize,
-    /// The collector's link delay, the same for every delivery.
-    coll_delay: SimDuration,
     /// Next schedule key of the collector's queued events.
     ckey: u64,
     /// Whether the engine takes its two shortcuts: deliveries resolved
@@ -322,11 +317,6 @@ impl HybridCampaign {
         let files = planner.files;
         let peer_latency = LatencyModel::intra_continent();
         let end = SimTime::from_secs_f64(cfg.days * 86_400.0);
-        // Resolving deliveries at send time is exact only while no
-        // delivery can overtake an earlier one (see the module docs).
-        let LatencyModel::Fixed { millis } = CollectorConfig::default().latency else {
-            panic!("the hybrid engine needs a fixed collector link delay");
-        };
         let mut campaign = HybridCampaign {
             queue: EventQueue::new(),
             end,
@@ -342,14 +332,11 @@ impl HybridCampaign {
             vocab,
             alloc,
             files,
-            relay: cfg.relay,
             peer_latency,
             sessions: Vec::new(),
             free: Vec::new(),
             recorder: Recorder::new(cfg.max_connections, sink, registry),
             closings: Closings::new(peer_latency),
-            forward_fanout: cfg.forward_fanout,
-            coll_delay: SimDuration::from_millis(millis),
             ckey: 0,
             #[cfg(test)]
             shortcuts: true,
@@ -508,7 +495,7 @@ impl HybridCampaign {
         let Some(emitter) = sess.emitter.as_mut() else {
             return;
         };
-        if let Some((at, kind)) = emitter.next(&sess.plan, &self.relay, &mut sess.rng) {
+        if let Some((at, kind)) = emitter.next(&sess.plan, &mut sess.rng) {
             sess.pending = Some((at, kind));
             let key = sess.next_key;
             sess.next_key += 1;
@@ -539,7 +526,7 @@ impl HybridCampaign {
     /// with the landing instant as its clock, when the module docs' three
     /// conditions hold; every other delivery waits on the queue.
     fn deliver(&mut self, peer: Peer, now: SimTime, body: Body) {
-        let at = now + self.coll_delay;
+        let at = now + LINK_DELAY;
         let sess = self.sessions[peer.slot as usize]
             .as_deref_mut()
             .filter(|s| s.node == peer.node)
@@ -603,7 +590,6 @@ impl HybridCampaign {
                     sess.emitter = Some(SessionEmitter::start(
                         &sess.plan,
                         sess.keepalive,
-                        &self.relay,
                         at,
                         &mut sess.rng,
                     ));
@@ -725,7 +711,7 @@ impl HybridCampaign {
         if !sess.plan.vanish {
             // Its emissions start when the accept lands and end one plan
             // duration later, with a BYE or a disconnect.
-            let end = at + self.coll_delay + sess.plan.duration;
+            let end = at + LINK_DELAY + sess.plan.duration;
             self.closings.push_end(at, end);
         }
         self.put_session(peer, sess);
@@ -871,10 +857,9 @@ impl HybridCampaign {
                 // Fresh GUIDs never collide, so the routing-table insert
                 // always succeeds; forward when TTL allows.
                 if msg.ttl > 1 {
-                    let fanout = self.forward_fanout;
                     let mut sent = 0;
                     let mut idx = 0;
-                    while sent < fanout {
+                    while sent < FORWARD_FANOUT {
                         let Some((id, slot)) = self.recorder.open_at(idx) else {
                             break;
                         };
@@ -954,6 +939,7 @@ impl HybridCampaign {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::build_vocabulary;
     use trace::{Fanout, Trace};
 
     /// The flood rate, 2 M arrivals/day against 200 slots, for `hours`.
@@ -971,10 +957,7 @@ mod tests {
     /// driver builds it.
     fn campaign(cfg: &PopulationConfig, sink: SharedSink) -> HybridCampaign {
         let seq = SeedSequence::new(cfg.seed);
-        let vocab = Arc::new(Vocabulary::build(
-            seq.derive_seed("vocab"),
-            cfg.vocab.clone(),
-        ));
+        let vocab = Arc::new(build_vocabulary(&seq));
         HybridCampaign::new(cfg, vocab, seq, sink, Arc::new(Registry::new()))
     }
 
@@ -1097,7 +1080,7 @@ mod tests {
         let mut c = campaign(&PopulationConfig::smoke(), sink);
         let now = SimTime::from_secs(3_600);
         c.run_until(now);
-        let landing = now + c.coll_delay;
+        let landing = now + LINK_DELAY;
         // Accepted sessions with no delivery queued and a later send.
         let mut idle = c.sessions.iter().zip(0u32..).filter_map(|(s, slot)| {
             let s = s.as_deref()?;

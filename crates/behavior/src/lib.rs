@@ -45,6 +45,5 @@ pub use driver::{
     run_population, run_population_into, run_population_with_stats, CampaignStats, Fidelity,
     PopulationConfig,
 };
-pub use peer::RelayRates;
 pub use session::{PlannedQuery, QueryOrigin, SessionKind, SessionPlan, SessionPlanner};
-pub use vocabulary::{Vocabulary, VocabularyConfig};
+pub use vocabulary::Vocabulary;

@@ -58,7 +58,7 @@ impl BehaviorParams {
 mod tests {
     use super::*;
     use crate::session::SessionPlanner;
-    use crate::vocabulary::{Vocabulary, VocabularyConfig};
+    use crate::vocabulary::Vocabulary;
     use geoip::Region;
     use model::{first_query_class, last_query_class, ModelLaws};
     use stats::dist::Continuous;
@@ -66,12 +66,8 @@ mod tests {
 
     /// The user layer the ground truth draws its sessions from.
     fn planner_laws() -> ModelLaws {
-        let cfg = VocabularyConfig {
-            daily_sizes: [30, 28, 6, 3, 3, 3, 2],
-            n_days: 1,
-            ..Default::default()
-        };
-        SessionPlanner::paper_default(Arc::new(Vocabulary::build(1, cfg))).laws
+        let vocab = Vocabulary::with_daily_sizes(1, [30, 28, 6, 3, 3, 3, 2]);
+        SessionPlanner::paper_default(Arc::new(vocab)).laws
     }
 
     #[test]

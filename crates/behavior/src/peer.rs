@@ -43,30 +43,6 @@ use simnet::{Actor, Context, LatencyModel, NodeId, SimDuration, SimTime};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-/// Mean intervals for relayed background traffic emitted by ultrapeer
-/// neighbors (exponential interarrivals).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RelayRates {
-    /// Mean seconds between relayed QUERYs per ultrapeer neighbor.
-    pub(crate) query_mean_secs: f64,
-    /// Mean seconds between relayed PONGs.
-    pub(crate) pong_mean_secs: f64,
-    /// Mean seconds between relayed QUERYHITs.
-    pub(crate) hit_mean_secs: f64,
-}
-
-impl Default for RelayRates {
-    fn default() -> Self {
-        // Calibrated against Table 1 volume ratios (≈20× more total
-        // queries than hop-1 queries; PONG ≈ half of QUERY volume).
-        RelayRates {
-            query_mean_secs: 8.0,
-            pong_mean_secs: 15.0,
-            hit_mean_secs: 150.0,
-        }
-    }
-}
-
 /// Shared environment handed to every client peer.
 #[derive(Clone)]
 pub(crate) struct PeerEnv {
@@ -78,8 +54,6 @@ pub(crate) struct PeerEnv {
     pub(crate) alloc: Arc<AddressAllocator>,
     /// Shared-files model (for relayed PONG advertisements).
     pub(crate) files: SharedFilesModel,
-    /// Relay traffic rates.
-    pub(crate) relay: RelayRates,
     /// Link latency toward the measurement peer.
     pub(crate) latency: LatencyModel,
     /// How frames travel toward the measurement peer: typed (default,
@@ -145,7 +119,7 @@ impl ClientPeer {
         let Some(emitter) = self.emitter.as_mut() else {
             return;
         };
-        if let Some((at, kind)) = emitter.next(&self.plan, &self.env.relay, &mut self.rng) {
+        if let Some((at, kind)) = emitter.next(&self.plan, &mut self.rng) {
             self.pending = Some(kind);
             let key = self.take_key();
             let lane = ctx.id().0;
@@ -330,7 +304,6 @@ impl Actor for ClientPeer {
                 self.emitter = Some(SessionEmitter::start(
                     &self.plan,
                     self.keepalive,
-                    &self.env.relay,
                     ctx.now(),
                     &mut self.rng,
                 ));

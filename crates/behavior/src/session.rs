@@ -378,12 +378,8 @@ mod tests {
     use rand::SeedableRng;
 
     fn planner() -> SessionPlanner {
-        let cfg = crate::vocabulary::VocabularyConfig {
-            daily_sizes: [300, 280, 60, 30, 3, 3, 2],
-            n_days: 4,
-            ..Default::default()
-        };
-        SessionPlanner::paper_default(Arc::new(Vocabulary::build(1, cfg)))
+        let vocab = Vocabulary::with_daily_sizes(1, [300, 280, 60, 30, 3, 3, 2]);
+        SessionPlanner::paper_default(Arc::new(vocab))
     }
 
     fn plans(n: usize, region: Region, hour: u32) -> Vec<SessionPlan> {

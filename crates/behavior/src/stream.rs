@@ -24,7 +24,6 @@
 //! pressure to O(live sessions).
 
 use crate::files::SharedFilesModel;
-use crate::peer::RelayRates;
 use crate::session::SessionPlan;
 use crate::vocabulary::Vocabulary;
 use geoip::{AddressAllocator, DiurnalModel};
@@ -40,6 +39,16 @@ pub(crate) const ANSWER_FILE_NAME: &str = "match.mp3";
 
 /// Reason text of the BYE a session sends when it closes visibly.
 pub(crate) const BYE_REASON: &str = "shutting down";
+
+/// Mean seconds between the relayed QUERYs of one ultrapeer neighbor
+/// (exponential gaps, like the PONG and QUERYHIT gaps below). The three
+/// means are calibrated against Table 1's volume ratios: ≈20× more total
+/// queries than hop-1 queries, and PONGs ≈ half the QUERY volume.
+const RELAY_QUERY_MEAN_SECS: f64 = 8.0;
+/// Mean seconds between relayed PONGs.
+const RELAY_PONG_MEAN_SECS: f64 = 15.0;
+/// Mean seconds between relayed QUERYHITs.
+const RELAY_HIT_MEAN_SECS: f64 = 150.0;
 
 /// Draw an exponential delay with the given mean.
 pub(crate) fn exp_delay(rng: &mut StdRng, mean_secs: f64) -> SimDuration {
@@ -267,15 +276,14 @@ impl SessionEmitter {
     pub fn start(
         plan: &SessionPlan,
         keepalive: SimDuration,
-        relay: &RelayRates,
         now: SimTime,
         rng: &mut StdRng,
     ) -> SessionEmitter {
         let far = now + SimDuration::from_hours(24 * 365);
         let (rq, rp, rh) = if plan.ultrapeer {
-            let q = now + exp_delay(rng, relay.query_mean_secs);
-            let p = now + exp_delay(rng, relay.pong_mean_secs);
-            let h = now + exp_delay(rng, relay.hit_mean_secs);
+            let q = now + exp_delay(rng, RELAY_QUERY_MEAN_SECS);
+            let p = now + exp_delay(rng, RELAY_PONG_MEAN_SECS);
+            let h = now + exp_delay(rng, RELAY_HIT_MEAN_SECS);
             (q, p, h)
         } else {
             (far, far, far)
@@ -300,7 +308,6 @@ impl SessionEmitter {
     pub fn next(
         &mut self,
         plan: &SessionPlan,
-        relay: &RelayRates,
         rng: &mut StdRng,
     ) -> Option<(SimTime, EmissionKind)> {
         if self.done {
@@ -337,13 +344,13 @@ impl SessionEmitter {
             EmissionKind::Planned(_) => self.next_planned += 1,
             EmissionKind::Keepalive => self.keepalive_at = at + self.keepalive,
             EmissionKind::RelayQuery => {
-                self.relay_query_at = at + exp_delay(rng, relay.query_mean_secs);
+                self.relay_query_at = at + exp_delay(rng, RELAY_QUERY_MEAN_SECS);
             }
             EmissionKind::RelayPong => {
-                self.relay_pong_at = at + exp_delay(rng, relay.pong_mean_secs);
+                self.relay_pong_at = at + exp_delay(rng, RELAY_PONG_MEAN_SECS);
             }
             EmissionKind::RelayHit => {
-                self.relay_hit_at = at + exp_delay(rng, relay.hit_mean_secs);
+                self.relay_hit_at = at + exp_delay(rng, RELAY_HIT_MEAN_SECS);
             }
             EmissionKind::End => self.done = true,
         }
@@ -354,14 +361,15 @@ impl SessionEmitter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::build_vocabulary;
     use crate::session::SessionPlanner;
-    use crate::vocabulary::VocabularyConfig;
     use geoip::Region;
     use rand::SeedableRng;
+    use stats::rng::SeedSequence;
     use std::sync::Arc;
 
     fn plan_for(seed: u64) -> (SessionPlan, StdRng) {
-        let vocab = Arc::new(Vocabulary::build(1, VocabularyConfig::default()));
+        let vocab = Arc::new(build_vocabulary(&SeedSequence::new(1)));
         let planner = SessionPlanner::paper_default(vocab);
         let mut rng = StdRng::seed_from_u64(seed);
         let plan = planner.plan(0, 12, Region::Europe, &mut rng);
@@ -372,16 +380,12 @@ mod tests {
     fn emitter_is_monotone_and_ends_once() {
         for seed in 0..50 {
             let (plan, mut rng) = plan_for(seed);
-            let relay = RelayRates::default();
             let now = SimTime::from_secs(100);
-            let mut em =
-                SessionEmitter::start(&plan, SimDuration::from_secs(20), &relay, now, &mut rng);
+            let mut em = SessionEmitter::start(&plan, SimDuration::from_secs(20), now, &mut rng);
             let mut last = now;
             let mut planned_seen = 0;
             loop {
-                let (at, kind) = em
-                    .next(&plan, &relay, &mut rng)
-                    .expect("stream ends with End");
+                let (at, kind) = em.next(&plan, &mut rng).expect("stream ends with End");
                 assert!(at >= last, "emission time went backwards");
                 last = at;
                 match kind {
@@ -393,7 +397,7 @@ mod tests {
                     _ => {}
                 }
             }
-            assert!(em.next(&plan, &relay, &mut rng).is_none());
+            assert!(em.next(&plan, &mut rng).is_none());
             // Every planned query at offset ≤ duration is emitted.
             let due = plan
                 .queries
@@ -410,16 +414,9 @@ mod tests {
         // one a leaf emitter. The leaf must not consume relay draws.
         let (mut plan, _) = plan_for(3);
         plan.ultrapeer = false;
-        let relay = RelayRates::default();
         let mut a = StdRng::seed_from_u64(9);
         let mut b = StdRng::seed_from_u64(9);
-        let _ = SessionEmitter::start(
-            &plan,
-            SimDuration::from_secs(20),
-            &relay,
-            SimTime::ZERO,
-            &mut a,
-        );
+        let _ = SessionEmitter::start(&plan, SimDuration::from_secs(20), SimTime::ZERO, &mut a);
         assert_eq!(a.gen::<u64>(), b.gen::<u64>());
     }
 }

@@ -6,18 +6,24 @@
 //! class follows a Zipf-like law per day (Figure 11), and the set of
 //! popular queries drifts substantially from day to day (Figure 10).
 //!
-//! The generative model here:
+//! A query's class and rank come from the model's one popularity draw,
+//! [`PopularityLaws::draw_query`], the draw the Figure 12 generator
+//! (`p2pq::generator`) makes too; campaigns build the laws from
+//! `WorkloadModel::paper_default()`'s popularity. What the vocabulary
+//! keeps is its own:
 //!
 //! * each class owns a pool of unique query strings (several times larger
-//!   than its daily active set);
+//!   than its daily active set), interned once at build time;
 //! * every item has a static base weight (its long-run popularity);
 //! * each day, every item's score is its log base weight plus Gaussian
 //!   noise (`drift_sigma`); the top `daily_size` items by score form the
 //!   day's active set, ranked by score — this produces partial
-//!   persistence of popular items with heavy churn, the Figure 10 shape;
-//! * queries are drawn by sampling a rank from the class's Zipf-like law
-//!   (two-piece for the NA∩EU class, Figure 11(c)) and mapping it through
-//!   the day's ranking.
+//!   persistence of popular items with heavy churn, the Figure 10 shape.
+//!   A day is ranked the first time a query is drawn from it, from the
+//!   vocabulary's stream for that class and day, over a fixed horizon of
+//!   `RANKING_DAYS` = 40 days, the paper's trace length: day `d` uses
+//!   ranking `d % 40`;
+//! * a drawn rank names the item at that rank in the day's ranking.
 //!
 //! Query strings are unique keyword *sets* across the whole vocabulary
 //! (pairs of distinct words from a 256-word lexicon), so the
@@ -25,71 +31,14 @@
 
 use geoip::Region;
 use gnutella::QueryId;
-use model::{QueryClass, RankLaw};
+use model::{PopularityLaws, QueryClass};
 use rand::rngs::StdRng;
-use rand::Rng;
-use stats::dist::{TwoPieceZipf, Zipf};
 use stats::rank::drifted_hot_set;
 use stats::rng::SeedSequence;
 use std::sync::OnceLock;
 
-/// Vocabulary construction parameters.
-#[derive(Debug, Clone)]
-pub struct VocabularyConfig {
-    /// Daily active-set size per class (Table 3, 1-day column, made
-    /// disjoint: NA-only 1931, EU-only 1875, AS-only 145, NA∩EU 54,
-    /// NA∩AS 3, EU∩AS 3, triple 2).
-    pub daily_sizes: [usize; 7],
-    /// Pool size multiplier over the daily size (how much long-tail
-    /// vocabulary exists to churn in).
-    pub pool_multiplier: usize,
-    /// Zipf exponents per class. Figure 11: NA-only 0.386, EU-only 0.223.
-    pub alphas: [f64; 7],
-    /// Two-piece parameters for the NA∩EU class (Figure 11(c)):
-    /// (body α, tail α, break rank).
-    pub na_eu_two_piece: (f64, f64, u64),
-    /// Day-to-day drift noise (log-score σ). Larger ⇒ faster hot-set
-    /// churn (Figure 10).
-    pub drift_sigma: f64,
-    /// Number of distinct daily rankings: day `d` uses ranking
-    /// `d % n_days`, computed the first time a query is drawn from it.
-    pub n_days: usize,
-    /// Probability that a query from each region falls in each class
-    /// (§4.7: "for North American peers, a query is in the set of North
-    /// American queries with probability 0.97, and with probability 0.03
-    /// in the intersection set"). Rows: NA, EU, AS, Other; columns: the
-    /// classes that region participates in, see `Vocabulary::pick_class`.
-    pub class_mix: ClassMix,
-}
-
-/// Per-region class-selection probabilities.
-#[derive(Debug, Clone, Copy)]
-pub struct ClassMix {
-    /// NA: (NaOnly, NaEu, NaAs, All).
-    pub(crate) na: (f64, f64, f64, f64),
-    /// EU: (EuOnly, NaEu, EuAs, All).
-    pub(crate) eu: (f64, f64, f64, f64),
-    /// AS: (AsOnly, NaAs, EuAs, All).
-    pub(crate) asia: (f64, f64, f64, f64),
-}
-
-impl Default for VocabularyConfig {
-    fn default() -> Self {
-        VocabularyConfig {
-            daily_sizes: [1931, 1875, 145, 54, 3, 3, 2],
-            pool_multiplier: 5,
-            alphas: [0.386, 0.223, 0.30, 0.453, 0.30, 0.30, 0.30],
-            na_eu_two_piece: (0.453, 4.67, 45),
-            drift_sigma: 2.3,
-            n_days: 40,
-            class_mix: ClassMix {
-                na: (0.970, 0.025, 0.003, 0.002),
-                eu: (0.965, 0.030, 0.003, 0.002),
-                asia: (0.930, 0.030, 0.030, 0.010),
-            },
-        }
-    }
-}
+/// Distinct daily rankings (the paper's 40-day trace); later days wrap.
+const RANKING_DAYS: usize = 40;
 
 /// One class's pool and its daily rankings, each filled on first use.
 #[derive(Debug, Clone)]
@@ -98,15 +47,14 @@ struct ClassPool {
     ids: Vec<QueryId>,
     /// `rankings[day][rank-1]` = pool index of the day's rank-`rank` item.
     rankings: Vec<OnceLock<Vec<u32>>>,
-    law: RankLaw,
-    daily_size: usize,
 }
 
 /// The full query vocabulary.
 #[derive(Debug, Clone)]
 pub struct Vocabulary {
+    laws: PopularityLaws,
+    /// Indexed by [`QueryClass::index`].
     classes: Vec<ClassPool>,
-    config: VocabularyConfig,
     seq: SeedSequence,
 }
 
@@ -145,45 +93,28 @@ fn pair_for(global: usize) -> (usize, usize) {
 }
 
 impl Vocabulary {
-    /// Build the vocabulary: allocate pools and assign unique texts. A
-    /// day's ranking is computed when a query is first drawn from it, so
-    /// a campaign pays only for the days it touches.
-    pub fn build(seed: u64, config: VocabularyConfig) -> Vocabulary {
+    /// Build the vocabulary over `laws`: allocate pools and assign unique
+    /// texts. A day's ranking is computed when a query is first drawn
+    /// from it, so a campaign pays only for the days it touches.
+    pub fn build(seed: u64, laws: PopularityLaws) -> Vocabulary {
         let words = lexicon();
         let seq = SeedSequence::new(seed).child("vocabulary");
         let mut classes = Vec::with_capacity(7);
         let mut global = 0usize;
         for class in QueryClass::ALL7 {
-            let ci = class.index();
-            let daily = config.daily_sizes[ci];
-            let pool = (daily * config.pool_multiplier).max(daily + 1);
+            let pool = laws.pool_size(class);
             let mut ids = Vec::with_capacity(pool);
             for _ in 0..pool {
                 let (i, j) = pair_for(global);
                 global += 1;
                 ids.push(QueryId::intern(&format!("{} {}", words[i], words[j])));
             }
-            let law = if class == QueryClass::NaEu {
-                let (ab, at, brk) = config.na_eu_two_piece;
-                RankLaw::TwoPiece(
-                    TwoPieceZipf::new(ab, at, brk.min(daily as u64 - 1).max(1), daily as u64)
-                        .expect("two-piece params valid"),
-                )
-            } else {
-                RankLaw::Zipf(Zipf::new(config.alphas[ci], daily as u64).expect("zipf valid"))
-            };
             classes.push(ClassPool {
                 ids,
-                rankings: (0..config.n_days).map(|_| OnceLock::new()).collect(),
-                law,
-                daily_size: daily,
+                rankings: (0..RANKING_DAYS).map(|_| OnceLock::new()).collect(),
             });
         }
-        Vocabulary {
-            classes,
-            config,
-            seq,
-        }
+        Vocabulary { laws, classes, seq }
     }
 
     /// The class pool and its ranking for `day` (wrapped to the ranking
@@ -192,91 +123,36 @@ impl Vocabulary {
     /// for that day.
     fn ranked(&self, class: QueryClass, day: usize) -> (&ClassPool, &[u32]) {
         let pool = &self.classes[class.index()];
-        let day = day % pool.rankings.len();
+        let day = day % RANKING_DAYS;
         let ranking = pool.rankings[day].get_or_init(|| {
             let mut rng = self.seq.rng_indexed(class.label(), day as u64);
             drifted_hot_set(
                 pool.ids.len(),
-                pool.daily_size,
-                self.config.drift_sigma,
+                self.laws.daily_size(class),
+                self.laws.drift_sigma(),
                 &mut rng,
             )
         });
         (pool, ranking)
     }
 
-    /// Pick the class for a query issued by a peer in `region`.
-    pub(crate) fn pick_class(&self, region: Region, rng: &mut StdRng) -> QueryClass {
-        let mix = &self.config.class_mix;
-        let (own, pair_a, pair_b, all, classes): (f64, f64, f64, f64, [QueryClass; 4]) =
-            match region {
-                Region::NorthAmerica | Region::Other => (
-                    mix.na.0,
-                    mix.na.1,
-                    mix.na.2,
-                    mix.na.3,
-                    [
-                        QueryClass::NaOnly,
-                        QueryClass::NaEu,
-                        QueryClass::NaAs,
-                        QueryClass::All,
-                    ],
-                ),
-                Region::Europe => (
-                    mix.eu.0,
-                    mix.eu.1,
-                    mix.eu.2,
-                    mix.eu.3,
-                    [
-                        QueryClass::EuOnly,
-                        QueryClass::NaEu,
-                        QueryClass::EuAs,
-                        QueryClass::All,
-                    ],
-                ),
-                Region::Asia => (
-                    mix.asia.0,
-                    mix.asia.1,
-                    mix.asia.2,
-                    mix.asia.3,
-                    [
-                        QueryClass::AsOnly,
-                        QueryClass::NaAs,
-                        QueryClass::EuAs,
-                        QueryClass::All,
-                    ],
-                ),
-            };
-        let u: f64 = rng.gen();
-        if u < own {
-            classes[0]
-        } else if u < own + pair_a {
-            classes[1]
-        } else if u < own + pair_a + pair_b {
-            classes[2]
-        } else {
-            let _ = all;
-            classes[3]
-        }
-    }
-
     /// Draw a query for `region` on `day` (an interned id — no allocation).
     pub fn sample_query(&self, region: Region, day: usize, rng: &mut StdRng) -> QueryId {
-        let class = self.pick_class(region, rng);
-        self.sample_from_class(class, day, rng)
+        let (class, rank) = self.laws.draw_query(region, rng);
+        let (pool, ranking) = self.ranked(class, day);
+        pool.ids[ranking[(rank as usize - 1).min(ranking.len() - 1)] as usize]
     }
 
-    /// Draw a query from a specific class on `day`.
-    pub(crate) fn sample_from_class(
-        &self,
-        class: QueryClass,
-        day: usize,
-        rng: &mut StdRng,
-    ) -> QueryId {
-        let (pool, ranking) = self.ranked(class, day);
-        let rank = pool.law.sample(rng) as usize; // 1-based
-        let idx = ranking[(rank - 1).min(pool.daily_size - 1)];
-        pool.ids[idx as usize]
+    /// A vocabulary over the paper's popularity with day sets of `sizes`
+    /// (indexed by [`QueryClass::index`]), for tests that want a small
+    /// one.
+    #[cfg(test)]
+    pub(crate) fn with_daily_sizes(seed: u64, sizes: [u64; 7]) -> Vocabulary {
+        let mut popularity = model::WorkloadModel::paper_default().popularity;
+        for (class, size) in popularity.classes.iter_mut().zip(sizes) {
+            class.daily_size = size;
+        }
+        Vocabulary::build(seed, popularity.laws().expect("valid day-set sizes"))
     }
 }
 
@@ -295,18 +171,13 @@ mod tests {
             .collect()
     }
 
-    fn small_config() -> VocabularyConfig {
-        VocabularyConfig {
-            daily_sizes: [200, 180, 50, 30, 3, 3, 2],
-            pool_multiplier: 5,
-            n_days: 6,
-            ..VocabularyConfig::default()
-        }
+    fn small(seed: u64) -> Vocabulary {
+        Vocabulary::with_daily_sizes(seed, [200, 180, 50, 30, 3, 3, 2])
     }
 
     #[test]
     fn texts_are_unique_keyword_sets_across_classes() {
-        let v = Vocabulary::build(1, small_config());
+        let v = small(1);
         let mut seen = HashSet::new();
         for class in QueryClass::ALL7 {
             let pool = &v.classes[class.index()];
@@ -318,10 +189,10 @@ mod tests {
 
     #[test]
     fn day_sets_have_configured_sizes() {
-        let v = Vocabulary::build(2, small_config());
+        let v = small(2);
         assert_eq!(day_set(&v, QueryClass::NaOnly, 0).len(), 200);
+        assert_eq!(day_set(&v, QueryClass::EuOnly, 0).len(), 180);
         assert_eq!(day_set(&v, QueryClass::All, 3).len(), 2);
-        assert_eq!(v.classes[QueryClass::EuOnly.index()].daily_size, 180);
         // A day's set never repeats a query.
         let set = day_set(&v, QueryClass::NaOnly, 1);
         let uniq: HashSet<&str> = set.iter().copied().collect();
@@ -332,7 +203,7 @@ mod tests {
     fn hot_set_drifts_but_persists_partially() {
         // Figure 10 qualitative check: consecutive-day top sets overlap a
         // little but churn a lot.
-        let v = Vocabulary::build(3, small_config());
+        let v = small(3);
         let mut overlaps = Vec::new();
         for day in 0..5 {
             let top10: HashSet<&str> = day_set(&v, QueryClass::NaOnly, day)
@@ -354,55 +225,39 @@ mod tests {
     }
 
     #[test]
-    fn class_mix_probabilities() {
-        let v = Vocabulary::build(4, small_config());
-        let mut rng = StdRng::seed_from_u64(99);
-        let mut counts = [0usize; 7];
-        let n = 50_000;
-        for _ in 0..n {
-            counts[v.pick_class(Region::NorthAmerica, &mut rng).index()] += 1;
-        }
-        let frac_own = counts[QueryClass::NaOnly.index()] as f64 / n as f64;
-        assert!(
-            (frac_own - 0.97).abs() < 0.01,
-            "NA-only fraction {frac_own}"
-        );
-        // NA peers never draw from EU-only / AS-only / EU∩AS.
-        assert_eq!(counts[QueryClass::EuOnly.index()], 0);
-        assert_eq!(counts[QueryClass::AsOnly.index()], 0);
-        assert_eq!(counts[QueryClass::EuAs.index()], 0);
-    }
-
-    #[test]
     fn sampling_respects_daily_set_and_zipf_head() {
-        let v = Vocabulary::build(5, small_config());
+        // A North American query lies in the day's set of one of its
+        // region's classes, and the NA-only rank-1 item is hot.
+        let v = small(5);
         let mut rng = StdRng::seed_from_u64(7);
-        let in_set: HashSet<&str> = day_set(&v, QueryClass::NaOnly, 2).into_iter().collect();
-        let mut head_hits = 0;
+        let in_set: HashSet<&str> = model::PopularityModel::region_classes(Region::NorthAmerica)
+            .into_iter()
+            .flat_map(|class| day_set(&v, class, 2))
+            .collect();
         let top1 = day_set(&v, QueryClass::NaOnly, 2)[0];
+        let mut head_hits = 0;
         for _ in 0..5_000 {
-            let q = v
-                .sample_from_class(QueryClass::NaOnly, 2, &mut rng)
-                .resolve();
-            assert!(in_set.contains(q), "query {q} outside day set");
+            let q = v.sample_query(Region::NorthAmerica, 2, &mut rng).resolve();
+            assert!(in_set.contains(q), "query {q} outside the day's sets");
             if q == top1 {
                 head_hits += 1;
             }
         }
-        // Rank 1 under Zipf(0.386, 200) has pmf ≈ 0.024; uniform would be
-        // 0.005. The head must be visibly hotter than uniform.
+        // Rank 1 under Zipf(0.386, 200) has pmf ≈ 0.024 (× 0.97 for the
+        // NA-only class); uniform would be 0.005. The head must be
+        // visibly hotter than uniform.
         assert!(head_hits > 50, "rank-1 hits {head_hits}");
     }
 
     #[test]
     fn deterministic_given_seed() {
-        let a = Vocabulary::build(8, small_config());
-        let b = Vocabulary::build(8, small_config());
+        let a = small(8);
+        let b = small(8);
         assert_eq!(
             day_set(&a, QueryClass::EuOnly, 1),
             day_set(&b, QueryClass::EuOnly, 1)
         );
-        let c = Vocabulary::build(9, small_config());
+        let c = small(9);
         assert_ne!(
             day_set(&a, QueryClass::EuOnly, 1),
             day_set(&c, QueryClass::EuOnly, 1)
@@ -421,10 +276,14 @@ mod tests {
 
     #[test]
     fn day_wraps_beyond_horizon() {
-        let v = Vocabulary::build(10, small_config());
+        let v = small(10);
         assert_eq!(
             day_set(&v, QueryClass::NaOnly, 0),
-            day_set(&v, QueryClass::NaOnly, 6)
+            day_set(&v, QueryClass::NaOnly, 40)
+        );
+        assert_ne!(
+            day_set(&v, QueryClass::NaOnly, 0),
+            day_set(&v, QueryClass::NaOnly, 39)
         );
     }
 }

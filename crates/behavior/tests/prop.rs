@@ -1,19 +1,25 @@
 //! Property tests for the generative behavior model.
 
-use behavior::{QueryOrigin, SessionKind, SessionPlanner, Vocabulary, VocabularyConfig};
+use behavior::{QueryOrigin, SessionKind, SessionPlanner, Vocabulary};
 use geoip::Region;
+use model::WorkloadModel;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
+/// A planner over the paper's popularity with smaller day sets.
 fn planner() -> SessionPlanner {
-    let cfg = VocabularyConfig {
-        daily_sizes: [300, 280, 60, 20, 3, 3, 2],
-        n_days: 3,
-        ..VocabularyConfig::default()
-    };
-    SessionPlanner::paper_default(Arc::new(Vocabulary::build(7, cfg)))
+    let mut popularity = WorkloadModel::paper_default().popularity;
+    for (class, size) in popularity
+        .classes
+        .iter_mut()
+        .zip([300, 280, 60, 20, 3, 3, 2])
+    {
+        class.daily_size = size;
+    }
+    let vocab = Vocabulary::build(7, popularity.laws().unwrap());
+    SessionPlanner::paper_default(Arc::new(vocab))
 }
 
 proptest! {

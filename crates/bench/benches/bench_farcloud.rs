@@ -15,9 +15,10 @@ use std::sync::Arc;
 use behavior::stream::{
     draw_relay_hit, draw_relay_pong, draw_relay_query, EmissionKind, SessionEmitter,
 };
-use behavior::{RelayRates, SessionPlan, SessionPlanner, Vocabulary, VocabularyConfig};
+use behavior::{SessionPlan, SessionPlanner, Vocabulary};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use geoip::{AddressAllocator, GeoDb, Region};
+use p2pq::WorkloadModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simnet::{LatencyModel, SimDuration, SimTime};
@@ -25,16 +26,17 @@ use stats::rng::SeedSequence;
 
 const DRAWS: usize = 10_000;
 
+/// A vocabulary over the paper's popularity laws, as campaigns build it.
+fn paper_vocabulary(seed: u64) -> Arc<Vocabulary> {
+    let popularity = WorkloadModel::paper_default().popularity;
+    let laws = popularity.laws().expect("the paper's laws build");
+    Arc::new(Vocabulary::build(seed, laws))
+}
+
 /// Per-message draw throughput for the three relay flavors, swept across
 /// the diurnal cycle so region sampling exercises the full table.
 fn bench_relay_draws(c: &mut Criterion) {
-    let vocab = Arc::new(Vocabulary::build(
-        7,
-        VocabularyConfig {
-            n_days: 8,
-            ..VocabularyConfig::default()
-        },
-    ));
+    let vocab = paper_vocabulary(7);
     let planner = SessionPlanner::paper_default(Arc::clone(&vocab));
     let db = GeoDb::synthetic();
     let alloc = AddressAllocator::new(&db);
@@ -86,8 +88,7 @@ fn bench_relay_draws(c: &mut Criterion) {
 /// region, the plan, the address, the keepalive and the connect delay.
 fn bench_arrival_layer(c: &mut Criterion) {
     const PLANS: usize = 1_000;
-    let vocab = Arc::new(Vocabulary::build(5, VocabularyConfig::default()));
-    let planner = SessionPlanner::paper_default(vocab);
+    let planner = SessionPlanner::paper_default(paper_vocabulary(5));
     let alloc = AddressAllocator::new(&GeoDb::synthetic());
     let latency = LatencyModel::intra_continent();
     let population = SeedSequence::new(1964).child("population");
@@ -148,9 +149,7 @@ fn ultrapeer_plan(planner: &SessionPlanner, rng: &mut StdRng) -> SessionPlan {
 /// redraws its exponential gap per emission, exactly as both fidelities
 /// schedule traffic.
 fn bench_session_emitter(c: &mut Criterion) {
-    let vocab = Arc::new(Vocabulary::build(3, VocabularyConfig::default()));
-    let planner = SessionPlanner::paper_default(vocab);
-    let relay = RelayRates::default();
+    let planner = SessionPlanner::paper_default(paper_vocabulary(3));
     let keepalive = SimDuration::from_secs_f64(45.0);
     let mut rng = StdRng::seed_from_u64(21);
     let plan = ultrapeer_plan(&planner, &mut rng);
@@ -162,9 +161,7 @@ fn bench_session_emitter(c: &mut Criterion) {
         b.iter(|| {
             for i in 0..1_000u64 {
                 let now = SimTime::ZERO + SimDuration::from_secs_f64(i as f64);
-                black_box(SessionEmitter::start(
-                    plan, keepalive, &relay, now, &mut rng,
-                ));
+                black_box(SessionEmitter::start(plan, keepalive, now, &mut rng));
             }
         })
     });
@@ -172,12 +169,12 @@ fn bench_session_emitter(c: &mut Criterion) {
 
     c.bench_function("farcloud_emitter/drain", |b| {
         let mut rng = StdRng::seed_from_u64(23);
-        let em = SessionEmitter::start(&plan, keepalive, &relay, SimTime::ZERO, &mut rng);
+        let em = SessionEmitter::start(&plan, keepalive, SimTime::ZERO, &mut rng);
         b.iter(|| {
             let mut em = em.clone();
             let mut rng = StdRng::seed_from_u64(24);
             let mut counts = [0u64; 6];
-            while let Some((at, kind)) = em.next(&plan, &relay, &mut rng) {
+            while let Some((at, kind)) = em.next(&plan, &mut rng) {
                 let slot = match kind {
                     EmissionKind::Planned(_) => 0,
                     EmissionKind::Keepalive => 1,

@@ -81,17 +81,13 @@ fn bench_generator(c: &mut Criterion) {
 /// [`gnutella::QueryId`] (no allocation), and resolving it back to text is
 /// a read-locked table lookup yielding a `&'static str`.
 fn bench_vocabulary(c: &mut Criterion) {
-    use behavior::{Vocabulary, VocabularyConfig};
+    use behavior::Vocabulary;
     use geoip::Region;
     use rand::{rngs::StdRng, SeedableRng};
 
-    let vocab = Vocabulary::build(
-        7,
-        VocabularyConfig {
-            n_days: 8,
-            ..VocabularyConfig::default()
-        },
-    );
+    let popularity = WorkloadModel::paper_default().popularity;
+    let laws = popularity.laws().expect("the paper's laws build");
+    let vocab = Vocabulary::build(7, laws);
     let mut group = c.benchmark_group("vocabulary");
     group.throughput(Throughput::Elements(10_000));
     for (name, region) in [

@@ -16,26 +16,31 @@
 //!    conditioning), the query class (Table 3 mix) and rank (Figure 11
 //!    Zipf laws), and finally the time after the last query (Table A.5).
 //!
-//! Query identity across days follows the §4.6 hot-set-drift structure:
-//! each class owns a pool `pool_multiplier ×` its daily size; a day's
-//! active set is the top `daily_size` pool items by perturbed base score,
-//! so rank r on day n and rank r on day n+1 usually name different items
-//! (Figure 10).
+//! A query's class and rank come from the model's one popularity draw,
+//! [`PopularityLaws::draw_query`](crate::model::PopularityLaws::draw_query),
+//! which the simulated ground truth (`behavior::Vocabulary`) draws
+//! through too. Which item a rank names follows the §4.6 hot-set-drift
+//! structure, and is the generator's own: each class owns a pool
+//! `pool_multiplier ×` its daily size; a day's active set is the top
+//! `daily_size` pool items by perturbed base score, ranked from the
+//! generator's `hotset` stream for that class and day, so rank r on day n
+//! and rank r on day n+1 usually name different items (Figure 10). The
+//! generator keeps the rankings of the last two days it asked for.
 //!
 //! The generator is an `Iterator<Item = WorkloadEvent>` emitting events in
 //! global time order, and is infinite — bound it with `take`,
 //! `take_while` on the timestamp, or [`WorkloadGenerator::events_until`].
 //!
-//! Construction builds the model's laws once ([`WorkloadModel::laws`]
-//! for Tables A.1–A.5, one rank sampler per query class), so an invalid
-//! model panics there, naming the cell. A session then only samples
+//! Construction builds the model's laws once ([`WorkloadModel::laws`]:
+//! Tables A.1–A.5 and the popularity laws), so an invalid model panics
+//! there, naming the cell or class. A session then only samples
 //! from those laws. The peers' next events wait in a binary min-heap
 //! keyed by `(time, schedule sequence)`, a strict total order, and each
 //! event overwrites the heap's top slot with the same peer's next event:
 //! one sift per event.
 
 use crate::events::{PeerId, QueryRef, WorkloadEvent};
-use crate::model::{ModelLaws, RankLaw, WorkloadModel};
+use crate::model::{ModelLaws, QueryClass, WorkloadModel};
 use geoip::Region;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -98,18 +103,6 @@ impl PartialOrd for Slot {
     }
 }
 
-/// Per-class popularity state (built laws + recent day rankings).
-struct ClassState {
-    law: RankLaw,
-    pool: u64,
-    daily: u64,
-    /// `(day, ranked pool-item ids)` of the last [`RECENT_DAYS`] days
-    /// ranked, oldest first. Sessions start in time order once the
-    /// initial population is seeded, so older days are not asked for
-    /// again; a day that was dropped is ranked again, identically.
-    recent: Vec<(u64, Vec<u32>)>,
-}
-
 /// Day rankings kept per class: the current day, plus the previous one
 /// for the initial population's warm-up window, which can straddle a
 /// midnight.
@@ -123,7 +116,12 @@ pub struct WorkloadGenerator {
     seq: SeedSequence,
     heap: BinaryHeap<Slot>,
     pending: Vec<VecDeque<WorkloadEvent>>,
-    classes: Vec<ClassState>,
+    /// Per class, `(day, ranked pool-item ids)` of the last
+    /// [`RECENT_DAYS`] days ranked, oldest first. Sessions start in time
+    /// order once the initial population is seeded, so older days are
+    /// not asked for again; a day that was dropped is ranked again,
+    /// identically.
+    rankings: [Vec<(u64, Vec<u32>)>; 7],
     sessions_started: u64,
     next_seq: u64,
     next_peer: u64,
@@ -142,17 +140,6 @@ impl WorkloadGenerator {
             .laws()
             .unwrap_or_else(|e| panic!("invalid workload model: {e}"));
         let seq = SeedSequence::new(cfg.seed).child("p2pq-generator");
-        let classes = model
-            .popularity
-            .classes
-            .iter()
-            .map(|c| ClassState {
-                law: c.build_law().expect("model popularity law valid"),
-                pool: (c.daily_size * c.pool_multiplier.max(1)).max(c.daily_size + 1),
-                daily: c.daily_size,
-                recent: Vec::with_capacity(RECENT_DAYS),
-            })
-            .collect();
         let mut gen = WorkloadGenerator {
             model: model.clone(),
             laws,
@@ -160,7 +147,7 @@ impl WorkloadGenerator {
             seq,
             heap: BinaryHeap::new(),
             pending: Vec::new(),
-            classes,
+            rankings: std::array::from_fn(|_| Vec::with_capacity(RECENT_DAYS)),
             sessions_started: 0,
             next_seq: 0,
             next_peer: 0,
@@ -202,46 +189,33 @@ impl WorkloadGenerator {
     }
 
     /// The day's ranked item list for a class (computed lazily).
-    fn ranking(&mut self, class: usize, day: u64) -> &Vec<u32> {
-        let state = &mut self.classes[class];
-        let i = match state.recent.iter().position(|(d, _)| *d == day) {
+    fn ranking(&mut self, class: QueryClass, day: u64) -> &[u32] {
+        let recent = &mut self.rankings[class.index()];
+        let i = match recent.iter().position(|(d, _)| *d == day) {
             Some(i) => i,
             None => {
-                let mut rng = self.seq.rng_indexed("hotset", (class as u64) << 32 | day);
+                let popularity = self.laws.popularity();
+                let key = (class.index() as u64) << 32 | day;
                 let ranked = drifted_hot_set(
-                    state.pool as usize,
-                    state.daily as usize,
-                    self.model.popularity.drift_sigma,
-                    &mut rng,
+                    popularity.pool_size(class),
+                    popularity.daily_size(class),
+                    popularity.drift_sigma(),
+                    &mut self.seq.rng_indexed("hotset", key),
                 );
-                if state.recent.len() == RECENT_DAYS {
-                    state.recent.remove(0);
+                if recent.len() == RECENT_DAYS {
+                    recent.remove(0);
                 }
-                state.recent.push((day, ranked));
-                state.recent.len() - 1
+                recent.push((day, ranked));
+                recent.len() - 1
             }
         };
-        &state.recent[i].1
+        &recent[i].1
     }
 
+    /// Step 4(c)(ii)–(iii): the class and rank, then today's item.
     fn pick_query(&mut self, region: Region, day: u64, rng: &mut StdRng) -> QueryRef {
-        // Step 4(c)(ii): pick the class.
-        let mix = self.model.popularity.region_mix(region);
-        let classes = crate::model::PopularityModel::region_classes(region);
-        let u: f64 = rng.gen();
-        let mut acc = 0.0;
-        let mut class = classes[0];
-        for (c, w) in classes.iter().zip(mix.iter()) {
-            acc += w;
-            if u < acc {
-                class = *c;
-                break;
-            }
-        }
-        // Step 4(c)(iii): pick the rank, then resolve today's item.
-        let ci = class.index();
-        let rank = self.classes[ci].law.sample(rng);
-        let ranking = self.ranking(ci, day);
+        let (class, rank) = self.laws.popularity().draw_query(region, rng);
+        let ranking = self.ranking(class, day);
         let item = u64::from(ranking[((rank - 1) as usize).min(ranking.len() - 1)]);
         QueryRef { class, rank, item }
     }
@@ -349,7 +323,6 @@ impl Iterator for WorkloadGenerator {
 mod tests {
     use super::*;
     use crate::events::collect_sessions;
-    use crate::model::QueryClass;
 
     fn small_cfg(seed: u64) -> GeneratorConfig {
         GeneratorConfig {
@@ -505,16 +478,15 @@ mod tests {
     fn hot_set_drifts_across_days() {
         let model = WorkloadModel::paper_default();
         let mut gen = WorkloadGenerator::new(&model, small_cfg(9));
-        let ci = QueryClass::NaOnly.index();
-        let day0: Vec<u32> = gen.ranking(ci, 0).clone();
-        let day1: Vec<u32> = gen.ranking(ci, 1).clone();
+        let day0 = gen.ranking(QueryClass::NaOnly, 0).to_vec();
+        let day1 = gen.ranking(QueryClass::NaOnly, 1).to_vec();
         assert_eq!(day0.len(), 1931);
         // Top-10 of day 0 mostly leaves the top-100 of day 1 (Figure 10).
         let top100: std::collections::HashSet<u32> = day1.iter().take(100).copied().collect();
         let kept = day0.iter().take(10).filter(|i| top100.contains(i)).count();
         assert!(kept <= 8, "hot set too sticky: {kept}/10 still in top-100");
         // Deterministic.
-        assert_eq!(&day0, gen.ranking(ci, 0));
+        assert_eq!(day0, gen.ranking(QueryClass::NaOnly, 0));
     }
 
     #[test]
@@ -620,8 +592,7 @@ mod tests {
         );
         let until = SimTime::from_secs(3 * 86_400 + 43_200);
         let rolled = stream_digest(&mut rolling, until);
-        let ranked: Vec<u64> = rolling.classes[QueryClass::NaOnly.index()]
-            .recent
+        let ranked: Vec<u64> = rolling.rankings[QueryClass::NaOnly.index()]
             .iter()
             .map(|(day, _)| *day)
             .collect();
@@ -658,6 +629,23 @@ mod tests {
         model.passive_duration[Region::NorthAmerica.index()][1]
             .tail
             .sigma = -1.0;
+        let _ = WorkloadGenerator::new(&model, small_cfg(1));
+    }
+
+    /// The popularity laws are built with the session laws: a bad NA∩EU
+    /// rank law fails at construction, naming its class.
+    #[test]
+    #[should_panic(
+        expected = "invalid workload model: popularity[NA∩EU]: parameter `alpha_body` = -1 invalid"
+    )]
+    fn invalid_popularity_law_fails_at_construction() {
+        let mut model = WorkloadModel::paper_default();
+        model.popularity.classes[QueryClass::NaEu.index()].law =
+            crate::model::RankLawParams::TwoPiece {
+                alpha_body: -1.0,
+                alpha_tail: 4.67,
+                break_rank: 45,
+            };
         let _ = WorkloadGenerator::new(&model, small_cfg(1));
     }
 }

@@ -4,9 +4,10 @@
 //! [`WorkloadModel::paper_default`] for the appendix-table values, load
 //! one from JSON, or derive one from a trace with `p2pq::calibrate()`.
 //! [`WorkloadModel::laws`] builds every Table A.1–A.5 law once, one per
-//! region × period × query-count-class cell, and is where a model's
-//! session laws are validated; the popularity rank laws are built by
-//! [`ClassPopularity::build_law`].
+//! region × period × query-count-class cell, and the §4.6 popularity laws
+//! ([`PopularityModel::laws`]), and is where a model is validated.
+//! [`PopularityLaws::draw_query`] is the one draw of a query's class and
+//! rank, for the Figure 12 generator and the simulated ground truth alike.
 
 use geoip::{DiurnalModel, Region};
 use rand::Rng;
@@ -251,8 +252,17 @@ pub struct ClassPopularity {
 }
 
 impl ClassPopularity {
-    /// Build the rank sampler over this class's daily set.
+    /// Build the rank sampler over this class's daily set, which must
+    /// hold a query: a two-piece law over a one-query set still spans two
+    /// ranks.
     pub fn build_law(&self) -> Result<RankLaw, StatsError> {
+        if self.daily_size == 0 {
+            return Err(StatsError::BadParameter {
+                name: "daily_size",
+                value: 0.0,
+                constraint: "must be ≥ 1",
+            });
+        }
         match self.law {
             RankLawParams::Zipf { alpha } => Ok(RankLaw::Zipf(Zipf::new(alpha, self.daily_size)?)),
             RankLawParams::TwoPiece {
@@ -328,6 +338,104 @@ impl PopularityModel {
             Region::Europe => self.mix.eu,
             Region::Asia => self.mix.asia,
         }
+    }
+
+    /// Build the popularity laws once: each class's rank law
+    /// ([`ClassPopularity::build_law`]), daily size and pool size, and
+    /// each region's class mix. Fails on the first class whose rank law
+    /// cannot be built, naming it.
+    pub fn laws(&self) -> Result<PopularityLaws, LawError> {
+        let classes = cells(|c| {
+            let class = &self.classes[c];
+            let law = class.build_law().map_err(|source| LawError {
+                cell: format!("popularity[{}]", QueryClass::ALL7[c].label()),
+                source,
+            })?;
+            let daily = class.daily_size as usize;
+            Ok(ClassLaw {
+                law,
+                daily,
+                pool: (daily * class.pool_multiplier as usize).max(daily + 1),
+            })
+        })?;
+        let mix = REGIONS.map(|r| {
+            let weights = self.region_mix(r);
+            let mut below = 0.0;
+            std::array::from_fn(|k| {
+                below += weights[k];
+                below
+            })
+        });
+        Ok(PopularityLaws {
+            classes,
+            mix,
+            drift_sigma: self.drift_sigma,
+        })
+    }
+}
+
+/// One class's built popularity: its rank law over the day's set, the
+/// set's size, and the size of the pool the day's set is drawn from.
+#[derive(Debug, Clone)]
+struct ClassLaw {
+    law: RankLaw,
+    daily: usize,
+    pool: usize,
+}
+
+/// The popularity laws of a [`PopularityModel`] (§4.6), built once by
+/// [`PopularityModel::laws`]. Which item a rank names on a given day
+/// (the hot-set drift of Figure 10) is left to the caller, which ranks
+/// each class's pool of [`PopularityLaws::pool_size`] items into a day's
+/// set of [`PopularityLaws::daily_size`] with its own seeds.
+#[derive(Debug, Clone)]
+pub struct PopularityLaws {
+    /// Indexed by [`QueryClass::index`].
+    classes: [ClassLaw; 7],
+    /// Per region, the running sums of its first three mix weights: a
+    /// uniform draw picks the region's `k`-th class when it is below the
+    /// `k`-th sum and no earlier one, and its last class when it is below
+    /// none.
+    mix: [[f64; 3]; 4],
+    drift_sigma: f64,
+}
+
+impl PopularityLaws {
+    /// Figure 12 step 4(c)(ii)–(iii): a query's class from its region's
+    /// mix, then its 1-based rank from the class's law. Two draws from
+    /// `rng`, no allocation. The rank can exceed a one-query day set
+    /// (a two-piece law needs two ranks), so map it onto the day's
+    /// ranking clamped to its last entry.
+    pub fn draw_query<R: Rng + ?Sized>(&self, region: Region, rng: &mut R) -> (QueryClass, u64) {
+        let u: f64 = rng.gen();
+        let below = &self.mix[region.index()];
+        let classes = PopularityModel::region_classes(region);
+        let class = if u < below[0] {
+            classes[0]
+        } else if u < below[1] {
+            classes[1]
+        } else if u < below[2] {
+            classes[2]
+        } else {
+            classes[3]
+        };
+        (class, self.classes[class.index()].law.sample(rng))
+    }
+
+    /// Distinct queries in a day's set of `class` (Table 3).
+    pub fn daily_size(&self, class: QueryClass) -> usize {
+        self.classes[class.index()].daily
+    }
+
+    /// Items in the pool that `class`'s daily sets are drawn from, at
+    /// least one more than a day's set.
+    pub fn pool_size(&self, class: QueryClass) -> usize {
+        self.classes[class.index()].pool
+    }
+
+    /// Day-to-day drift of the item scores (Figure 10).
+    pub fn drift_sigma(&self) -> f64 {
+        self.drift_sigma
     }
 }
 
@@ -561,9 +669,10 @@ impl WorkloadModel {
         }
     }
 
-    /// Build every Table A.1–A.5 law once: one per region × period ×
-    /// query-count-class cell. Fails on the first cell whose parameters
-    /// are invalid, naming it.
+    /// Build every Table A.1–A.5 law once, one per region × period ×
+    /// query-count-class cell, and the popularity laws
+    /// ([`PopularityModel::laws`]). Fails on the first cell or class whose
+    /// parameters are invalid, naming it.
     pub fn laws(&self) -> Result<ModelLaws, LawError> {
         if self.max_queries == 0 {
             return Err(LawError {
@@ -613,6 +722,7 @@ impl WorkloadModel {
             time_after_last: grid("time_after_last", LAST_CLASS_LABELS, |r, p, c| {
                 self.time_after_last[r][p][c].dist()
             })?,
+            popularity: self.popularity.laws()?,
         })
     }
 
@@ -640,10 +750,11 @@ const MAX_EDGE_SECS: f64 = 100_000.0;
 /// Longest query interarrival, seconds.
 const MAX_GAP_SECS: f64 = 20_000.0;
 
-/// The session laws of a [`WorkloadModel`] (Figure 4, Tables A.1–A.5),
-/// built once by [`WorkloadModel::laws`]. Its `draw_*` methods sample one
-/// session step each, conditioned on `(region, peak, n_queries)`, and
-/// apply the model's caps; each makes exactly one draw from `rng`.
+/// The laws of a [`WorkloadModel`], built once by [`WorkloadModel::laws`]:
+/// the session laws (Figure 4, Tables A.1–A.5), whose `draw_*` methods
+/// sample one session step each, conditioned on `(region, peak,
+/// n_queries)`, and apply the model's caps, each with exactly one draw
+/// from `rng`; and the [`PopularityLaws`] of §4.6.
 #[derive(Debug, Clone)]
 pub struct ModelLaws {
     passive_prob: [f64; 4],
@@ -655,9 +766,15 @@ pub struct ModelLaws {
     /// shift.
     interarrival: [[[BodyTail<Lognormal, Pareto>; INTERARRIVAL_CLASSES]; 2]; 4],
     time_after_last: [[[Lognormal; LAST_QUERY_CLASSES]; 2]; 4],
+    popularity: PopularityLaws,
 }
 
 impl ModelLaws {
+    /// The query popularity laws (§4.6).
+    pub fn popularity(&self) -> &PopularityLaws {
+        &self.popularity
+    }
+
     /// Whether a session in `region` is passive (Figure 4).
     pub fn draw_passive<R: Rng + ?Sized>(&self, region: Region, rng: &mut R) -> bool {
         rng.gen::<f64>() < self.passive_prob[region.index()]
@@ -920,6 +1037,75 @@ mod tests {
             laws.queries(Region::Europe).mean().unwrap()
                 > laws.queries(Region::Asia).mean().unwrap()
         );
+    }
+
+    /// A rank law that cannot be built fails `laws()` and `from_json`
+    /// like a session-law cell, naming its class.
+    #[test]
+    fn invalid_popularity_law_is_named() {
+        let mut m = WorkloadModel::paper_default();
+        let RankLawParams::TwoPiece { alpha_body, .. } =
+            &mut m.popularity.classes[QueryClass::NaEu.index()].law
+        else {
+            panic!("NA∩EU has a two-piece law");
+        };
+        *alpha_body = -1.0;
+        let e = m.laws().unwrap_err();
+        assert_eq!(e.cell, "popularity[NA∩EU]");
+        assert!(matches!(
+            e.source,
+            StatsError::BadParameter {
+                name: "alpha_body",
+                ..
+            }
+        ));
+        assert!(e.to_string().starts_with("popularity[NA∩EU]: "));
+        match WorkloadModel::from_json(&m.to_json()) {
+            Err(ModelJsonError::Law(j)) => assert_eq!(j, e),
+            other => panic!("expected a law error, got {other:?}"),
+        }
+        // An empty day set has no item for a rank to name, although the
+        // two-piece law itself would build over two ranks.
+        let mut m = WorkloadModel::paper_default();
+        m.popularity.classes[QueryClass::NaEu.index()].daily_size = 0;
+        let e = m.laws().unwrap_err();
+        assert_eq!(e.cell, "popularity[NA∩EU]");
+        assert!(matches!(
+            e.source,
+            StatsError::BadParameter {
+                name: "daily_size",
+                ..
+            }
+        ));
+    }
+
+    /// Step 4(c)(ii): a region's queries fall in its own class at the
+    /// mix's rate and never in a class the region does not issue; each
+    /// rank lies in its class's day set.
+    #[test]
+    fn draw_query_follows_the_class_mix() {
+        let m = WorkloadModel::paper_default();
+        let laws = m.popularity.laws().unwrap();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(99);
+        let n = 20_000;
+        for r in Region::CHARACTERIZED {
+            let own = PopularityModel::region_classes(r);
+            let mut counts = [0usize; 7];
+            for _ in 0..n {
+                let (class, rank) = laws.draw_query(r, &mut rng);
+                assert!((1..=laws.daily_size(class) as u64).contains(&rank));
+                counts[class.index()] += 1;
+            }
+            let frac_own = counts[own[0].index()] as f64 / n as f64;
+            let want = m.popularity.region_mix(r)[0];
+            assert!(
+                (frac_own - want).abs() < 0.01,
+                "{r}: own fraction {frac_own}"
+            );
+            for c in QueryClass::ALL7.into_iter().filter(|c| !own.contains(c)) {
+                assert_eq!(counts[c.index()], 0, "{r} drew {}", c.label());
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,8 @@
 //! Histograms and time-of-day binning.
 //!
-//! Three binning schemes appear in the paper:
+//! Two binning schemes appear in the paper:
 //!
 //! * linear bins ([`Histogram`]) — e.g. the shared-file counts of Figure 2;
-//! * logarithmic bins ([`LogHistogram`]) — used internally for fitting
-//!   heavy-tailed measures;
 //! * time-of-day bins ([`TimeOfDayBins`]) — Figures 1, 3 and 4 aggregate a
 //!   multi-day trace into 24 one-hour or 48 thirty-minute bins and report
 //!   per-bin average plus the min/max across days.
@@ -91,85 +89,6 @@ impl Histogram {
         let xs = (0..self.counts.len()).map(|i| self.bin_center(i)).collect();
         let ys = self.counts.iter().map(|&c| c as f64 / n).collect();
         Series::new(xs, ys)
-    }
-}
-
-/// Logarithmically-binned histogram over `[lo, hi)`, `lo > 0`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LogHistogram {
-    log_lo: f64,
-    log_hi: f64,
-    counts: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    total: u64,
-}
-
-impl LogHistogram {
-    /// Create with `bins` log-spaced bins over `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Result<Self, StatsError> {
-        if !(lo > 0.0 && hi > lo) {
-            return Err(StatsError::BadParameter {
-                name: "lo",
-                value: lo,
-                constraint: "need 0 < lo < hi",
-            });
-        }
-        if bins == 0 {
-            return Err(StatsError::BadParameter {
-                name: "bins",
-                value: 0.0,
-                constraint: "must be >= 1",
-            });
-        }
-        Ok(LogHistogram {
-            log_lo: lo.ln(),
-            log_hi: hi.ln(),
-            counts: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-            total: 0,
-        })
-    }
-
-    /// Insert an observation (non-positive values land in underflow).
-    pub fn add(&mut self, x: f64) {
-        self.total += 1;
-        if x <= 0.0 || x.ln() < self.log_lo {
-            self.underflow += 1;
-        } else if x.ln() >= self.log_hi {
-            self.overflow += 1;
-        } else {
-            let w = (self.log_hi - self.log_lo) / self.counts.len() as f64;
-            let i = (((x.ln() - self.log_lo) / w) as usize).min(self.counts.len() - 1);
-            self.counts[i] += 1;
-        }
-    }
-
-    /// Total observations (including out of range).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Absorb another log-histogram with the same range and bin count.
-    pub fn merge(&mut self, other: &LogHistogram) -> Result<(), StatsError> {
-        if self.log_lo != other.log_lo
-            || self.log_hi != other.log_hi
-            || self.counts.len() != other.counts.len()
-        {
-            return Err(StatsError::BadParameter {
-                name: "other",
-                value: other.log_lo,
-                constraint: "log-histogram ranges and bin counts must match",
-            });
-        }
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.underflow += other.underflow;
-        self.overflow += other.overflow;
-        self.total += other.total;
-        Ok(())
     }
 }
 
@@ -359,23 +278,8 @@ mod tests {
     fn histogram_rejects_bad_construction() {
         assert!(Histogram::new(1.0, 1.0, 10).is_err());
         assert!(Histogram::new(0.0, 1.0, 0).is_err());
-        assert!(LogHistogram::new(0.0, 1.0, 4).is_err());
-        assert!(LogHistogram::new(1.0, 1.0, 4).is_err());
         assert!(TimeOfDayBins::new(7).is_err());
         assert!(TimeOfDayBins::new(0).is_err());
-    }
-
-    #[test]
-    fn log_histogram_bins_decades() {
-        let mut h = LogHistogram::new(1.0, 10_000.0, 4).unwrap();
-        h.add(2.0); // decade 1
-        h.add(20.0); // decade 2
-        h.add(200.0); // decade 3
-        h.add(2_000.0); // decade 4
-        h.add(0.5); // underflow
-        h.add(0.0); // underflow (non-positive)
-        assert_eq!(h.counts, [1, 1, 1, 1]);
-        assert_eq!(h.total, 6);
     }
 
     #[test]
@@ -405,27 +309,6 @@ mod tests {
     fn half_hour_bins() {
         let b = TimeOfDayBins::new(1800).unwrap();
         assert_eq!(b.bins_per_day(), 48);
-    }
-
-    #[test]
-    fn merge_equals_single_accumulation() {
-        // Split one observation stream across two histograms; the merge
-        // must be bit-identical to one histogram fed everything.
-        let mut lwhole = LogHistogram::new(1.0, 10_000.0, 8).unwrap();
-        let mut la = LogHistogram::new(1.0, 10_000.0, 8).unwrap();
-        let mut lb = LogHistogram::new(1.0, 10_000.0, 8).unwrap();
-        for (i, &x) in [2.0, 20.0, 200.0, 2_000.0, 0.5, 99_999.0]
-            .iter()
-            .enumerate()
-        {
-            lwhole.add(x);
-            if i % 2 == 0 { &mut la } else { &mut lb }.add(x);
-        }
-        la.merge(&lb).unwrap();
-        assert_eq!(la, lwhole);
-        assert!(la
-            .merge(&LogHistogram::new(2.0, 10_000.0, 8).unwrap())
-            .is_err());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   (including the paper's two-piece "flattened head" variant), and a
 //!   split-fit helper for the paper's body/tail bimodal models.
 //! * **Empirical summaries**: [`Ecdf`] (CCDF and its series) and
-//!   [`histogram`] (linear, logarithmic and time-of-day binning).
+//!   [`histogram`] (linear and time-of-day binning).
 //! * **Hypothesis tests and association**: [`ks`] (one- and two-sample
 //!   Kolmogorov–Smirnov) and [`correlation`] (Pearson, Spearman).
 //! * **Ranking** ([`rank`]): top-k selection and the daily hot-set

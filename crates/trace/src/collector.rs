@@ -40,11 +40,10 @@
 //! the byte codec stays covered by the conformance sampler and the
 //! retained [`NetMsg::Data`] receive path.
 //!
-//! One deliberate scale knob: the real node forwards each query to all
-//! ~199 other neighbors; `forward_fanout` caps that (default 4) because
+//! One deliberate scale cut: the real node forwards each query to all
+//! ~199 other neighbors; [`FORWARD_FANOUT`] caps that at 4 because
 //! forwarded copies leave the measurement point and influence nothing the
-//! paper measures — only *received* messages are characterized. The cap is
-//! configurable for fidelity experiments.
+//! paper measures — only *received* messages are characterized.
 
 use crate::record::{ConnectionRecord, MessageRecord, RecordedPayload, SessionId};
 use crate::sink::SharedSink;
@@ -55,7 +54,7 @@ use gnutella::wire::{decode_message, encoded_len};
 use gnutella::{Guid, Handshake, HandshakeResponse, RoutingTable};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use simnet::{Actor, Context, LatencyModel, NodeId, SimTime};
+use simnet::{Actor, Context, NodeId, SimDuration, SimTime};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::net::Ipv4Addr;
@@ -67,12 +66,6 @@ use telemetry::{Counter, Registry};
 pub struct CollectorConfig {
     /// Maximum simultaneous connections (paper: 200).
     pub max_connections: usize,
-    /// Forwarding fan-out cap (see module docs).
-    pub forward_fanout: usize,
-    /// Link latency used for replies/forwards.
-    pub latency: LatencyModel,
-    /// The measurement node's own address (University of Dortmund).
-    pub addr: Ipv4Addr,
     /// RNG seed for GUID generation.
     pub seed: u64,
     /// How outbound frames travel (typed fast path by default).
@@ -83,15 +76,23 @@ impl Default for CollectorConfig {
     fn default() -> Self {
         CollectorConfig {
             max_connections: 200,
-            forward_fanout: 4,
-            latency: LatencyModel::Fixed { millis: 50 },
-            // A RIPE-looking address for the Dortmund node.
-            addr: Ipv4Addr::new(129, 217, 12, 34),
             seed: 0x6d75_7465,
             transport: Transport::Typed,
         }
     }
 }
+
+/// Most neighbors a received query is forwarded to (see module docs).
+pub const FORWARD_FANOUT: usize = 4;
+
+/// The delay of every reply and forward the collector sends. One fixed
+/// delay keeps deliveries to a peer in send order, which the hybrid
+/// engine's send-time resolution relies on.
+pub const LINK_DELAY: SimDuration = SimDuration::from_millis(50);
+
+/// The measurement node's own address, advertised in its PONGs: a
+/// RIPE-looking address for the University of Dortmund node.
+const COLLECTOR_ADDR: Ipv4Addr = Ipv4Addr::new(129, 217, 12, 34);
 
 /// Record-buffer size that triggers a drain into the sink. Draining in
 /// batches amortizes the sink lock to one acquisition per ~8k messages
@@ -381,10 +382,9 @@ pub struct MeasurementPeer {
     rng: StdRng,
     /// Lane-local schedule counter: the `key` half of the `(lane, key)`
     /// ordering pair on every send and timer this actor schedules. Keyed
-    /// scheduling (plus sampling latency from the collector's own RNG
-    /// rather than the engine's) makes the collector's event timing a
-    /// pure function of its inbound stream — the contract the
-    /// hybrid-fidelity engine replays.
+    /// scheduling and the one fixed [`LINK_DELAY`] make the collector's
+    /// event timing a pure function of its inbound stream — the contract
+    /// the hybrid-fidelity engine replays.
     next_key: u64,
 }
 
@@ -415,10 +415,9 @@ impl MeasurementPeer {
     }
 
     fn send_net(&mut self, ctx: &mut Context<'_, NetMsg>, to: NodeId, msg: NetMsg) {
-        let d = self.cfg.latency.sample(&mut self.rng);
         let key = self.take_key();
         let lane = ctx.id().0;
-        ctx.send_after_keyed(to, msg, d, lane, key);
+        ctx.send_after_keyed(to, msg, LINK_DELAY, lane, key);
     }
 
     fn arm_idle_timer(
@@ -461,7 +460,7 @@ impl MeasurementPeer {
                     Guid::random(&mut self.rng),
                     Payload::Pong(Pong {
                         port: 6346,
-                        addr: self.cfg.addr,
+                        addr: COLLECTOR_ADDR,
                         shared_files: 0,
                         shared_kb: 0,
                     }),
@@ -475,11 +474,10 @@ impl MeasurementPeer {
                 if self.routing.insert(msg.guid, from, now) {
                     if let Some(fwd) = msg.forwarded() {
                         let transport = self.cfg.transport;
-                        let fanout = self.cfg.forward_fanout;
                         let lane = ctx.id().0;
                         let mut sent = 0;
                         let mut idx = 0;
-                        while sent < fanout {
+                        while sent < FORWARD_FANOUT {
                             let Some((t, ())) = self.recorder.open_at(idx) else {
                                 break;
                             };
@@ -487,9 +485,9 @@ impl MeasurementPeer {
                             if t == from {
                                 continue;
                             }
-                            let d = self.cfg.latency.sample(&mut self.rng);
                             let key = self.take_key();
-                            ctx.send_after_keyed(t, transport.frame(fwd.clone()), d, lane, key);
+                            let frame = transport.frame(fwd.clone());
+                            ctx.send_after_keyed(t, frame, LINK_DELAY, lane, key);
                             sent += 1;
                         }
                     }

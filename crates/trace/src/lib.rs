@@ -37,7 +37,7 @@ pub(crate) mod sink;
 pub(crate) mod stats;
 pub(crate) mod store;
 
-pub use collector::{CollectorConfig, MeasurementPeer, Recorder};
+pub use collector::{CollectorConfig, MeasurementPeer, Recorder, FORWARD_FANOUT, LINK_DELAY};
 pub use record::{ConnectionRecord, MessageRecord, QueryObs, RecordedPayload, SessionId};
 pub use sink::{Fanout, SharedSink, TraceSink};
 pub use stats::TraceStats;

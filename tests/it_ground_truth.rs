@@ -5,21 +5,25 @@
 //! [`behavior::QueryOrigin`]; this test plans sessions directly (no
 //! network in between) and checks each rule against its target origin.
 
-use behavior::{
-    PlannedQuery, QueryOrigin, SessionKind, SessionPlanner, Vocabulary, VocabularyConfig,
-};
+use behavior::{PlannedQuery, QueryOrigin, SessionKind, SessionPlanner, Vocabulary};
 use geoip::Region;
+use p2pq::WorkloadModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
+/// A planner over the paper's popularity with smaller day sets.
 fn planner() -> SessionPlanner {
-    let cfg = VocabularyConfig {
-        daily_sizes: [600, 560, 90, 30, 3, 3, 2],
-        n_days: 3,
-        ..VocabularyConfig::default()
-    };
-    SessionPlanner::paper_default(Arc::new(Vocabulary::build(99, cfg)))
+    let mut popularity = WorkloadModel::paper_default().popularity;
+    for (class, size) in popularity
+        .classes
+        .iter_mut()
+        .zip([600, 560, 90, 30, 3, 3, 2])
+    {
+        class.daily_size = size;
+    }
+    let vocab = Vocabulary::build(99, popularity.laws().unwrap());
+    SessionPlanner::paper_default(Arc::new(vocab))
 }
 
 /// Run the rule-1/2 logic of the analysis filter directly over a plan's
